@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -43,12 +44,16 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < math.inf:   # NaN fails too
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return value
+
+
 def _to_degrees_dict(d: dict) -> dict:
-    out = {"name": d.get("name", "unnamed")}
-    if "cycle_order" in d:
-        out["cycle_order"] = d["cycle_order"]
     els = []
-    for ed in d["elements"]:
+    for ed in seqmodel.json_elements(d):
         e = {"beta": np.radians(ed["beta"])}
         if "axis" in ed:
             e["axis"] = ed["axis"]
@@ -57,7 +62,9 @@ def _to_degrees_dict(d: dict) -> dict:
             if "latitude" in ed:
                 e["latitude"] = np.radians(ed["latitude"])
         els.append(e)
-    out["elements"] = els
+    out = {"name": d.get("name", "unnamed"), "elements": els}
+    if "cycle_order" in d:
+        out["cycle_order"] = d["cycle_order"]
     return out
 
 
@@ -142,13 +149,13 @@ def _build_parser() -> _Parser:
     pk.add_argument("ddseq")
     pk.add_argument("--lambda", dest="lam", type=int, required=True)
     pk.add_argument("--beta-scale", type=float, default=1.0)
-    pk.add_argument("--tau", type=float, default=1.0)
+    pk.add_argument("--tau", type=_positive_float, default=1.0)
     pk.add_argument("--json", action="store_true")
     pk.add_argument("--out")
 
     pm = sub.add_parser("ddmap", help="centroid map over (omega, beta scale)")
     pm.add_argument("ddseq")
-    pm.add_argument("--tau", type=float, default=1.0)
+    pm.add_argument("--tau", type=_positive_float, default=1.0)
     pm.add_argument("--amp", type=float, help="field amplitude, default 1/total-time")
     pm.add_argument("--json", action="store_true")
     pm.add_argument("--out")
@@ -177,7 +184,10 @@ def _target_from_string(text: str):
     if not angle_part:
         raise _UsageError(f"cannot parse target {text!r}")
     axis = np.asarray([float(t) for t in axis_part.split(",")])
-    return rotcore.from_axis_angle(axis / np.linalg.norm(axis), float(angle_part))
+    norm = float(np.linalg.norm(axis))
+    if not 0.0 < norm < math.inf:   # NaN fails too
+        raise _UsageError(f"target axis must be finite and nonzero, got {axis_part!r}")
+    return rotcore.from_axis_angle(axis / norm, float(angle_part))
 
 
 def _run(args) -> int:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import seqmodel, toggling
+from . import rotcore, seqmodel, toggling
 from .seqmodel import RotationSequence, sequence_from_phases
 
 
@@ -61,13 +61,8 @@ def udd(n: int) -> DDSequence:
 
 
 def _dress(dd: DDSequence, thetas: np.ndarray, trailing: float, tag: str) -> DDSequence:
-    els = []
-    for el, th in zip(dd.pulses.elements, thetas):
-        c, s = np.cos(th), np.sin(th)
-        x, y, z = el.axis
-        ax = np.array([c * x - s * y, s * x + c * y, z])
-        els.append(seqmodel.PulseElement(el.beta, ax))
-    pulses = RotationSequence(f"{dd.pulses.name}{tag}", tuple(els), dd.pulses.cycle_order)
+    pulses = dd.pulses.with_axes(rotcore.rotate_about_z(dd.pulses.axes, thetas),
+                                 name=f"{dd.pulses.name}{tag}")
     return DDSequence(pulses, dd.delays, trailing_z=trailing)
 
 
@@ -192,6 +187,8 @@ def dd_to_json_dict(dd: DDSequence) -> dict:
 
 
 def dd_from_json_dict(d: dict) -> DDSequence:
+    if not isinstance(d, dict):
+        raise ValueError("a DD sequence must be a JSON object")
     return DDSequence(seqmodel.from_json_dict(d["pulses"]),
                       np.asarray(d["delays"], dtype=float))
 

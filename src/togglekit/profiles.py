@@ -11,8 +11,8 @@ import numpy as np
 
 from . import averaging, rotcore, toggling
 from .rotcore import Rotation, quat_apply
-from .seqmodel import (RotationSequence, net_propagator, prefix_quaternions,
-                       riffle, sequence_from_axes)
+from .seqmodel import (RotationSequence, global_phase_shift, net_propagator,
+                       prefix_quaternions, riffle, sequence_from_axes)
 
 DEFAULT_GRID = np.linspace(0.0, 2.0 * np.pi, 721)   # half-degree steps
 DEFAULT_GRID.flags.writeable = False
@@ -106,6 +106,7 @@ def rotation_error(s: RotationSequence, beta_prime: float, target: Rotation) -> 
 # ---------------------------------------------------------------------------
 
 _MIRROR_XZ = np.array([1.0, -1.0, 1.0])
+_MIRROR_TOL = 1e-9
 
 
 def _mirror_asymmetry(axes: np.ndarray) -> float:
@@ -115,52 +116,30 @@ def _mirror_asymmetry(axes: np.ndarray) -> float:
     return float(np.sqrt(d2.min(axis=1).max()))
 
 
-def _rotated_about_z(axes: np.ndarray, delta: float) -> np.ndarray:
-    c, s = np.cos(delta), np.sin(delta)
-    out = axes.copy()
-    out[:, 0] = c * axes[:, 0] - s * axes[:, 1]
-    out[:, 1] = s * axes[:, 0] + c * axes[:, 1]
-    return out
+def _symmetrizing_angles(axes: np.ndarray) -> list[float]:
+    """Global z-rotation angles in [0, 2pi), ascending, that make the axis
+    set mirror-symmetric in the xz plane.
 
-
-def _symmetrizing_angles(axes: np.ndarray, coarse: float = 1e-4,
-                         tol: float = 1e-9) -> list[float]:
-    """Global z-rotation angles that make the axis set mirror-symmetric in
-    the xz plane, by coarse scan over [0, 2pi) plus local refinement of
-    every coarse local minimum."""
-    grid = np.arange(0.0, 2.0 * np.pi, coarse)
-    scores = np.empty(grid.size)
-    for lo_i in range(0, grid.size, 1024):   # chunked, vectorized over delta
-        d = grid[lo_i:lo_i + 1024]
-        c, s = np.cos(d)[:, None], np.sin(d)[:, None]
-        rx = c * axes[None, :, 0] - s * axes[None, :, 1]
-        ry = s * axes[None, :, 0] + c * axes[None, :, 1]
-        rot = np.stack([rx, ry, np.broadcast_to(axes[None, :, 2], rx.shape)], axis=-1)
-        mirrored = rot * _MIRROR_XZ
-        # unit vectors: |a - b|^2 = 2 - 2 a.b
-        dots = np.einsum('dik,djk->dij', mirrored, rot)
-        d2 = np.maximum(2.0 - 2.0 * dots.max(axis=2), 0.0)
-        scores[lo_i:lo_i + 1024] = np.sqrt(d2.max(axis=1))
-    left = np.roll(scores, 1)
-    right = np.roll(scores, -1)
-    local_min = (scores <= left) & (scores <= right) & (scores < 0.1)
-    candidates = []
-    for i in np.flatnonzero(local_min):
-        lo, hi = grid[i] - coarse, grid[i] + coarse
-        for _ in range(40):           # golden-section-style shrink on the score
-            probes = np.linspace(lo, hi, 9)
-            vals = [_mirror_asymmetry(_rotated_about_z(axes, p)) for p in probes]
-            j = int(np.argmin(vals))
-            lo, hi = probes[max(0, j - 1)], probes[min(8, j + 1)]
-            if hi - lo < 1e-13:
-                break
-        best = 0.5 * (lo + hi)
-        if _mirror_asymmetry(_rotated_about_z(axes, best)) < tol:
-            candidates.append(best % (2.0 * np.pi))
+    After a turn by delta the set is its own mirror exactly when its axes
+    pair up, i <-> j, with equal z and phi_i + delta = -(phi_j + delta).
+    Pairing the axis r farthest from the z pole with every axis j of equal
+    z therefore yields every such delta: -(phi_r + phi_j)/2 or that plus
+    pi.  Each candidate is checked exactly.
+    """
+    r = int(np.argmax(np.hypot(axes[:, 0], axes[:, 1])))
+    phis = np.arctan2(axes[:, 1], axes[:, 0])
+    half = -0.5 * (phis[r] + phis[np.abs(axes[:, 2] - axes[r, 2]) < _MIRROR_TOL])
+    # folded twice: a tiny negative angle folds to 2pi in floating point
+    candidates = np.concatenate([half, half + np.pi]) % (2.0 * np.pi) % (2.0 * np.pi)
+    turned = rotcore.rotate_about_z(axes, candidates[:, None])
+    found = sorted(float(d) for d, t in zip(candidates, turned)
+                   if _mirror_asymmetry(t) < _MIRROR_TOL)
     merged: list[float] = []
-    for c in sorted(candidates):
-        if not merged or abs(c - merged[-1]) > 10 * coarse:
-            merged.append(c)
+    for d in found:
+        if not merged or d - merged[-1] > _MIRROR_TOL:
+            merged.append(d)
+    if len(merged) > 1 and merged[-1] - merged[0] > 2.0 * np.pi - _MIRROR_TOL:
+        merged.pop()   # the same turn as merged[0], across the wrap
     return merged
 
 
@@ -169,10 +148,11 @@ def convert_m2_to_m4(s: RotationSequence) -> RotationSequence:
     length into a balanced 2n-element pi/2 sequence with net rotation
     (pi)_x.
 
-    Pipeline: riffle to pi/2 steps; rotate the toggled axes about x by pi/2
-    and cyclically permute them by half the length; reconstruct through the
-    inverse toggling map; finally rotate everything about z so the axis set
-    is reflection-symmetric in the xz plane.
+    Pipeline: turn the input about z so its net lies on +/-x; riffle to
+    pi/2 steps; rotate the toggled axes about x by pi/2 and cyclically
+    permute them by half the length; reconstruct through the inverse
+    toggling map; finally rotate everything about z so the axis set is
+    reflection-symmetric in the xz plane.
     """
     if not s.is_equatorial():
         raise ValueError("conversion requires an equatorial sequence")
@@ -186,24 +166,23 @@ def convert_m2_to_m4(s: RotationSequence) -> RotationSequence:
     if abs(angle - np.pi) > 1e-8 or abs(axis[2]) > 1e-8:
         raise ValueError("conversion requires a nominal equatorial pi inverter")
 
+    name = f"{s.name}->m4"
+    s = global_phase_shift(s, -np.arctan2(axis[1], axis[0]))   # net onto +/-x
     r = riffle(s)
     toggled = toggling.toggle_axes(r.axes, r.betas)
     quarter = rotcore.quat_from_axis_angle(rotcore.E_X, np.pi / 2.0)
     lifted = quat_apply(quarter, toggled)
     permuted = np.roll(lifted, len(s), axis=0)
-    frame = sequence_from_axes(f"{s.name}->m4", np.pi / 2.0, permuted)
+    frame = sequence_from_axes(name, np.pi / 2.0, permuted)
     candidate = toggling.inverse_toggling_map(frame)
 
-    deltas = _symmetrizing_angles(candidate.axes)
-    if not deltas:
-        raise ValueError("no xz-symmetrizing z-rotation found")
-    for delta in deltas:   # smallest angle first; require the (pi)_x net
-        axes = _rotated_about_z(candidate.axes, delta)
-        out = sequence_from_axes(f"{s.name}->m4", np.full(2 * len(s), np.pi / 2.0), axes)
+    for delta in _symmetrizing_angles(candidate.axes):   # smallest first; need a (pi)_x net
+        axes = rotcore.rotate_about_z(candidate.axes, delta)
+        out = sequence_from_axes(name, np.full(2 * len(s), np.pi / 2.0), axes)
         ax, ang = rotcore.to_axis_angle(net_propagator(out))
         if abs(ang - np.pi) < 1e-6 and abs(abs(ax[0]) - 1.0) < 1e-6:
             return out
-    raise ValueError("no symmetrizing angle yields a (pi)_x net rotation")
+    raise ValueError("no xz-symmetrizing z-rotation yields a (pi)_x net rotation")
 
 
 # ---------------------------------------------------------------------------

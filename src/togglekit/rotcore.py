@@ -11,6 +11,8 @@ marked read-only so instances can be shared freely between workers.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 UNIT_TOL = 1e-12          # norm tolerance on construction
@@ -26,11 +28,11 @@ for _e in (E_X, E_Y, E_Z):
 
 
 def unit_vector(v) -> np.ndarray:
-    """Normalize ``v`` to unit length, raising on (near-)zero input."""
+    """Normalize ``v`` to unit length, raising on (near-)zero or non-finite input."""
     v = np.asarray(v, dtype=float)
     n = float(np.linalg.norm(v))
-    if n < UNIT_TOL:
-        raise ValueError("cannot normalize a zero vector")
+    if not UNIT_TOL <= n < math.inf:   # NaN fails too
+        raise ValueError(f"cannot normalize a vector of norm {n}")
     out = v / n
     out.flags.writeable = False
     return out
@@ -87,6 +89,16 @@ def quat_from_axis_angle(axes: np.ndarray, angles) -> np.ndarray:
     return np.concatenate([np.cos(half), np.sin(half) * np.asarray(axes, dtype=float)], axis=-1)
 
 
+def rotate_about_z(v: np.ndarray, angles) -> np.ndarray:
+    """Rotate vector(s) v, shape (..., 3), about e_z by ``angles``, which
+    broadcast against the leading axes of v."""
+    v = np.asarray(v, dtype=float)
+    angles = np.asarray(angles, dtype=float)
+    c, s = np.cos(angles), np.sin(angles)
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    return np.stack(np.broadcast_arrays(c * x - s * y, s * x + c * y, z), axis=-1)
+
+
 def quat_identity(shape=()) -> np.ndarray:
     q = np.zeros(shape + (4,))
     q[..., 0] = 1.0
@@ -107,7 +119,7 @@ class Rotation:
         if q.shape != (4,):
             raise ValueError(f"quaternion must have shape (4,), got {q.shape}")
         n = float(np.linalg.norm(q))
-        if abs(n - 1.0) > AXIS_INPUT_TOL:
+        if not abs(n - 1.0) <= AXIS_INPUT_TOL:   # NaN fails too
             raise ValueError(f"quaternion norm {n} too far from 1")
         q = q / n
         q.flags.writeable = False

@@ -250,21 +250,11 @@ def _z_canonical(axes: np.ndarray) -> tuple:
     """Lexicographically smallest axis list over global z-rotations that
     zero the phase of some equatorial element; fully non-equatorial sets
     fall back to the octahedral canonical form."""
-    best = None
-    for el in axes:
-        if abs(el[2]) > 1e-9:
-            continue
-        delta = -np.arctan2(el[1], el[0])
-        c, s = np.cos(delta), np.sin(delta)
-        rot = axes.copy()
-        rot[:, 0] = c * axes[:, 0] - s * axes[:, 1]
-        rot[:, 1] = s * axes[:, 0] + c * axes[:, 1]
-        key = _round_key(rot)
-        if best is None or key < best:
-            best = key
-    if best is None:
+    equatorial = axes[np.abs(axes[:, 2]) <= 1e-9]
+    if len(equatorial) == 0:
         return min(_round_key(axes @ g.T) for g in _OCTAHEDRAL)
-    return best
+    deltas = -np.arctan2(equatorial[:, 1], equatorial[:, 0])
+    return min(map(_round_key, rotcore.rotate_about_z(axes, deltas[:, None])))
 
 
 def dedupe(results: list[RotationSequence], symmetry: str = "global_z") -> list[RotationSequence]:

@@ -36,8 +36,8 @@ class PulseElement:
     latitude: float | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.beta <= 0.0:
-            raise ValueError("flip angle must be positive; reverse via the axis")
+        if not 0.0 < self.beta < math.inf:   # NaN fails too
+            raise ValueError("flip angle must be positive and finite; reverse via the axis")
         ax = rotcore.unit_vector(self.axis)
         object.__setattr__(self, "axis", ax)
 
@@ -227,14 +227,10 @@ def cyclic_permute(s: RotationSequence, shift: int) -> RotationSequence:
 
 def global_phase_shift(s: RotationSequence, dphi: float) -> RotationSequence:
     """Rotate every axis about z by ``dphi`` (legal for any sequence)."""
-    c, sn = math.cos(dphi), math.sin(dphi)
-    els = []
-    for el in s.elements:
-        x, y, z = el.axis
-        ax = np.array([c * x - sn * y, sn * x + c * y, z])
-        phase = None if el.phase is None else el.phase + dphi
-        els.append(PulseElement(el.beta, ax, phase=phase, latitude=el.latitude))
-    return RotationSequence(f"{s.name}+{dphi:.6g}", tuple(els), s.cycle_order)
+    axes = rotcore.rotate_about_z(s.axes, dphi)
+    els = tuple(PulseElement(el.beta, ax, phase=None if el.phase is None else el.phase + dphi,
+                             latitude=el.latitude) for el, ax in zip(s.elements, axes))
+    return RotationSequence(f"{s.name}+{dphi:.6g}", els, s.cycle_order)
 
 
 def phase_scale(s: RotationSequence, k: int) -> RotationSequence:
@@ -311,16 +307,27 @@ def to_json_dict(s: RotationSequence) -> dict:
     return out
 
 
+def json_elements(d) -> list[dict]:
+    """The element list of a decoded sequence object, checked for shape."""
+    els = d.get("elements") if isinstance(d, dict) else None
+    if not isinstance(els, list) or not all(isinstance(ed, dict) for ed in els):
+        raise ValueError("a sequence must be a JSON object whose 'elements' is a list of objects")
+    return els
+
+
 def from_json_dict(d: dict) -> RotationSequence:
     els = []
-    for ed in d["elements"]:
-        beta = float(ed["beta"])
-        if "axis" in ed:
-            els.append(PulseElement(beta, np.asarray(ed["axis"], dtype=float)))
-        else:
-            els.append(element_from_phase(beta, float(ed["phase"]),
-                                          float(ed.get("latitude", 0.0))))
-    return RotationSequence(d.get("name", "unnamed"), tuple(els), d.get("cycle_order"))
+    try:   # a value of the wrong JSON type raises TypeError
+        for ed in json_elements(d):
+            beta = float(ed["beta"])
+            if "axis" in ed:
+                els.append(PulseElement(beta, np.asarray(ed["axis"], dtype=float)))
+            else:
+                els.append(element_from_phase(beta, float(ed["phase"]),
+                                              float(ed.get("latitude", 0.0))))
+        return RotationSequence(d.get("name", "unnamed"), tuple(els), d.get("cycle_order"))
+    except TypeError as exc:
+        raise ValueError(f"malformed sequence: {exc}") from exc
 
 
 def load_sequence(path: str) -> RotationSequence:

@@ -75,11 +75,7 @@ def closed_form_toggling(s: RotationSequence, m: int) -> RotationSequence:
     """
     if m < 0:
         raise ValueError("iteration count must be non-negative")
-    axes = s.axes
-    prefixes = prefix_quaternions(axes, m * s.betas)[:-1, :]
-    out = quat_apply(quat_conj(prefixes), axes)
-    out = out / np.linalg.norm(out, axis=-1, keepdims=True)
-    return s.with_axes(out, name=f"{s.name}^({m})")
+    return s.with_axes(toggle_axes(s.axes, m * s.betas), name=f"{s.name}^({m})")
 
 
 def inverse_toggling_map(s: RotationSequence) -> RotationSequence:
@@ -161,12 +157,8 @@ def detuning_frame(s: RotationSequence) -> TogglingFrameSet:
         raise ValueError("detuning frame requires an equatorial sequence")
     if abs(s.uniform_beta() - np.pi) > 1e-9:
         raise ValueError("detuning frame is defined for uniform beta = pi")
-    tilde = toggle_axes(s.axes, s.betas)
     signs = (-1.0) ** np.arange(len(s))
-    c = np.cos(signs * np.pi / 2.0)[:, None]
-    sn = np.sin(signs * np.pi / 2.0)[:, None]
-    x, y, z = tilde[:, 0:1], tilde[:, 1:2], tilde[:, 2:3]
-    primed = np.concatenate([c * x - sn * y, sn * x + c * y, z], axis=1)
+    primed = rotcore.rotate_about_z(toggle_axes(s.axes, s.betas), signs * np.pi / 2.0)
     return TogglingFrameSet(depth=1, vectors=primed, source=s)
 
 

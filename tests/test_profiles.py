@@ -134,6 +134,52 @@ def test_convert_bprime5():
     assert av.symmetry_class(out) == "antisymmetric"
 
 
+@pytest.mark.parametrize("make", [
+    catalog.tycko,                                          # net at 60 deg
+    catalog.u5,                                             # net at -30 deg
+    lambda: sm.global_phase_shift(catalog.bprime(5), np.pi / 7),
+    lambda: sm.global_phase_shift(catalog.bprime(9), -2.0),
+])
+def test_convert_any_equatorial_net(make):
+    src = make()
+    out = pf.convert_m2_to_m4(src)
+    assert len(out) == 2 * len(src)
+    assert np.allclose(out.betas, np.pi / 2)
+    dev = rc.rotation_angle_between(sm.net_propagator(out),
+                                    rc.from_axis_angle(rc.E_X, np.pi))
+    assert dev < 1e-8
+    assert np.linalg.norm(av.centroid(tg.toggling_map(out).axes)) < 1e-9
+    assert av.symmetry_class(out) == "antisymmetric"
+
+
+def _mirror_symmetric_set(rng, pairs, on_plane, equatorial):
+    """Random axes plus their xz mirrors and some axes in the xz plane, in
+    shuffled order; off-equator sets also carry the z pole."""
+    v = rng.normal(size=(pairs + on_plane, 3))
+    v[pairs:, 1] = 0.0
+    if equatorial:
+        v[:, 2] = 0.0
+    axes = np.concatenate([v, v[:pairs] * np.array([1.0, -1.0, 1.0])]
+                          + ([] if equatorial else [rc.E_Z[None, :]]))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    return axes[rng.permutation(len(axes))]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_symmetrizing_angles_recover_known_turn(seed):
+    rng = np.random.default_rng(seed)
+    axes = _mirror_symmetric_set(rng, int(rng.integers(1, 5)), int(rng.integers(0, 3)),
+                                 equatorial=seed % 2 == 1)
+    delta0 = rng.uniform(-np.pi, np.pi)
+    turned = rc.rotate_about_z(axes, delta0)
+    deltas = pf._symmetrizing_angles(turned)
+    assert deltas == sorted(deltas) and all(0.0 <= d < 2 * np.pi for d in deltas)
+    offsets = (np.array(deltas) + delta0) % np.pi
+    assert np.min(np.minimum(offsets, np.pi - offsets)) < 1e-12
+    for d in deltas:
+        assert pf._mirror_asymmetry(rc.rotate_about_z(turned, d)) < 1e-9
+
+
 def test_convert_rejects_wrong_inputs():
     with pytest.raises(ValueError):
         pf.convert_m2_to_m4(catalog.nprime(5))      # antisymmetric, narrowband

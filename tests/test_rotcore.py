@@ -36,6 +36,27 @@ def test_non_unit_axis_rejected():
         rc.from_axis_angle(np.array([1.0, 1.0, 0.0]), 0.3)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_input_rejected(bad):
+    with pytest.raises(ValueError):
+        rc.unit_vector([bad, 0.0, 0.0])
+    with pytest.raises(ValueError):
+        rc.Rotation(np.array([bad, 0.0, 0.0, 0.0]))
+    with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+        rc.from_axis_angle(rc.E_X, bad)
+
+
+def test_rotate_about_z_matches_rodrigues_and_broadcasts():
+    rng = np.random.default_rng(11)
+    v = rng.normal(size=(5, 3))
+    angles = rng.uniform(-4, 4, 7)
+    out = rc.rotate_about_z(v[None, :, :], angles[:, None])
+    assert out.shape == (7, 5, 3)
+    for k, a in enumerate(angles):
+        assert np.allclose(out[k], v @ rodrigues(rc.E_Z, a).T, atol=1e-14)
+    assert np.array_equal(rc.rotate_about_z(v, 0.0), v)
+
+
 def test_axis_angle_round_trip():
     rng = np.random.default_rng(7)
     for _ in range(200):

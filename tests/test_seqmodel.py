@@ -28,6 +28,9 @@ def test_element_requires_positive_beta():
         sm.PulseElement(-np.pi, rc.E_X)
     with pytest.raises(ValueError):
         sm.PulseElement(0.0, rc.E_X)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            sm.PulseElement(bad, rc.E_X)
 
 
 def test_sequence_requires_elements():
@@ -220,3 +223,13 @@ def test_sequences_equal_tolerances():
     assert sm.sequences_equal(a, b)
     assert not sm.sequences_equal(a, c)
     assert not sm.sequences_equal(a, catalog.t1())
+
+
+@pytest.mark.parametrize("doc", [
+    5, [], {"elements": 5}, {"elements": [1.0]}, {"name": "x"},
+    {"elements": [{"beta": [1.0], "phase": 0.0}]},
+    {"cycle_order": "2", "elements": [{"beta": np.pi, "phase": 0.0}]},
+])
+def test_from_json_dict_rejects_malformed_documents(doc):
+    with pytest.raises(ValueError):
+        sm.from_json_dict(doc)
