@@ -20,7 +20,7 @@ from numpy.polynomial import chebyshev as _cheb
 
 from . import rotcore
 from .rotcore import Rotation
-from .seqmodel import RotationSequence, net_propagator, prefix_quaternions
+from .seqmodel import RotationSequence, net_quaternions, prefix_quaternions
 
 BALANCE_TOL = 1e-9
 MAX_WIGNER_RANK = 3
@@ -77,14 +77,6 @@ def average_orders(vectors) -> AverageRotationOrders:
     return AverageRotationOrders(order1, order2, order3)
 
 
-def error_propagator(s: RotationSequence, beta_prime: float, eps: float) -> Rotation:
-    """Residual rotation U(beta')^-1 U(beta' + eps) for a uniform-angle sequence."""
-    beta = s.uniform_beta()
-    u0 = net_propagator(s, beta_prime / beta)
-    u1 = net_propagator(s, (beta_prime + eps) / beta)
-    return rotcore.compose(rotcore.inverse(u0), u1)
-
-
 def default_eps_grid(half_width: float = 0.2, points: int = 33) -> np.ndarray:
     """Chebyshev-extrema grid on [-h, h]; symmetric about zero."""
     return half_width * np.cos(np.pi * np.arange(points) / (points - 1))
@@ -107,7 +99,9 @@ def numeric_error_expansion(s: RotationSequence, beta_prime: float | None = None
         raise ValueError("eps grid needs at least 5 points")
     if np.max(np.abs(np.sort(grid) + np.sort(grid)[::-1])) > 1e-12:
         raise ValueError("eps grid must be symmetric about zero")
-    vs = np.array([rotcore.rotation_vector(error_propagator(s, beta_prime, e)) for e in grid])
+    nets = net_quaternions(s, beta_prime + np.concatenate([[0.0], grid]))
+    errors = rotcore.quat_normalize(rotcore.quat_mul(rotcore.quat_conj(nets[0]), nets[1:]))
+    vs = rotcore.quat_to_rotation_vector(errors)
     degree = min(14, grid.size - 1)
     coeffs = _cheb.chebfit(grid, vs, degree)
     resid = np.max(np.abs(_cheb.chebval(grid, coeffs).T - vs))

@@ -12,7 +12,7 @@ import numpy as np
 from . import averaging, rotcore, toggling
 from .rotcore import Rotation, quat_apply
 from .seqmodel import (RotationSequence, global_phase_shift, net_propagator,
-                       prefix_quaternions, riffle, sequence_from_axes)
+                       net_quaternions, prefix_quaternions, riffle, sequence_from_axes)
 
 DEFAULT_GRID = np.linspace(0.0, 2.0 * np.pi, 721)   # half-degree steps
 DEFAULT_GRID.flags.writeable = False
@@ -26,19 +26,10 @@ class ProfileSample:
     net_rotation: Rotation
 
 
-def _net_quats(s: RotationSequence, beta_primes: np.ndarray) -> np.ndarray:
-    """Net propagator quaternions over a sweep of absolute flip angles."""
-    beta = s.uniform_beta()
-    scales = np.asarray(beta_primes, dtype=float) / beta
-    axes = np.broadcast_to(s.axes, (scales.size,) + s.axes.shape)
-    angles = scales[:, None] * s.betas[None, :]
-    return prefix_quaternions(axes, angles)[:, -1, :]
-
-
 def q_values(s: RotationSequence, e_xi, grid) -> np.ndarray:
     """Transformation amplitude e_xi . (U(beta') e_xi) over the grid."""
     e_xi = np.asarray(e_xi, dtype=float)
-    quats = _net_quats(s, np.asarray(grid, dtype=float))
+    quats = net_quaternions(s, grid)
     return quat_apply(quats, e_xi) @ e_xi
 
 
@@ -51,7 +42,7 @@ def q_profile(s: RotationSequence, e_xi, grid=None) -> list[ProfileSample]:
     if grid.size == 0:
         raise ValueError("grid must be nonempty")
     e_xi = np.asarray(e_xi, dtype=float)
-    quats = _net_quats(s, grid)
+    quats = net_quaternions(s, grid)
     finals = quat_apply(quats, e_xi)
     qs = finals @ e_xi
     return [ProfileSample(float(bp), float(qv), fv, Rotation(qq))

@@ -58,11 +58,14 @@ def axis_from_phase(phi: float, latitude: float = 0.0) -> np.ndarray:
 
 def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hamilton product a*b (apply b first, then a, when used as rotations)."""
-    aw, av = a[..., :1], a[..., 1:]
-    bw, bv = b[..., :1], b[..., 1:]
-    w = aw * bw - np.sum(av * bv, axis=-1, keepdims=True)
-    v = aw * bv + bw * av + np.cross(av, bv)
-    return np.concatenate([w, v], axis=-1)
+    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    out[..., 0] = aw * bw - ((ax * bx + ay * by) + az * bz)
+    out[..., 1] = (aw * bx + bw * ax) + (ay * bz - az * by)
+    out[..., 2] = (aw * by + bw * ay) + (az * bx - ax * bz)
+    out[..., 3] = (aw * bz + bw * az) + (ax * by - ay * bx)
+    return out
 
 
 def quat_conj(q: np.ndarray) -> np.ndarray:
@@ -97,6 +100,17 @@ def rotate_about_z(v: np.ndarray, angles) -> np.ndarray:
     c, s = np.cos(angles), np.sin(angles)
     x, y, z = v[..., 0], v[..., 1], v[..., 2]
     return np.stack(np.broadcast_arrays(c * x - s * y, s * x + c * y, z), axis=-1)
+
+
+def quat_to_rotation_vector(q: np.ndarray) -> np.ndarray:
+    """Logarithm map of unit quaternion(s) (..., 4): angle * axis with the
+    angle in [0, pi] (either axis at pi), and the zero vector below
+    ZERO_ANGLE_TOL."""
+    q = np.where(q[..., :1] >= 0.0, q, -q)
+    vnorm = np.linalg.norm(q[..., 1:], axis=-1, keepdims=True)
+    angle = 2.0 * np.arctan2(vnorm, q[..., :1])
+    small = angle < ZERO_ANGLE_TOL
+    return np.where(small, 0.0, angle * (q[..., 1:] / np.where(small, 1.0, vnorm)))
 
 
 def quat_identity(shape=()) -> np.ndarray:
@@ -197,12 +211,6 @@ def rotate(r: Rotation, v) -> np.ndarray:
     out = quat_apply(r.q, np.asarray(v, dtype=float))
     out.flags.writeable = False
     return out
-
-
-def rotation_vector(r: Rotation) -> np.ndarray:
-    """Logarithm map: angle * axis with the canonical angle in [0, pi]."""
-    e, beta = to_axis_angle(r)
-    return beta * e
 
 
 def rotation_angle_between(a: Rotation, b: Rotation) -> float:

@@ -24,6 +24,7 @@ import numpy as np
 from . import rotcore
 from .rotcore import Rotation
 from .seqmodel import RotationSequence, sequence_from_axes
+from .toggling import inverse_toggle_axes
 
 COMBINATORIC_GUARD = 10 ** 9
 NET_MATCH_TOL = 1e-8
@@ -129,24 +130,6 @@ def _target_mask(spec: SearchSpec, net_quats: np.ndarray) -> np.ndarray:
     return err < NET_MATCH_TOL
 
 
-def _inverse_toggle_batch(toggled: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Reverse transform a batch of toggled-axis tuples; returns the
-    reconstructed axes (B, n, 3) and the net quaternions (B, 4)."""
-    b, n, _ = toggled.shape
-    out = np.empty_like(toggled)
-    q = rotcore.quat_identity((b,))
-    out[:, 0] = toggled[:, 0]
-    for i in range(1, n):
-        step = rotcore.quat_from_axis_angle(out[:, i - 1], np.full(b, beta))
-        q = rotcore.quat_mul(step, q)
-        q = q / np.linalg.norm(q, axis=-1, keepdims=True)
-        v = rotcore.quat_apply(q, toggled[:, i])
-        out[:, i] = v / np.linalg.norm(v, axis=-1, keepdims=True)
-    last = rotcore.quat_from_axis_angle(out[:, n - 1], np.full(b, beta))
-    net = rotcore.quat_mul(last, q)
-    return out, net / np.linalg.norm(net, axis=-1, keepdims=True)
-
-
 def _indices_to_axes(axis_set: AxisSet, start: int, stop: int, n: int) -> np.ndarray:
     """Decode odometer indices start..stop-1 into (B, n) vertex indices."""
     k = len(axis_set)
@@ -171,7 +154,7 @@ def _search_range(spec: SearchSpec, start: int, stop: int) -> list[np.ndarray]:
     tuples = tuples[keep]
     if tuples.size == 0:
         return []
-    axes, nets = _inverse_toggle_batch(tuples, spec.beta)
+    axes, nets = inverse_toggle_axes(tuples, spec.beta)
     mask = _target_mask(spec, nets)
     return [axes[j] for j in np.flatnonzero(mask)]
 

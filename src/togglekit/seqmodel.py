@@ -39,6 +39,8 @@ class PulseElement:
         if not 0.0 < self.beta < math.inf:   # NaN fails too
             raise ValueError("flip angle must be positive and finite; reverse via the axis")
         ax = rotcore.unit_vector(self.axis)
+        if ax.shape != (3,):
+            raise ValueError(f"an axis needs 3 components, got an array of shape {ax.shape}")
         object.__setattr__(self, "axis", ax)
 
     @property
@@ -178,15 +180,19 @@ def prefix_propagator(s: RotationSequence, i: int, scale: float = 1.0) -> Rotati
     """
     if not 0 <= i <= len(s):
         raise ValueError(f"prefix length {i} out of range 0..{len(s)}")
-    q = quat_identity()
-    for el in s.elements[:i]:
-        q = quat_mul(quat_from_axis_angle(el.axis, scale * el.beta), q)
-        q = q / np.linalg.norm(q)
-    return Rotation(q)
+    return Rotation(prefix_quaternions(s.axes[:i], scale * s.betas[:i])[-1])
 
 
 def net_propagator(s: RotationSequence, scale: float = 1.0) -> Rotation:
     return prefix_propagator(s, len(s), scale)
+
+
+def net_quaternions(s: RotationSequence, beta_primes) -> np.ndarray:
+    """Net propagator quaternions (len(beta_primes), 4) of a uniform-angle
+    sequence over a sweep of realized flip angles, in one kernel call."""
+    scales = np.asarray(beta_primes, dtype=float) / s.uniform_beta()
+    axes = np.broadcast_to(s.axes, (scales.size,) + s.axes.shape)
+    return prefix_quaternions(axes, scales[:, None] * s.betas[None, :])[:, -1, :]
 
 
 def prefix_quaternions(axes: np.ndarray, angles: np.ndarray) -> np.ndarray:

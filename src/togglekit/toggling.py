@@ -39,6 +39,29 @@ def toggle_axes(axes: np.ndarray, angles: np.ndarray) -> np.ndarray:
     return out / np.linalg.norm(out, axis=-1, keepdims=True)
 
 
+def inverse_toggle_axes(toggled: np.ndarray, angles) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of toggle_axes on raw axis arrays: the axes whose toggling
+    image is ``toggled``, and their net quaternions U_n.
+
+    toggled: (..., n, 3); angles: (n,) or (..., n).  Reconstructs forward,
+    e_0 = f_0 and e_i = U_i f_i with U_i built from the recovered e_0..e_i-1,
+    vectorized over all leading axes.  Returns (..., n, 3) and (..., 4).
+    """
+    toggled = np.asarray(toggled, dtype=float)
+    angles = np.broadcast_to(np.asarray(angles, dtype=float), toggled.shape[:-1])
+    axes = np.empty_like(toggled)
+    q = rotcore.quat_identity(toggled.shape[:-2])
+    for i in range(toggled.shape[-2]):
+        v = toggled[..., i, :]
+        if i > 0:
+            v = quat_apply(q, v)
+            v = v / np.linalg.norm(v, axis=-1, keepdims=True)
+        axes[..., i, :] = v
+        q = rotcore.quat_mul(rotcore.quat_from_axis_angle(v, angles[..., i]), q)
+        q = q / np.linalg.norm(q, axis=-1, keepdims=True)
+    return axes, q
+
+
 def toggling_map(s: RotationSequence) -> RotationSequence:
     """One application of the toggling map (same angles, mapped axes)."""
     return s.with_axes(toggle_axes(s.axes, s.betas), name=f"{s.name}^(1)")
@@ -81,22 +104,9 @@ def closed_form_toggling(s: RotationSequence, m: int) -> RotationSequence:
 def inverse_toggling_map(s: RotationSequence) -> RotationSequence:
     """The sequence whose toggling image is ``s``.
 
-    Reconstructs forward: e_0 = f_0, then e_i = U_i f_i with U_i built
-    cumulatively from the already-recovered elements.  Valid for any flip
-    angles, not only 2*pi/m.
+    Valid for any flip angles, not only 2*pi/m.
     """
-    f = s.axes
-    betas = s.betas
-    out = np.empty_like(f)
-    q = rotcore.quat_identity()
-    out[0] = f[0]
-    for i in range(1, len(f)):
-        step = rotcore.quat_from_axis_angle(out[i - 1], betas[i - 1])
-        q = rotcore.quat_mul(step, q)
-        q = q / np.linalg.norm(q)
-        v = quat_apply(q, f[i])
-        out[i] = v / np.linalg.norm(v)
-    return s.with_axes(out, name=f"{s.name}^(-1)")
+    return s.with_axes(inverse_toggle_axes(s.axes, s.betas)[0], name=f"{s.name}^(-1)")
 
 
 def cyclicity_order(s: RotationSequence, m_max: int, tol: float = CYCLE_TOL) -> int | None:

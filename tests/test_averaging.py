@@ -111,6 +111,47 @@ def test_numeric_expansion_matches_algebraic():
             assert np.max(np.abs(a - b)) < 1e-6 * max(1.0, np.max(np.abs(b)))
 
 
+def reference_numeric_error_expansion(s, beta_prime):
+    """The oracle as it ran before its eps grid became one kernel call: a
+    scalar propagator loop per grid point (the error_propagator list
+    comprehension), then the same Chebyshev fit.  Returns order1..3 as rows."""
+    beta = s.uniform_beta()
+
+    def net(scale):
+        q = rc.quat_identity()
+        for el in s.elements:
+            q = rc.quat_mul(rc.quat_from_axis_angle(el.axis, scale * el.beta), q)
+            q = q / np.linalg.norm(q)
+        return rc.Rotation(q)
+
+    def error_propagator(eps):
+        return rc.compose(rc.inverse(net(beta_prime / beta)), net((beta_prime + eps) / beta))
+
+    def rotation_vector(r):
+        e, angle = rc.to_axis_angle(r)
+        return angle * e
+
+    grid = av.default_eps_grid()
+    vs = np.array([rotation_vector(error_propagator(e)) for e in grid])
+    coeffs = np.polynomial.chebyshev.chebfit(grid, vs, 14)
+    power = np.zeros((15, 3))
+    for k in range(3):
+        p = np.polynomial.chebyshev.cheb2poly(coeffs[:, k])
+        power[:p.size, k] = p
+    return power[1:4]
+
+
+def test_numeric_expansion_matches_scalar_loop():
+    rng = np.random.default_rng(46)
+    for n in range(1, 11):
+        beta = float(rng.uniform(0.5, np.pi))
+        s = sm.sequence_from_axes("r", beta, rng.normal(size=(n, 3)))
+        for beta_prime in (beta, 0.9 * beta):
+            num = av.numeric_error_expansion(s, beta_prime)
+            got = np.array([num.order1, num.order2, num.order3])
+            assert np.max(np.abs(got - reference_numeric_error_expansion(s, beta_prime))) < 1e-10
+
+
 def test_numeric_expansion_grid_validation():
     s = catalog.f1()
     with pytest.raises(ValueError):

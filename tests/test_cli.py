@@ -176,25 +176,34 @@ def test_output_file(capsys, tmp_path):
     assert text.startswith("beta_prime,") and text.endswith("\n")
 
 
-@pytest.mark.parametrize("argv, doc", [
+AXIS_SHAPES = {"axis-len2": [1, 0], "axis-len4": [1, 0, 0, 0], "axis-nested": [[1, 0, 0]]}
+
+
+@pytest.mark.parametrize("argv, doc, says", [
     pytest.param(["orders", "@in"], {"elements": [{"beta": float("nan"), "phase": 0.0}]},
-                 id="nan-beta"),
+                 "flip angle", id="nan-beta"),
     pytest.param(["search", "--axes", "cube", "--n", "2", "--m", "3", "--target", "0,0,0:1"],
-                 None, id="zero-target-axis"),
+                 None, "target axis", id="zero-target-axis"),
     pytest.param(["search", "--axes", "cube", "--n", "2", "--m", "3", "--target", "nan,0,1:1"],
-                 None, id="nan-target-axis"),
-    pytest.param(["ddmap", "xy4", "--tau", "0"], None, id="zero-tau"),
-    pytest.param(["kappa", "xy4", "--lambda", "1", "--tau", "inf"], None, id="inf-tau"),
-    pytest.param(["dual", "@in"], {"elements": 5}, id="elements-not-a-list"),
-    pytest.param(["dual", "@in", "--deg"], [{"beta": 180.0, "phase": 0.0}], id="top-level-list"),
-    pytest.param(["kappa", "@in", "--lambda", "1"], [1, 2], id="dd-top-level-list"),
+                 None, "target axis", id="nan-target-axis"),
+    pytest.param(["ddmap", "xy4", "--tau", "0"], None, "--tau", id="zero-tau"),
+    pytest.param(["kappa", "xy4", "--lambda", "1", "--tau", "inf"], None, "--tau", id="inf-tau"),
+    pytest.param(["dual", "@in"], {"elements": 5}, "'elements'", id="elements-not-a-list"),
+    pytest.param(["dual", "@in", "--deg"], [{"beta": 180.0, "phase": 0.0}], "'elements'",
+                 id="top-level-list"),
+    pytest.param(["kappa", "@in", "--lambda", "1"], [1, 2], "JSON object", id="dd-top-level-list"),
     pytest.param(["kappa", "@in", "--lambda", "1"],
-                 {"pulses": {"elements": [3]}, "delays": [1, 1]}, id="dd-element-not-an-object"),
+                 {"pulses": {"elements": [3]}, "delays": [1, 1]}, "'elements'",
+                 id="dd-element-not-an-object"),
+    *[pytest.param([cmd, "@in"], {"elements": [{"beta": np.pi, "axis": axis}]}, "3 components",
+                   id=f"{cmd}-{tag}")
+      for cmd in ("toggle", "centroid", "cycle") for tag, axis in AXIS_SHAPES.items()],
 ])
-def test_bad_input_exits_1_with_one_line(capsys, tmp_path, argv, doc):
+def test_bad_input_exits_1_with_one_line(capsys, tmp_path, argv, doc, says):
     path = tmp_path / "in.json"
     path.write_text(json.dumps(doc))
     argv = [f"@{path}" if a == "@in" else a for a in argv]
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err
+    assert says in err

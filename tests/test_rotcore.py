@@ -80,6 +80,34 @@ def test_to_axis_angle_canonicalizes_negative_angle():
     assert np.allclose(axis, -rc.E_Y, atol=1e-12)
 
 
+def test_quat_to_rotation_vector_matches_axis_angle_rows():
+    rng = np.random.default_rng(18)
+    axes = rng.normal(size=(200, 3))
+    rots = [rc.from_axis_angle(a / np.linalg.norm(a), t)
+            for a, t in zip(axes, rng.uniform(0.0, 2.0 * np.pi, 200))]
+    rots += [rc.IDENTITY, rc.from_axis_angle(-rc.E_Z, 1e-10),
+             rc.Rotation(np.array([-1.0, 0.0, 0.0, 0.0])), rc.from_axis_angle(rc.E_X, 3.0)]
+    got = rc.quat_to_rotation_vector(np.array([r.q for r in rots]))
+    for v, r in zip(got, rots):
+        axis, angle = rc.to_axis_angle(r)
+        assert np.max(np.abs(v - angle * axis)) < 1e-14
+
+
+def test_quat_mul_bit_identical_to_cross_product_form():
+    def cross_form(a, b):
+        aw, av = a[..., :1], a[..., 1:]
+        bw, bv = b[..., :1], b[..., 1:]
+        w = aw * bw - np.sum(av * bv, axis=-1, keepdims=True)
+        return np.concatenate([w, aw * bv + bw * av + np.cross(av, bv)], axis=-1)
+
+    rng = np.random.default_rng(19)
+    a, b = rng.normal(size=(2, 10000, 4))
+    assert np.array_equal(rc.quat_mul(a, b), cross_form(a, b))
+    assert np.array_equal(rc.quat_mul(a[0], b), cross_form(a[0], b))
+    for i in range(200):
+        assert np.array_equal(rc.quat_mul(a[i], b[i]), cross_form(a[i], b[i]))
+
+
 def test_pi_rotation_axis_tie_break_is_lex_largest():
     axis, angle = rc.to_axis_angle(rc.from_axis_angle(-rc.E_Y, np.pi))
     assert abs(angle - np.pi) < 1e-12
@@ -152,7 +180,7 @@ def test_rotation_vector_round_trip():
     for _ in range(100):
         v = rng.normal(size=3) * 0.8
         r = rc.from_rotation_vector(v)
-        assert np.allclose(rc.rotation_vector(r), v, atol=1e-12)
+        assert np.allclose(rc.quat_to_rotation_vector(r.q), v, atol=1e-12)
 
 
 def test_rotation_is_immutable():

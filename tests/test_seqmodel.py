@@ -86,6 +86,41 @@ def test_prefix_recursion_invariant():
             assert rc.rotation_angle_between(lhs, rhs) < 1e-12
 
 
+def reference_prefix_propagator(s, i, scale=1.0):
+    """The per-element loop that prefix_propagator ran before it became a
+    batch-of-one call on prefix_quaternions, kept as the reference."""
+    q = rc.quat_identity()
+    for el in s.elements[:i]:
+        q = rc.quat_mul(rc.quat_from_axis_angle(el.axis, scale * el.beta), q)
+        q = q / np.linalg.norm(q)
+    return rc.Rotation(q)
+
+
+def test_prefix_propagator_matches_scalar_loop():
+    rng = np.random.default_rng(61)
+    for n in range(1, 11):
+        axes = rng.normal(size=(n, 3))
+        s = sm.sequence_from_axes("r", rng.uniform(0.1, 2 * np.pi, n), axes)
+        for scale in (0.8, 1.0, 1.25):
+            for i in range(n + 1):
+                got = sm.prefix_propagator(s, i, scale).q
+                assert np.max(np.abs(got - reference_prefix_propagator(s, i, scale).q)) < 1e-14
+            assert np.array_equal(sm.net_propagator(s, scale).q,
+                                  sm.prefix_propagator(s, n, scale).q)
+
+
+def test_net_quaternions_match_scalar_loop():
+    rng = np.random.default_rng(62)
+    for n in range(1, 11):
+        beta = float(rng.uniform(0.1, 2 * np.pi))
+        s = sm.sequence_from_axes("r", beta, rng.normal(size=(n, 3)))
+        sweep = beta * rng.uniform(0.0, 2.0, 9)
+        quats = sm.net_quaternions(s, sweep)
+        assert quats.shape == (9, 4)
+        for q, bp in zip(quats, sweep):
+            assert np.max(np.abs(q - reference_prefix_propagator(s, n, bp / beta).q)) < 1e-14
+
+
 def test_reverse():
     s = sm.sequence_from_phases("ab", np.pi, [0.0, np.pi / 2])
     r = sm.reverse(s)

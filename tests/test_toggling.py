@@ -88,6 +88,60 @@ def test_inverse_round_trip_random():
         assert np.max(np.abs(fwd.axes - s.axes)) < 1e-10
 
 
+def reference_inverse_toggling_map(s):
+    """The per-element loop that inverse_toggling_map ran before
+    inverse_toggle_axes, kept as the reference."""
+    f = s.axes
+    betas = s.betas
+    out = np.empty_like(f)
+    q = rc.quat_identity()
+    out[0] = f[0]
+    for i in range(1, len(f)):
+        step = rc.quat_from_axis_angle(out[i - 1], betas[i - 1])
+        q = rc.quat_mul(step, q)
+        q = q / np.linalg.norm(q)
+        v = rc.quat_apply(q, f[i])
+        out[i] = v / np.linalg.norm(v)
+    return out
+
+
+def test_inverse_toggling_map_matches_scalar_loop():
+    rng = np.random.default_rng(31)
+    for n in range(1, 11):
+        for _ in range(5):
+            s = random_sequence(rng, n)
+            got = tg.inverse_toggling_map(s).axes
+            assert np.max(np.abs(got - reference_inverse_toggling_map(s))) < 1e-14
+
+
+def random_unit_vectors(rng, shape):
+    v = rng.normal(size=shape + (3,))
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def test_inverse_toggle_axes_rows_equal_batch_of_one():
+    rng = np.random.default_rng(32)
+    f = random_unit_vectors(rng, (7, 6))
+    angles = rng.uniform(0.2, 3.0, (7, 6))
+    axes, nets = tg.inverse_toggle_axes(f, angles)
+    assert axes.shape == (7, 6, 3) and nets.shape == (7, 4)
+    for j in range(7):
+        row_axes, row_net = tg.inverse_toggle_axes(f[j], angles[j])
+        assert np.array_equal(axes[j], row_axes) and np.array_equal(nets[j], row_net)
+
+
+@pytest.mark.parametrize("angle_shape", [(6,), (7, 6)])
+def test_inverse_toggle_axes_round_trip_and_net(angle_shape):
+    rng = np.random.default_rng(33)
+    f = random_unit_vectors(rng, (7, 6))
+    angles = rng.uniform(0.2, 3.0, angle_shape)
+    axes, nets = tg.inverse_toggle_axes(f, angles)
+    assert np.max(np.abs(tg.toggle_axes(axes, angles) - f)) < 1e-12
+    ref = sm.prefix_quaternions(axes, angles)[..., -1, :]
+    sign = np.sign(np.sum(nets * ref, axis=-1, keepdims=True))
+    assert np.max(np.abs(nets - sign * ref)) < 1e-14
+
+
 def test_inverse_of_shifted_f1_is_nb1():
     shifted = sm.global_phase_shift(catalog.f1(), 4 * PHI)
     back = tg.inverse_toggling_map(shifted)
