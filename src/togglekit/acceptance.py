@@ -214,11 +214,8 @@ def _axes_match_vertices_once(toggled: np.ndarray, vertices: np.ndarray) -> bool
 def _derome_quotient_key(axes: np.ndarray) -> tuple:
     """Canonical key modulo global z-rotation, time reversal, and phase
     negation (the physically trivial relabelings of an rf sequence)."""
-    variants = []
-    for a in (axes, axes[::-1]):
-        for mir in (a, a * np.array([1.0, -1.0, 1.0])):
-            variants.append(search._z_canonical(mir))
-    return min(variants)
+    variants = [mir for a in (axes, axes[::-1]) for mir in (a, a * np.array([1.0, -1.0, 1.0]))]
+    return min(map(tuple, search._canonical_keys(np.array(variants), "global_z")))
 
 
 def criterion_9() -> CriterionResult:

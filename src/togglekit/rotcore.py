@@ -30,7 +30,8 @@ for _e in (E_X, E_Y, E_Z):
 def unit_vector(v) -> np.ndarray:
     """Normalize ``v`` to unit length, raising on (near-)zero or non-finite input."""
     v = np.asarray(v, dtype=float)
-    n = float(np.linalg.norm(v))
+    flat = v.ravel(order="K")
+    n = math.sqrt(float(flat.dot(flat)))   # what np.linalg.norm(v) computes
     if not UNIT_TOL <= n < math.inf:   # NaN fails too
         raise ValueError(f"cannot normalize a vector of norm {n}")
     out = v / n

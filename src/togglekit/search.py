@@ -3,32 +3,39 @@ discrete (polyhedral) axis sets.
 
 The enumeration runs over ordered tuples of candidate *toggled* axes: a
 balanced tuple is reverse-transformed to a playable sequence whose net
-propagator is then matched against the target.  This is the cheap-filter
--first direction; balance is a dot product while the reverse transform
-costs a propagator chain.
+propagator is then matched against the target.
 
-Workers split the odometer index space into contiguous ranges; the merge
-and the deduplication stay single-threaded so results are deterministic.
-The worker count is capped by the TOGGLEKIT_THREADS environment variable.
+The tuples are not listed one by one.  In the toggling frame
+U_{i+1} = R(beta, U_i f_i) U_i = U_i R(beta, f_i), so the net of the
+reconstructed sequence is the product of the *vertex* rotations
+R(beta, f_0) ... R(beta, f_{n-1}), and balance is a partial sum.  A
+level-synchronous walk therefore tracks states (vertex product up to
+sign, partial sum), merges equal states level by level, prunes partial
+sums that the remaining steps cannot cancel and keeps the states from
+which an accepting end state is reachable.  Expanding the live
+transitions in vertex order lists the candidate tuples in odometer order;
+the float balance test, the reverse transform and the target test then
+decide on the candidates alone, exactly as they would on every tuple.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rotcore
 from .rotcore import Rotation
-from .seqmodel import RotationSequence, sequence_from_axes
+from .seqmodel import PulseElement, RotationSequence
 from .toggling import inverse_toggle_axes
 
-COMBINATORIC_GUARD = 10 ** 9
+STATE_GUARD = 1 << 20    # candidate rows (states x vertices, or tuples) one level may allocate
 NET_MATCH_TOL = 1e-8
 BALANCE_SUM_TOL = 1e-9
+WALK_TOL = 1e-6          # loose acceptance of the walk, far above its rounding drift
+_KEY_SCALE = 1e9         # states merge on their components rounded to 1e-9
 
 
 @dataclass(frozen=True)
@@ -38,6 +45,10 @@ class AxisSet:
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float)
+        if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] != 3:
+            raise ValueError(f"axis-set vertices must be a (k, 3) array, got shape {v.shape}")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("axis-set vertices must be finite")
         norms = np.linalg.norm(v, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-9):
             raise ValueError("axis-set vertices must be unit vectors")
@@ -97,11 +108,17 @@ class SearchSpec:
     balance_mode: str = "full"      # full | z_only
 
     def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise ValueError("n and m must be positive")
+        for name in ("n", "m"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError("n and m must be positive")
+            object.__setattr__(self, name, int(value))
         if self.balance_mode not in ("full", "z_only"):
             raise ValueError("balance_mode must be 'full' or 'z_only'")
-        if isinstance(self.target, str) and self.target not in ("equatorial_pi", "axis_cycling"):
+        if not isinstance(self.target, Rotation) \
+                and self.target not in ("equatorial_pi", "axis_cycling"):
             raise ValueError(f"unknown target {self.target!r}")
 
     @property
@@ -109,17 +126,16 @@ class SearchSpec:
         return 2.0 * np.pi / self.m
 
 
-def _target_mask(spec: SearchSpec, net_quats: np.ndarray) -> np.ndarray:
-    """Boolean mask of nets matching the target within NET_MATCH_TOL."""
+def _target_mask(spec: SearchSpec, net_quats: np.ndarray, tol: float = NET_MATCH_TOL) -> np.ndarray:
+    """Boolean mask of nets (quaternions up to sign) matching the target within tol."""
     if isinstance(spec.target, Rotation):
         # residual angle of target^-1 U, from the quaternion scalar part
         resid = rotcore.quat_mul(rotcore.quat_conj(spec.target.q)[None, :], net_quats)
         angles = 2.0 * np.arctan2(np.linalg.norm(resid[:, 1:], axis=1), np.abs(resid[:, 0]))
-        return angles < NET_MATCH_TOL
+        return angles < tol
     if spec.target == "equatorial_pi":
         # pi rotations have scalar part 0; equatorial axis means no z component
-        return (np.abs(net_quats[:, 0]) < NET_MATCH_TOL / 2.0) \
-            & (np.abs(net_quats[:, 3]) < NET_MATCH_TOL / 2.0)
+        return (np.abs(net_quats[:, 0]) < tol / 2.0) & (np.abs(net_quats[:, 3]) < tol / 2.0)
     # axis cycling, tested by action on the basis vectors (robust near 2pi/3)
     ex = rotcore.quat_apply(net_quats, rotcore.E_X)
     ey = rotcore.quat_apply(net_quats, rotcore.E_Y)
@@ -127,25 +143,81 @@ def _target_mask(spec: SearchSpec, net_quats: np.ndarray) -> np.ndarray:
     err = np.maximum(np.linalg.norm(ex - rotcore.E_Y, axis=1),
                      np.maximum(np.linalg.norm(ey - rotcore.E_Z, axis=1),
                                 np.linalg.norm(ez - rotcore.E_X, axis=1)))
-    return err < NET_MATCH_TOL
+    return err < tol
 
 
-def _indices_to_axes(axis_set: AxisSet, start: int, stop: int, n: int) -> np.ndarray:
-    """Decode odometer indices start..stop-1 into (B, n) vertex indices."""
-    k = len(axis_set)
-    idx = np.arange(start, stop, dtype=np.int64)
-    digits = np.empty((idx.size, n), dtype=np.int64)
-    for pos in range(n - 1, -1, -1):
-        digits[:, pos] = idx % k
-        idx //= k
+def _check_level(level: int, rows: int) -> None:
+    if rows > STATE_GUARD:
+        raise ValueError(f"search level {level} needs {rows} candidate states, "
+                         f"above the bound {STATE_GUARD}")
+
+
+def _state_keys(quats: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """Integer keys (N, 4 + d) of states: the quaternion with its sign fixed
+    by the first nonzero rounded component, then the partial sum."""
+    qk = np.rint(quats * _KEY_SCALE).astype(np.int64)
+    lead = qk[np.arange(len(qk)), (qk != 0).argmax(axis=1)]
+    qk[lead < 0] *= -1
+    return np.concatenate([qk, np.rint(sums * _KEY_SCALE).astype(np.int64)], axis=1)
+
+
+def _walk(spec: SearchSpec) -> np.ndarray:
+    """Vertex-index tuples (C, n), in odometer order, whose vertex product
+    and partial sum pass the target and balance tests within WALK_TOL: a
+    superset of the tuples the float tests accept."""
+    verts = spec.axis_set.vertices
+    k, n = len(verts), spec.n
+    steps = rotcore.quat_from_axis_angle(verts, np.full(k, spec.beta))
+    part = verts if spec.balance_mode == "full" else verts[:, 2:]
+    reach = float(np.linalg.norm(part, axis=1).max())
+    quats, sums = rotcore.quat_identity((1,)), np.zeros((1, part.shape[1]))
+    tables = []          # per level below n: (states, k) next state, len(next) if pruned
+    for level in range(1, n + 1):
+        rows = len(quats) * k
+        _check_level(level, rows)
+        q = rotcore.quat_mul(quats[:, None, :], steps[None, :, :]).reshape(rows, 4)
+        s = (sums[:, None, :] + part[None, :, :]).reshape(rows, -1)
+        dist = np.linalg.norm(s, axis=1)
+        if level == n:
+            accept = (dist < WALK_TOL) & _target_mask(spec, q, WALK_TOL)
+            break
+        keep = np.flatnonzero(dist <= (n - level) * reach + WALK_TOL)
+        if keep.size == 0:
+            return np.empty((0, n), dtype=np.intp)
+        _, first, inverse = np.unique(_state_keys(q[keep], s[keep]), axis=0,
+                                      return_index=True, return_inverse=True)
+        table = np.full(rows, len(first))
+        table[keep] = inverse.reshape(-1)
+        tables.append(table.reshape(-1, k))
+        quats, sums = q[keep[first]], s[keep[first]]
+    # backward reachability: live transitions of every level
+    edges = [accept.reshape(-1, k)]
+    for table in reversed(tables):
+        alive = np.append(edges[0].any(axis=1), False)
+        edges.insert(0, alive[table])
+    # path counts, so that the expansion stays under the bound
+    counts = np.ones(1)
+    for table, live, after in zip(tables, edges, edges[1:]):
+        r, c = np.nonzero(live)
+        counts = np.bincount(table[r, c], weights=counts[r], minlength=len(after))
+    _check_level(n, int(counts @ edges[-1].sum(axis=1)))
+    # expand live transitions in row-major order: odometer order
+    paths, digits = np.zeros(1, dtype=np.intp), np.empty((1, 0), dtype=np.intp)
+    for level, live in enumerate(edges):
+        r, c = np.nonzero(live[paths])
+        digits = np.column_stack([digits[r], c])
+        if level < n - 1:
+            paths = tables[level][paths[r], c]
     return digits
 
 
-def _search_range(spec: SearchSpec, start: int, stop: int) -> list[np.ndarray]:
-    """Process one contiguous odometer range; returns reconstructed axis arrays."""
-    verts = spec.axis_set.vertices
-    digits = _indices_to_axes(spec.axis_set, start, stop, spec.n)
-    tuples = verts[digits]                       # (B, n, 3)
+def enumerate_balanced(spec: SearchSpec) -> list[RotationSequence]:
+    """All length-n tuples from the axis set whose balance holds in the
+    toggled frame and whose reverse transform hits the target propagator.
+
+    Results are raw (undeduplicated) sequences in odometer order.
+    """
+    tuples = spec.axis_set.vertices[_walk(spec)]          # (C, n, 3)
     sums = tuples.sum(axis=1)
     if spec.balance_mode == "full":
         keep = np.linalg.norm(sums, axis=1) < spec.n * BALANCE_SUM_TOL
@@ -155,34 +227,11 @@ def _search_range(spec: SearchSpec, start: int, stop: int) -> list[np.ndarray]:
     if tuples.size == 0:
         return []
     axes, nets = inverse_toggle_axes(tuples, spec.beta)
-    mask = _target_mask(spec, nets)
-    return [axes[j] for j in np.flatnonzero(mask)]
-
-
-def enumerate_balanced(spec: SearchSpec, chunk: int = 1 << 14) -> list[RotationSequence]:
-    """All length-n tuples from the axis set whose balance holds in the
-    toggled frame and whose reverse transform hits the target propagator.
-
-    Results are raw (undeduplicated) sequences in odometer order.
-    """
-    total = len(spec.axis_set) ** spec.n
-    if total > COMBINATORIC_GUARD:
-        raise ValueError(f"search space {total} exceeds guard {COMBINATORIC_GUARD}")
-    ranges = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-    max_workers = int(os.environ.get("TOGGLEKIT_THREADS", "0")) or min(4, os.cpu_count() or 1)
-    if len(ranges) == 1 or max_workers == 1:
-        parts = [_search_range(spec, lo, hi) for lo, hi in ranges]
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            parts = list(pool.map(lambda r: _search_range(spec, *r), ranges))
-    found = []
-    count = 0
-    for part in parts:
-        for axes in part:
-            found.append(sequence_from_axes(f"{spec.axis_set.name}-{spec.m}-{count}",
-                                            spec.beta, axes))
-            count += 1
-    return found
+    axes = axes[_target_mask(spec, nets)]
+    prefix = f"{spec.axis_set.name}-{spec.m}-"
+    beta = spec.beta
+    return [RotationSequence(f"{prefix}{j}", tuple(PulseElement(beta, ax) for ax in row), spec.m)
+            for j, row in enumerate(axes)]
 
 
 def nonequatorial_search(spec: SearchSpec) -> list[RotationSequence]:
@@ -212,36 +261,61 @@ def _octahedral_rotations() -> list[np.ndarray]:
 _OCTAHEDRAL = _octahedral_rotations()
 
 
-def _set_rotations(axis_set: AxisSet) -> list[np.ndarray]:
-    """Octahedral-subgroup rotations that map the vertex set onto itself."""
-    keep = []
-    v = axis_set.vertices
+def _rounded(axes: np.ndarray) -> np.ndarray:
+    """(N, n, 3) axes as (N, 3n) keys rounded to 9 decimals, -0.0 made 0.0, in place."""
+    keys = axes.reshape(len(axes), axes.shape[1] * 3)
+    np.round(keys, 9, out=keys)
+    keys += 0.0
+    return keys
+
+
+def _lex_min(best: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """Row-wise lexicographic minimum of two (N, L) key arrays."""
+    differ = cand != best
+    first = differ.argmax(axis=1)
+    rows = np.arange(len(best))
+    take = cand[rows, first] < best[rows, first]
+    best[take] = cand[take]
+    return best
+
+
+def _octahedral_keys(axes: np.ndarray) -> np.ndarray:
+    best = np.full((len(axes), axes.shape[1] * 3), np.inf)
     for g in _OCTAHEDRAL:
-        imgs = v @ g.T
-        dots = imgs @ v.T
-        if np.all(dots.max(axis=1) > 1.0 - 1e-9):
-            keep.append(g)
-    return keep
+        best = _lex_min(best, _rounded(axes @ g.T))
+    return best
 
 
-def _round_key(axes: np.ndarray) -> tuple:
-    r = np.round(axes, 9) + 0.0   # normalize -0.0
-    return tuple(map(tuple, r))
+def _canonical_keys(axes: np.ndarray, symmetry: str) -> np.ndarray:
+    """Canonical keys (N, 3n) of a stack of axis lists (N, n, 3): equal keys
+    mark equivalent lists.
 
-
-def _z_canonical(axes: np.ndarray) -> tuple:
-    """Lexicographically smallest axis list over global z-rotations that
-    zero the phase of some equatorial element; fully non-equatorial sets
-    fall back to the octahedral canonical form."""
-    equatorial = axes[np.abs(axes[:, 2]) <= 1e-9]
-    if len(equatorial) == 0:
-        return min(_round_key(axes @ g.T) for g in _OCTAHEDRAL)
-    deltas = -np.arctan2(equatorial[:, 1], equatorial[:, 0])
-    return min(map(_round_key, rotcore.rotate_about_z(axes, deltas[:, None])))
+    'none' rounds the axes; 'axis_set_rotations' takes the lexicographically
+    smallest rounded image under the octahedral group; 'global_z' the
+    smallest over the z-rotations that zero the phase of some equatorial
+    element, or the octahedral key for lists with no equatorial element.
+    """
+    axes = np.asarray(axes, dtype=float)
+    if symmetry == "none":
+        return _rounded(axes.copy())
+    if symmetry == "axis_set_rotations":
+        return _octahedral_keys(axes)
+    equatorial = np.abs(axes[..., 2]) <= 1e-9                     # (N, n)
+    keys = np.full((len(axes), axes.shape[1] * 3), np.inf)
+    deltas = -np.arctan2(axes[..., 1], axes[..., 0])
+    for j in range(axes.shape[1]):
+        rows = np.flatnonzero(equatorial[:, j])
+        if rows.size:
+            turned = rotcore.rotate_about_z(axes[rows], deltas[rows, j, None])
+            keys[rows] = _lex_min(keys[rows], _rounded(turned))
+    rest = np.flatnonzero(~equatorial.any(axis=1))
+    if rest.size:
+        keys[rest] = _octahedral_keys(axes[rest])
+    return keys
 
 
 def dedupe(results: list[RotationSequence], symmetry: str = "global_z") -> list[RotationSequence]:
-    """One representative per equivalence class.
+    """One representative per equivalence class, the first in input order.
 
     symmetry 'global_z' identifies sequences differing by a rigid rotation
     of all axes about z (non-equatorial-only sets fall back to the axis-set
@@ -250,15 +324,12 @@ def dedupe(results: list[RotationSequence], symmetry: str = "global_z") -> list[
     """
     if symmetry not in ("global_z", "axis_set_rotations", "none"):
         raise ValueError(f"unknown symmetry {symmetry!r}")
-    seen: dict[tuple, RotationSequence] = {}
-    for seq in results:
-        axes = seq.axes
-        if symmetry == "none":
-            key = _round_key(axes)
-        elif symmetry == "global_z":
-            key = _z_canonical(axes)
-        else:
-            key = min(_round_key(axes @ g.T) for g in _OCTAHEDRAL)
-        if key not in seen:
-            seen[key] = seq
-    return list(seen.values())
+    by_length: dict[int, list[int]] = {}
+    for i, seq in enumerate(results):
+        by_length.setdefault(len(seq), []).append(i)
+    keep = []
+    for idx in by_length.values():
+        keys = _canonical_keys(np.array([results[i].axes for i in idx]), symmetry)
+        first = np.unique(keys, axis=0, return_index=True)[1]
+        keep.extend(np.asarray(idx)[first].tolist())
+    return [results[i] for i in sorted(keep)]

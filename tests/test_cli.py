@@ -186,6 +186,8 @@ AXIS_SHAPES = {"axis-len2": [1, 0], "axis-len4": [1, 0, 0, 0], "axis-nested": [[
                  None, "target axis", id="zero-target-axis"),
     pytest.param(["search", "--axes", "cube", "--n", "2", "--m", "3", "--target", "nan,0,1:1"],
                  None, "target axis", id="nan-target-axis"),
+    pytest.param(["search", "--axes", "cube", "--n", "12", "--m", "5", "--target", "axis-cycling",
+                  "--balance", "z"], None, "candidate states", id="search-state-bound"),
     pytest.param(["ddmap", "xy4", "--tau", "0"], None, "--tau", id="zero-tau"),
     pytest.param(["kappa", "xy4", "--lambda", "1", "--tau", "inf"], None, "--tau", id="inf-tau"),
     pytest.param(["dual", "@in"], {"elements": 5}, "'elements'", id="elements-not-a-list"),

@@ -46,6 +46,15 @@ def test_non_finite_input_rejected(bad):
         rc.from_axis_angle(rc.E_X, bad)
 
 
+def test_unit_vector_matches_linalg_norm_bit_for_bit():
+    rng = np.random.default_rng(5)
+    vecs = rng.normal(size=(100_000, 3)) * 10.0 ** rng.uniform(-6, 6, size=(100_000, 1))
+    extra = [rng.normal(size=2), rng.normal(size=7), rng.normal(size=(3, 3))[:, 1],
+             rng.normal(size=(2, 3)).T]
+    for v in [*vecs, *extra]:
+        assert rc.unit_vector(v).tobytes() == (v / np.linalg.norm(v)).tobytes()
+
+
 def test_rotate_about_z_matches_rodrigues_and_broadcasts():
     rng = np.random.default_rng(11)
     v = rng.normal(size=(5, 3))
