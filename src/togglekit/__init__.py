@@ -17,13 +17,13 @@ from .ddsim import (CentroidMap, DDSequence, anti_dd, centroid_map, kick_times,
 from .profiles import (ProfileSample, convert_m2_to_m4, glide_reflection_check,
                        q_profile, rotation_error, trajectory)
 from .rotcore import (Rotation, axis_from_phase, compose, from_axis_angle, inverse,
-                      rotate, to_axis_angle, unit_vector)
+                      rotate, to_axis_angle, unit_vector, unit_vectors)
 from .search import (AxisSet, SearchSpec, dedupe, enumerate_balanced,
                      nonequatorial_search)
 from .seqmodel import (PulseElement, RotationSequence, cyclic_permute,
                        global_phase_shift, nest, net_propagator, phase_scale,
                        prefix_propagator, reverse, riffle, sequence_from_axes,
-                       sequence_from_phases, sequences_equal)
+                       sequence_from_phases, sequences_equal, sequences_from_arrays)
 from .toggling import (TogglingFrameSet, closed_form_toggling, cyclicity_order,
                        detuning_frame, finite_difference_duality_check,
                        half_band_check, inverse_phase_map, inverse_toggling_map,
@@ -45,7 +45,7 @@ __all__ = [
     "nonequatorial_search", "numeric_error_expansion", "osc_field_dressed",
     "phase_map", "phase_scale", "prefix_propagator", "q_profile", "reverse",
     "riffle", "rotate", "rotation_error", "sequence_from_axes",
-    "sequence_from_phases", "sequences_equal", "static_field_dressed",
+    "sequence_from_phases", "sequences_equal", "sequences_from_arrays", "static_field_dressed",
     "suppression_order_slopes", "symmetry_class", "to_axis_angle", "toggled_frame", "toggling_map",
-    "toggling_map_iter", "trajectory", "udd", "unit_vector", "wigner_d",
+    "toggling_map_iter", "trajectory", "udd", "unit_vector", "unit_vectors", "wigner_d",
 ]

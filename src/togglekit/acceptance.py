@@ -83,8 +83,7 @@ def criterion_2() -> CriterionResult:
         axes = rng.normal(size=(n, 3))
         axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
         betas = rng.uniform(0.3, 2 * np.pi, size=n)
-        s = seqmodel.RotationSequence(
-            "r", tuple(seqmodel.PulseElement(b, a) for b, a in zip(betas, axes)))
+        s = seqmodel.sequences_from_arrays(["r"], betas[None], axes[None])[0]
         for m in (1, 2, 3, 5):
             it = toggling.toggling_map_iter(s, m)
             cf = toggling.closed_form_toggling(s, m)
@@ -93,8 +92,7 @@ def criterion_2() -> CriterionResult:
     axes = rng.normal(size=(6, 3))
     axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
     betas = np.array([2 * np.pi / 3, np.pi / 2, 2 * np.pi / 3, np.pi / 2, np.pi / 2, 2 * np.pi / 3])
-    s = seqmodel.RotationSequence(
-        "mix", tuple(seqmodel.PulseElement(b, a) for b, a in zip(betas, axes)))
+    s = seqmodel.sequences_from_arrays(["mix"], betas[None], axes[None])[0]
     ret = float(np.max(np.abs(toggling.toggling_map_iter(s, 12).axes - s.axes)))
     worst = max(worst, ret)
     return _result(2, "closed form vs iteration", worst < 1e-9,

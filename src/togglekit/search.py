@@ -21,14 +21,13 @@ decide on the candidates alone, exactly as they would on every tuple.
 from __future__ import annotations
 
 import itertools
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rotcore
 from .rotcore import Rotation
-from .seqmodel import PulseElement, RotationSequence
+from .seqmodel import RotationSequence, positive_int, sequences_from_arrays
 from .toggling import inverse_toggle_axes
 
 STATE_GUARD = 1 << 20    # candidate rows (states x vertices, or tuples) one level may allocate
@@ -109,12 +108,7 @@ class SearchSpec:
 
     def __post_init__(self):
         for name in ("n", "m"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError("n and m must be positive")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, positive_int(name, getattr(self, name)))
         if self.balance_mode not in ("full", "z_only"):
             raise ValueError("balance_mode must be 'full' or 'z_only'")
         if not isinstance(self.target, Rotation) \
@@ -229,9 +223,8 @@ def enumerate_balanced(spec: SearchSpec) -> list[RotationSequence]:
     axes, nets = inverse_toggle_axes(tuples, spec.beta)
     axes = axes[_target_mask(spec, nets)]
     prefix = f"{spec.axis_set.name}-{spec.m}-"
-    beta = spec.beta
-    return [RotationSequence(f"{prefix}{j}", tuple(PulseElement(beta, ax) for ax in row), spec.m)
-            for j, row in enumerate(axes)]
+    return sequences_from_arrays([f"{prefix}{j}" for j in range(len(axes))], spec.beta, axes,
+                                 spec.m)
 
 
 def nonequatorial_search(spec: SearchSpec) -> list[RotationSequence]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,10 +39,10 @@ class PulseElement:
     def __post_init__(self):
         if not 0.0 < self.beta < math.inf:   # NaN fails too
             raise ValueError("flip angle must be positive and finite; reverse via the axis")
-        ax = rotcore.unit_vector(self.axis)
+        ax = np.asarray(self.axis, dtype=float)
         if ax.shape != (3,):
             raise ValueError(f"an axis needs 3 components, got an array of shape {ax.shape}")
-        object.__setattr__(self, "axis", ax)
+        object.__setattr__(self, "axis", rotcore.unit_vector(ax))
 
     @property
     def phase_value(self) -> float:
@@ -63,70 +64,153 @@ def element_from_phase(beta: float, phi: float, latitude: float = 0.0) -> PulseE
     return PulseElement(beta, axis_from_phase(phi, latitude), phase=phi, latitude=latitude)
 
 
-@dataclass(frozen=True)
+def _unit_element(beta: float, axis: np.ndarray) -> PulseElement:
+    """The element of a checked flip angle and a read-only unit axis row,
+    built without normalizing the axis a second time (that moves last bits)."""
+    el = PulseElement.__new__(PulseElement)
+    vars(el).update(beta=beta, axis=axis, phase=None, latitude=None)
+    return el
+
+
+def positive_int(name: str, value) -> int:
+    """``value`` as an int, raising unless it is an integer >= 1 (bools are not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be positive, got {value}")
+    return int(value)
+
+
+def _checked_cycle_order(m, betas: list[float]) -> int | None:
+    """The cycle order as an int (or None), raising unless every flip angle is 2*pi/m."""
+    if m is None:
+        return None
+    m = positive_int("cycle order", m)
+    want = 2.0 * np.pi / m
+    for b in betas:
+        if abs(b - want) >= BETA_MATCH_TOL:
+            raise ValueError(f"cycle order {m} requires beta = 2pi/{m}, got {b}")
+    return m
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 class RotationSequence:
     """Ordered pulse elements plus an optional uniform cycle order m.
 
-    If ``cycle_order`` is set, every flip angle must equal 2*pi/m.
+    The flip angles ``betas`` (n,) and unit axes ``axes`` (n, 3) are stored
+    once, as read-only arrays.  A sequence built from ``elements`` keeps
+    them, with their phase and latitude provenance; one built by
+    ``sequences_from_arrays`` derives its elements on first read.  If
+    ``cycle_order`` is set, every flip angle must equal 2*pi/m.
+    Sequences are immutable.
     """
 
-    name: str
-    elements: tuple[PulseElement, ...]
-    cycle_order: int | None = None
+    def __init__(self, name: str, elements, cycle_order: int | None = None):
+        vars(self).update(name=name, cycle_order=cycle_order, betas=None, axes=None,
+                          _elements=tuple(elements))
+        self.__post_init__()
 
     def __post_init__(self):
-        if len(self.elements) < 1:
+        if self.axes is not None:   # arrays from sequences_from_arrays, checked there
+            return
+        els = self._elements
+        if len(els) < 1:
             raise ValueError("a sequence needs at least one element")
-        object.__setattr__(self, "elements", tuple(self.elements))
-        if self.cycle_order is not None:
-            m = self.cycle_order
-            if m < 1:
-                raise ValueError("cycle order must be a positive integer")
-            want = 2.0 * np.pi / m
-            for el in self.elements:
-                if abs(el.beta - want) >= BETA_MATCH_TOL:
-                    raise ValueError(
-                        f"cycle order {m} requires beta = 2pi/{m}, got {el.beta}")
+        betas = [el.beta for el in els]
+        vars(self).update(cycle_order=_checked_cycle_order(self.cycle_order, betas),
+                          betas=_read_only(np.array(betas, dtype=float)),
+                          axes=_read_only(np.array([el.axis for el in els])))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"RotationSequence is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"RotationSequence is immutable; cannot delete {name!r}")
+
+    def __repr__(self) -> str:
+        return (f"RotationSequence(name={self.name!r}, n={len(self)}, "
+                f"cycle_order={self.cycle_order!r})")
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.betas)
 
     @property
-    def betas(self) -> np.ndarray:
-        return np.array([el.beta for el in self.elements])
-
-    @property
-    def axes(self) -> np.ndarray:
-        return np.array([el.axis for el in self.elements])
+    def elements(self) -> tuple[PulseElement, ...]:
+        if self._elements is None:
+            vars(self)["_elements"] = tuple(
+                map(_unit_element, self.betas.tolist(), self.axes))
+        return self._elements
 
     @property
     def phases(self) -> np.ndarray:
         return np.array([el.phase_value for el in self.elements])
 
     def is_equatorial(self, tol: float = EQUATORIAL_TOL) -> bool:
-        return all(el.is_equatorial(tol) for el in self.elements)
+        return all(abs(z) < tol for z in self.axes[:, 2].tolist())
 
     def uniform_beta(self) -> float:
         """The common flip angle, raising if elements disagree."""
-        b = self.elements[0].beta
-        if any(abs(el.beta - b) > BETA_MATCH_TOL for el in self.elements):
+        betas = self.betas.tolist()
+        if any(abs(b - betas[0]) > BETA_MATCH_TOL for b in betas):
             raise ValueError(f"sequence {self.name!r} has mixed flip angles")
-        return b
+        return betas[0]
 
     def with_name(self, name: str) -> "RotationSequence":
-        return RotationSequence(name, self.elements, self.cycle_order)
+        out = RotationSequence.__new__(RotationSequence)
+        vars(out).update(vars(self), name=name)
+        out.__post_init__()
+        return out
 
     def with_axes(self, axes: np.ndarray, name: str | None = None) -> "RotationSequence":
         """Same angles, new axes (phase/latitude provenance dropped)."""
-        els = tuple(PulseElement(el.beta, ax) for el, ax in zip(self.elements, axes))
-        return RotationSequence(name or self.name, els, self.cycle_order)
+        return sequences_from_arrays([name or self.name], self.betas[None],
+                                     np.asarray(axes, dtype=float)[None], self.cycle_order)[0]
+
+
+def sequences_from_arrays(names, betas, axes, cycle_order: int | None = None
+                          ) -> list[RotationSequence]:
+    """One sequence per row of an (N, n, 3) axis stack, checked in one pass.
+
+    ``betas`` broadcasts to (N, n); ``names`` has N entries.  The axes are
+    normalized to the same bits as ``PulseElement`` normalizes each one, so
+    the arrays equal those of the same sequences built element by element;
+    the elements themselves are built only when read.
+    """
+    axes = np.asarray(axes, dtype=float)
+    if axes.ndim != 3 or axes.shape[2] != 3:
+        raise ValueError(f"an axis needs 3 components; expected an (N, n, 3) stack, "
+                         f"got an array of shape {axes.shape}")
+    if axes.shape[1] < 1:
+        raise ValueError("a sequence needs at least one element")
+    if len(names) != len(axes):
+        raise ValueError(f"{len(names)} names for {len(axes)} sequences")
+    given = np.asarray(betas, dtype=float)
+    values = given.ravel().tolist()   # broadcasting repeats these, so they are checked once
+    if not all(0.0 < b < math.inf for b in values):   # NaN fails too
+        raise ValueError("flip angle must be positive and finite; reverse via the axis")
+    m = _checked_cycle_order(cycle_order, values)
+    betas = np.empty(axes.shape[:2])
+    betas[...] = given
+    _read_only(betas)
+    axes = rotcore.unit_vectors(axes)
+    out = []
+    for name, b, a in zip(names, betas, axes):
+        s = RotationSequence.__new__(RotationSequence)
+        vars(s).update(name=name, cycle_order=m, betas=b, axes=a, _elements=None)
+        s.__post_init__()
+        out.append(s)
+    return out
 
 
 def infer_cycle_order(betas, m_max: int = 64) -> int | None:
     """Smallest m with all angles equal to 2*pi/m, if one exists."""
     betas = np.atleast_1d(np.asarray(betas, dtype=float))
-    b = betas[0]
-    if np.any(np.abs(betas - b) >= BETA_MATCH_TOL):
+    b = float(betas[0])
+    if not math.isfinite(b) or np.any(np.abs(betas - b) >= BETA_MATCH_TOL):
         return None
     for m in range(1, m_max + 1):
         if abs(b - 2.0 * np.pi / m) < BETA_MATCH_TOL:
@@ -151,21 +235,16 @@ def sequence_from_axes(name: str, betas, axes) -> RotationSequence:
     axes = np.asarray(axes, dtype=float)
     betas = np.atleast_1d(np.asarray(betas, dtype=float))
     if betas.size == 1:
-        betas = np.full(len(axes), betas[0])
-    els = tuple(PulseElement(b, ax) for b, ax in zip(betas, axes))
-    return RotationSequence(name, els, infer_cycle_order(betas))
+        betas = np.full(axes.shape[:1], betas[0])
+    return sequences_from_arrays([name], betas[None], axes[None], infer_cycle_order(betas))[0]
 
 
 def sequences_equal(a: RotationSequence, b: RotationSequence, tol: float = 1e-10) -> bool:
     """Element-wise equality: axis dot > 1 - tol and matching flip angles."""
     if len(a) != len(b):
         return False
-    for ea, eb in zip(a.elements, b.elements):
-        if abs(ea.beta - eb.beta) >= tol:
-            return False
-        if float(np.dot(ea.axis, eb.axis)) <= 1.0 - tol:
-            return False
-    return True
+    return bool(np.all(np.abs(a.betas - b.betas) < tol)
+                and np.all(np.vecdot(a.axes, b.axes) > 1.0 - tol))
 
 
 # ---------------------------------------------------------------------------

@@ -176,7 +176,8 @@ def test_output_file(capsys, tmp_path):
     assert text.startswith("beta_prime,") and text.endswith("\n")
 
 
-AXIS_SHAPES = {"axis-len2": [1, 0], "axis-len4": [1, 0, 0, 0], "axis-nested": [[1, 0, 0]]}
+AXIS_SHAPES = {"axis-len2": [1, 0], "axis-len4": [1, 0, 0, 0], "axis-nested": [[1, 0, 0]],
+               "axis-scalar": 1}
 
 
 @pytest.mark.parametrize("argv, doc, says", [
@@ -200,6 +201,15 @@ AXIS_SHAPES = {"axis-len2": [1, 0], "axis-len4": [1, 0, 0, 0], "axis-nested": [[
     *[pytest.param([cmd, "@in"], {"elements": [{"beta": np.pi, "axis": axis}]}, "3 components",
                    id=f"{cmd}-{tag}")
       for cmd in ("toggle", "centroid", "cycle") for tag, axis in AXIS_SHAPES.items()],
+    pytest.param(["orders", "@in"], {"elements": [{"beta": np.pi, "axis": 1}]}, "3 components",
+                 id="orders-axis-scalar"),
+    # flip angles of 2pi/m, so that only the type of the cycle order is wrong
+    pytest.param(["toggle", "@in"], {"cycle_order": 3.0, "elements": [
+        {"beta": 2 * np.pi / 3, "phase": 0.0}]}, "cycle order must be an integer",
+        id="float-cycle-order"),
+    pytest.param(["toggle", "@in"], {"cycle_order": True, "elements": [
+        {"beta": 2 * np.pi, "phase": 0.0}]}, "cycle order must be an integer",
+        id="bool-cycle-order"),
 ])
 def test_bad_input_exits_1_with_one_line(capsys, tmp_path, argv, doc, says):
     path = tmp_path / "in.json"

@@ -46,6 +46,91 @@ def test_cycle_order_consistency_enforced():
     assert ok.cycle_order == 2
 
 
+@pytest.mark.parametrize("m", [2.0, True, "2", 0, -2])
+def test_cycle_order_must_be_a_positive_integer(m):
+    el = sm.element_from_phase(2 * np.pi, 0.0) if m is True else sm.element_from_phase(np.pi, 0.0)
+    with pytest.raises(ValueError):
+        sm.RotationSequence("bad", (el,), cycle_order=m)
+    with pytest.raises(ValueError):
+        sm.sequences_from_arrays(["bad"], [[el.beta]], [[el.axis]], m)
+
+
+def test_cycle_order_is_stored_as_int():
+    s = sm.RotationSequence("ok", (sm.element_from_phase(np.pi, 0.0),), cycle_order=np.int64(2))
+    assert type(s.cycle_order) is int
+    [t] = sm.sequences_from_arrays(["ok"], np.pi, [[rc.E_X]], np.int32(2))
+    assert type(t.cycle_order) is int
+
+
+def _stack(rng, count, n):
+    """Seeded (count, n, 3) axes at scales 1e-6..1e6 and (count, n) flip angles."""
+    axes = rng.normal(size=(count, n, 3)) * 10.0 ** rng.uniform(-6, 6, size=(count, n, 1))
+    return rng.uniform(0.1, 2 * np.pi, size=(count, n)), axes
+
+
+def test_sequences_from_arrays_match_element_built_sequences():
+    rng = np.random.default_rng(81)
+    for n in range(1, 11):
+        betas, axes = _stack(rng, 40, n)
+        names = [f"r{j}" for j in range(len(axes))]
+        for s, name, b, a in zip(sm.sequences_from_arrays(names, betas, axes), names, betas, axes):
+            want = sm.RotationSequence(name, tuple(sm.PulseElement(x, v) for x, v in zip(b, a)))
+            assert s.name == name and len(s) == n and s.cycle_order is None
+            assert s.axes.tobytes() == want.axes.tobytes()
+            assert s.betas.tobytes() == want.betas.tobytes()
+        m = int(rng.integers(1, 7))
+        [s] = sm.sequences_from_arrays(["u"], 2 * np.pi / m, axes[:1], m)
+        want = sm.RotationSequence("u", tuple(sm.PulseElement(2 * np.pi / m, v) for v in axes[0]), m)
+        assert s.cycle_order == want.cycle_order == m
+        assert (s.axes.tobytes(), s.betas.tobytes()) == (want.axes.tobytes(), want.betas.tobytes())
+
+
+def test_derived_elements_equal_eager_ones():
+    rng = np.random.default_rng(82)
+    betas, axes = _stack(rng, 20, 6)
+    for s, b, a in zip(sm.sequences_from_arrays(["r"] * 20, betas, axes), betas, axes):
+        for lazy, eager in zip(s.elements, (sm.PulseElement(x, v) for x, v in zip(b, a))):
+            assert type(lazy.beta) is float and lazy.beta == eager.beta
+            assert lazy.axis.tobytes() == eager.axis.tobytes() and lazy.axis.shape == (3,)
+            assert lazy.phase is None and lazy.latitude is None
+        assert s.elements is s.elements
+
+
+def test_unit_vectors_rows_equal_batches_of_one():
+    rng = np.random.default_rng(83)
+    for n in (1, 2, 3, 7, 33):
+        v = rng.normal(size=(500, n)) * 10.0 ** rng.uniform(-6, 6, size=(500, 1))
+        batch = rc.unit_vectors(v)
+        for row, one in zip(batch, v):
+            assert row.tobytes() == rc.unit_vectors(one[None])[0].tobytes()
+            assert row.tobytes() == rc.unit_vector(one).tobytes()
+    with pytest.raises(ValueError):
+        rc.unit_vectors([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+
+
+def test_sequence_arrays_are_read_only():
+    built = sm.sequence_from_axes("a", np.pi / 2, [[1.0, 0, 0], [0, 1.0, 0]])
+    for s in (built, catalog.f1(), built.with_name("b"), tg.toggling_map(built)):
+        for arr in (s.axes, s.betas):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        with pytest.raises(AttributeError):
+            s.name = "other"
+
+
+@pytest.mark.parametrize("betas, axes", [
+    (np.pi, np.zeros((1, 2, 3))),                      # zero axis
+    (np.nan, np.ones((1, 2, 3))),
+    (-1.0, np.ones((1, 2, 3))),
+    (np.pi, np.ones((1, 2, 2))),                       # two components
+    (np.pi, np.ones((2, 3))),                          # not a stack
+    (np.pi, np.ones((1, 0, 3))),                       # no elements
+])
+def test_sequences_from_arrays_rejects_bad_stacks(betas, axes):
+    with pytest.raises(ValueError):
+        sm.sequences_from_arrays(["x"] * len(axes), betas, axes)
+
+
 def test_prefix_propagator_zero_is_identity():
     s = catalog.f1()
     assert rc.rotation_angle_between(rc.IDENTITY, sm.prefix_propagator(s, 0)) == 0.0
