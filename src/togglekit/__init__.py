@@ -15,7 +15,7 @@ from .catalog import named, named_dd
 from .ddsim import (CentroidMap, DDSequence, anti_dd, centroid_map, kick_times,
                     osc_field_dressed, static_field_dressed, udd)
 from .profiles import (ProfileSample, convert_m2_to_m4, glide_reflection_check,
-                       q_profile, rotation_error, trajectory)
+                       q_profile, rotation_error, rotation_errors, trajectory)
 from .rotcore import (Rotation, axis_from_phase, compose, from_axis_angle, inverse,
                       rotate, to_axis_angle, unit_vector, unit_vectors)
 from .search import (AxisSet, SearchSpec, dedupe, enumerate_balanced,
@@ -44,7 +44,7 @@ __all__ = [
     "kick_times", "mas_kappa_sweep", "named", "named_dd", "nest", "net_propagator",
     "nonequatorial_search", "numeric_error_expansion", "osc_field_dressed",
     "phase_map", "phase_scale", "prefix_propagator", "q_profile", "reverse",
-    "riffle", "rotate", "rotation_error", "sequence_from_axes",
+    "riffle", "rotate", "rotation_error", "rotation_errors", "sequence_from_axes",
     "sequence_from_phases", "sequences_equal", "sequences_from_arrays", "static_field_dressed",
     "suppression_order_slopes", "symmetry_class", "to_axis_angle", "toggled_frame", "toggling_map",
     "toggling_map_iter", "trajectory", "udd", "unit_vector", "unit_vectors", "wigner_d",

@@ -13,7 +13,7 @@ Two criteria need context:
   the full 0.80..1.20 scale window the criterion requires a vanishing
   first order, the swept residual within |order3| |eps beta|^3 of theta2,
   and at most 5 degrees wherever theta2 is (|eps| <= 0.173).  The residual
-  is the SO(3) rotation angle of ``profiles.rotation_error``.
+  is the SO(3) rotation angle of ``profiles.rotation_errors``.
 
 * Criterion 13's inverted-flip-angle relation for anti-DD is probed at
   0.9 and 0.1 times the nominal angle: at exactly the nominal angle the
@@ -269,7 +269,7 @@ def flip_angle_robustness(s: seqmodel.RotationSequence) -> CriterionResult:
                   for v in (orders.order1, orders.order2, orders.order3))
     scales = np.arange(80, 121) / 100.0
     x = (scales - 1.0) * beta
-    errs = np.array([profiles.rotation_error(s, sc * beta, _AXIS_CYCLE) for sc in scales])
+    errs = profiles.rotation_errors(s, scales * beta, _AXIS_CYCLE)
     theta2 = np.degrees(o2 * x ** 2)
     gap = np.abs(errs - theta2)
     allowed = np.degrees(o3 * np.abs(x) ** 3) + 1e-9

@@ -51,6 +51,13 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _to_degrees_dict(d: dict) -> dict:
     els = []
     for ed in seqmodel.json_elements(d):
@@ -124,7 +131,7 @@ def _build_parser() -> _Parser:
 
     pj = sub.add_parser("trajectory", help="probe-vector path through the sequence")
     pj.add_argument("seq")
-    pj.add_argument("--beta-scale", type=float, default=1.0)
+    pj.add_argument("--beta-scale", type=_finite_float, default=1.0)
     pj.add_argument("--v0", choices=sorted(_XI), default="z")
     pj.add_argument("--deg", action="store_true")
     pj.add_argument("--out")
@@ -142,13 +149,13 @@ def _build_parser() -> _Parser:
 
     po = sub.add_parser("orders", help="average-rotation orders of the toggled axes")
     po.add_argument("seq")
-    po.add_argument("--beta-scale", type=float, default=1.0)
+    po.add_argument("--beta-scale", type=_finite_float, default=1.0)
     po.add_argument("--deg", action="store_true")
 
     pk = sub.add_parser("kappa", help="rank-lambda decoupling coefficients")
     pk.add_argument("ddseq")
     pk.add_argument("--lambda", dest="lam", type=int, required=True)
-    pk.add_argument("--beta-scale", type=float, default=1.0)
+    pk.add_argument("--beta-scale", type=_finite_float, default=1.0)
     pk.add_argument("--tau", type=_positive_float, default=1.0)
     pk.add_argument("--json", action="store_true")
     pk.add_argument("--out")
@@ -156,7 +163,7 @@ def _build_parser() -> _Parser:
     pm = sub.add_parser("ddmap", help="centroid map over (omega, beta scale)")
     pm.add_argument("ddseq")
     pm.add_argument("--tau", type=_positive_float, default=1.0)
-    pm.add_argument("--amp", type=float, help="field amplitude, default 1/total-time")
+    pm.add_argument("--amp", type=_finite_float, help="field amplitude, default 1/total-time")
     pm.add_argument("--json", action="store_true")
     pm.add_argument("--out")
 

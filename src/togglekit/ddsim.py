@@ -60,6 +60,16 @@ def udd(n: int) -> DDSequence:
     return DDSequence(pulses, delays)
 
 
+def _field_phases(t: np.ndarray, omegas, amp: float) -> np.ndarray:
+    """Phase shift theta = (amp/omega) sin(omega t) that a field
+    amp*cos(omega t) gives a pulse at time t, and amp*t where omega = 0.
+    ``omegas`` broadcast against ``t``."""
+    omegas = np.asarray(omegas, dtype=float)
+    static = omegas == 0.0
+    w = np.where(static, 1.0, omegas)   # no division by zero on the static rows
+    return np.where(static, amp * t, (amp / w) * np.sin(w * t))
+
+
 def _dress(dd: DDSequence, thetas: np.ndarray, trailing: float, tag: str) -> DDSequence:
     pulses = dd.pulses.with_axes(rotcore.rotate_about_z(dd.pulses.axes, thetas),
                                  name=f"{dd.pulses.name}{tag}")
@@ -75,17 +85,15 @@ def osc_field_dressed(dd: DDSequence, omega: float, amp: float) -> DDSequence:
     """
     if omega == 0.0:
         raise ValueError("omega must be nonzero; use static_field_dressed for the dc limit")
-    t = kick_times(dd)
-    thetas = (amp / omega) * np.sin(omega * t)
+    thetas = _field_phases(kick_times(dd), omega, amp)
     trailing = (amp / omega) * (np.sin(omega * dd.delays[-1]) - np.sin(omega * dd.delays[-2]))
     return _dress(dd, thetas, trailing, f"~w{omega:.3g}")
 
 
 def static_field_dressed(dd: DDSequence, amp: float) -> DDSequence:
     """The omega -> 0 limit: theta_j = amp * t_j."""
-    t = kick_times(dd)
     trailing = amp * (dd.delays[-1] - dd.delays[-2])
-    return _dress(dd, amp * t, trailing, "~dc")
+    return _dress(dd, _field_phases(kick_times(dd), 0.0, amp), trailing, "~dc")
 
 
 def anti_dd(dd_outer: DDSequence, inner: RotationSequence) -> DDSequence:
@@ -136,11 +144,17 @@ def default_beta_scale_grid(points: int = 21) -> np.ndarray:
 
 def toggled_centroid_norms(pulses: RotationSequence, beta_scales) -> np.ndarray:
     """|centroid| of toggled axes for each flip-angle scale (vectorized)."""
+    return _centroid_norms(pulses.axes, pulses.betas, beta_scales)
+
+
+def _centroid_norms(axes: np.ndarray, betas: np.ndarray, beta_scales) -> np.ndarray:
+    """|centroid| of the toggled axes of every axis list in ``axes``
+    (..., n, 3) at every flip-angle scale: shape (..., S)."""
     scales = np.atleast_1d(np.asarray(beta_scales, dtype=float))
-    axes = np.broadcast_to(pulses.axes, (scales.size,) + pulses.axes.shape)
-    angles = scales[:, None] * pulses.betas[None, :]
-    toggled = toggling.toggle_axes(axes, angles)
-    return np.linalg.norm(toggled.mean(axis=1), axis=-1)
+    axes = np.broadcast_to(axes[..., None, :, :],
+                           axes.shape[:-2] + (scales.size,) + axes.shape[-2:])
+    toggled = toggling.toggle_axes(axes, scales[:, None] * betas[None, :])
+    return np.linalg.norm(toggled.mean(axis=-2), axis=-1)
 
 
 def centroid_map(dd: DDSequence, omega_grid=None, beta_scale_grid=None,
@@ -157,11 +171,9 @@ def centroid_map(dd: DDSequence, omega_grid=None, beta_scale_grid=None,
         raise ValueError("grids must be nonempty")
     if amp is None:
         amp = 1.0 / dd.total_time
-    values = np.empty((omegas.size, scales.size))
-    for i, w in enumerate(omegas):
-        dressed = static_field_dressed(dd, amp) if w == 0.0 else osc_field_dressed(dd, w, amp)
-        values[i] = toggled_centroid_norms(dressed.pulses, scales)
-    return CentroidMap(omegas, scales, values, amp)
+    thetas = _field_phases(kick_times(dd), omegas[:, None], amp)
+    dressed = rotcore.unit_vectors(rotcore.rotate_about_z(dd.pulses.axes, thetas))
+    return CentroidMap(omegas, scales, _centroid_norms(dressed, dd.pulses.betas, scales), amp)
 
 
 def map_to_csv(cm: CentroidMap) -> str:

@@ -28,9 +28,7 @@ class ProfileSample:
 
 def q_values(s: RotationSequence, e_xi, grid) -> np.ndarray:
     """Transformation amplitude e_xi . (U(beta') e_xi) over the grid."""
-    e_xi = np.asarray(e_xi, dtype=float)
-    quats = net_quaternions(s, grid)
-    return quat_apply(quats, e_xi) @ e_xi
+    return _profile_arrays(s, e_xi, grid)[3]
 
 
 def q_profile(s: RotationSequence, e_xi, grid=None) -> list[ProfileSample]:
@@ -38,15 +36,26 @@ def q_profile(s: RotationSequence, e_xi, grid=None) -> list[ProfileSample]:
 
     q(0) = 1 always; nominal inverters also reach q(beta'=pi) = -1.
     """
+    grid, quats, finals, qs = _profile_arrays(s, e_xi, grid)
+    return list(map(ProfileSample, grid.tolist(), qs.tolist(), finals,
+                    rotcore.rotations(quats)))
+
+
+def _profile_arrays(s: RotationSequence, e_xi, grid):
+    """The grid (DEFAULT_GRID if None), and over it the net quaternions,
+    the final probe vectors and the q values."""
     grid = DEFAULT_GRID if grid is None else np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("grid must be nonempty")
     e_xi = np.asarray(e_xi, dtype=float)
     quats = net_quaternions(s, grid)
     finals = quat_apply(quats, e_xi)
-    qs = finals @ e_xi
-    return [ProfileSample(float(bp), float(qv), fv, Rotation(qq))
-            for bp, qv, fv, qq in zip(grid, qs, finals, quats)]
+    return grid, quats, finals, finals @ e_xi
+
+
+def _errors_deg(nets: np.ndarray, target: Rotation) -> np.ndarray:
+    """Residual angles of target^-1 U in degrees for net quaternions U (N, 4)."""
+    return np.degrees(rotcore.quat_angle_between(target.q, rotcore.unit_quaternions(nets)))
 
 
 def _require_inverter(s: RotationSequence, e_xi, tol: float = 1e-8) -> None:
@@ -85,11 +94,15 @@ def trajectory(s: RotationSequence, v0, beta_prime: float) -> np.ndarray:
     return quat_apply(quats, v0)
 
 
+def rotation_errors(s: RotationSequence, beta_primes, target: Rotation) -> np.ndarray:
+    """Residual rotation angles of target^-1 U(beta') over a sweep of
+    realized flip angles, in degrees, in one kernel call."""
+    return _errors_deg(net_quaternions(s, beta_primes), target)
+
+
 def rotation_error(s: RotationSequence, beta_prime: float, target: Rotation) -> float:
     """Residual rotation angle of target^-1 U(beta'), in degrees."""
-    beta = s.uniform_beta()
-    u = net_propagator(s, beta_prime / beta)
-    return float(np.degrees(rotcore.rotation_angle_between(target, u)))
+    return float(rotation_errors(s, [beta_prime], target)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -182,13 +195,9 @@ def convert_m2_to_m4(s: RotationSequence) -> RotationSequence:
 
 def profile_csv(s: RotationSequence, e_xi=rotcore.E_Z, grid=None) -> str:
     """Rows beta_prime, q, vx, vy, vz, err_deg (error vs the nominal net)."""
-    grid = DEFAULT_GRID if grid is None else np.asarray(grid, dtype=float)
-    samples = q_profile(s, e_xi, grid)
-    nominal = net_propagator(s)
+    grid, quats, finals, qs = _profile_arrays(s, e_xi, grid)
+    errs = _errors_deg(quats, net_propagator(s))
+    rows = np.column_stack([grid, qs, finals, errs]).tolist()
     lines = ["beta_prime,q,vx,vy,vz,err_deg"]
-    for p in samples:
-        err = np.degrees(rotcore.rotation_angle_between(nominal, p.net_rotation))
-        v = p.final_vector
-        lines.append(",".join(f"{x:.17g}" for x in
-                              (p.beta_prime, p.q, v[0], v[1], v[2], err)))
+    lines += [",".join(f"{x:.17g}" for x in row) for row in rows]
     return "\n".join(lines) + "\n"

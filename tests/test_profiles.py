@@ -77,6 +77,8 @@ def test_glide_holds_for_random_dual_pairs():
 def test_glide_rejects_non_inverters():
     with pytest.raises(ValueError):
         pf.glide_reflection_check(catalog.xy4(), catalog.xy4())
+    with pytest.raises(ValueError, match="nonempty"):
+        pf.glide_reflection_check(catalog.f1(), catalog.f1(), grid=[])
 
 
 def test_trajectory_at_zero_scale_stays_put():
@@ -196,3 +198,62 @@ def test_profile_csv_shape():
     assert len(lines) == 6
     first = [float(t) for t in lines[1].split(",")]
     assert first[0] == 0.0 and abs(first[1] - 1.0) < 1e-14
+    with pytest.raises(ValueError, match="nonempty"):
+        pf.profile_csv(catalog.f1(), rc.E_Z, [])
+
+
+def _profile_csv_reference(s, e_xi, grid):
+    """profile_csv as a loop over grid points, one Rotation and one scalar
+    SO(3) distance per point."""
+    quats = sm.net_quaternions(s, grid)
+    finals = rc.quat_apply(quats, e_xi)
+    nominal = sm.net_propagator(s)
+    lines = ["beta_prime,q,vx,vy,vz,err_deg"]
+    for bp, qv, v, qq in zip(grid, finals @ e_xi, finals, quats):
+        _, angle = rc.to_axis_angle(rc.compose(rc.inverse(nominal), rc.Rotation(qq)))
+        lines.append(",".join(f"{x:.17g}" for x in
+                              (float(bp), float(qv), v[0], v[1], v[2], np.degrees(angle))))
+    return "\n".join(lines) + "\n"
+
+
+def _random_equatorial(rng):
+    n = int(rng.integers(1, 10))
+    beta = float(rng.choice([np.pi, np.pi / 2, 2 * np.pi / 3, rng.uniform(0.3, 2 * np.pi)]))
+    return sm.sequence_from_phases("r", beta, rng.uniform(0, 2 * np.pi, n))
+
+
+def test_profile_csv_matches_point_loop_bit_for_bit():
+    rng = np.random.default_rng(61)
+    for _ in range(6):
+        s = _random_equatorial(rng)
+        beta = s.uniform_beta()
+        grid = np.sort(np.concatenate([rng.uniform(0, 2 * np.pi, 60), [0.0, beta, np.pi]]))
+        for e_xi in (rc.E_X, rc.E_Y, rc.E_Z):
+            assert pf.profile_csv(s, e_xi, grid) == _profile_csv_reference(s, e_xi, grid)
+    s = catalog.bprime(11)
+    assert pf.profile_csv(s) == _profile_csv_reference(s, rc.E_Z, pf.DEFAULT_GRID)
+
+
+def test_q_profile_rotations_equal_per_point_constructors():
+    s = catalog.nb1_tpg()
+    grid = np.linspace(0, 2 * np.pi, 37)
+    samples = pf.q_profile(s, rc.E_Y, grid)
+    quats = sm.net_quaternions(s, grid)
+    assert [p.beta_prime for p in samples] == grid.tolist()
+    assert all(p.net_rotation.q.tobytes() == rc.Rotation(qq).q.tobytes()
+               for p, qq in zip(samples, quats))
+
+
+def test_rotation_errors_match_scalar_errors_bit_for_bit():
+    rng = np.random.default_rng(67)
+    for _ in range(5):
+        s = _random_equatorial(rng)
+        beta = s.uniform_beta()
+        target = sm.net_propagator(s)
+        bps = np.concatenate([rng.uniform(0.5, 1.5, 20) * beta, [beta]])
+        want = [float(np.degrees(rc.to_axis_angle(rc.compose(
+            rc.inverse(target), sm.net_propagator(s, bp / beta)))[1])) for bp in bps]
+        got = pf.rotation_errors(s, bps, target)
+        assert got.tolist() == want
+        assert [pf.rotation_error(s, bp, target) for bp in bps] == want
+        assert want[-1] == 0.0

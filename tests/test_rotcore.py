@@ -198,3 +198,52 @@ def test_rotation_is_immutable():
         r.q = np.zeros(4)
     with pytest.raises(ValueError):
         r.q[0] = 2.0
+
+
+def _scalar_angle_between(a, b):
+    """The scalar chain that quat_angle_between batches."""
+    _, beta = rc.to_axis_angle(rc.compose(rc.inverse(a), b))
+    return beta
+
+
+def test_quat_angle_between_matches_scalar_chain_bit_for_bit():
+    rng = np.random.default_rng(19)
+    a = [rc.Rotation(q / np.linalg.norm(q)) for q in rng.normal(size=(40, 4))]
+    b = [rc.Rotation(q / np.linalg.norm(q)) for q in rng.normal(size=(40, 4))]
+    for r in a[:8]:   # the identity, q against -q, angles near and below ZERO_ANGLE_TOL, pi
+        a.extend([r, r, r, r, r, rc.IDENTITY, rc.IDENTITY])
+        b.extend([r, rc.Rotation(-r.q), rc.compose(r, rc.from_axis_angle(rc.E_X, 5e-10)),
+                  rc.compose(r, rc.from_axis_angle(rc.E_Y, 3e-9)),
+                  rc.compose(r, rc.from_axis_angle(rc.E_Z, np.pi)),
+                  rc.Rotation(np.array([0.0, 1.0, 0.0, 0.0])),
+                  rc.Rotation(np.array([-0.0, 0.0, -1.0, 0.0]))])
+    want = np.array([_scalar_angle_between(x, y) for x, y in zip(a, b)])
+    assert np.sum(want == 0.0) >= 16 and np.sum(want == np.pi) >= 2
+    got = rc.quat_angle_between(np.array([r.q for r in a]), np.array([r.q for r in b]))
+    assert got.tobytes() == want.tobytes()
+    assert [rc.rotation_angle_between(x, y) for x, y in zip(a, b)] == want.tolist()
+    one = rc.quat_angle_between(a[0].q, np.array([r.q for r in b]))   # broadcast
+    assert one.tolist() == [_scalar_angle_between(a[0], y) for y in b]
+
+
+def test_unit_quaternions_rows_equal_rotation_constructor():
+    rng = np.random.default_rng(23)
+    q = rng.normal(size=(33, 4))
+    q *= (1.0 + rng.uniform(-5e-7, 5e-7, size=(33, 1))) / np.linalg.norm(q, axis=1, keepdims=True)
+    want = np.array([rc.Rotation(row).q for row in q])
+    assert rc.unit_quaternions(q).tobytes() == want.tobytes()
+    rots = rc.rotations(q)
+    assert np.array([r.q for r in rots]).tobytes() == want.tobytes()
+    assert not any(r.q.flags.writeable for r in rots)
+
+
+@pytest.mark.parametrize("bad", [1.01, 0.0, np.nan, np.inf])
+def test_unit_quaternions_check_the_whole_stack(bad):
+    q = np.tile([1.0, 0.0, 0.0, 0.0], (5, 1))
+    q[3, 0] = bad
+    with pytest.raises(ValueError, match="too far from 1"):
+        rc.unit_quaternions(q)
+    with pytest.raises(ValueError, match="too far from 1"):
+        rc.rotations(q)
+    with pytest.raises(ValueError, match=r"shape \(\.\.\., 4\)"):
+        rc.unit_quaternions(np.ones((2, 3)))

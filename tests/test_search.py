@@ -205,7 +205,8 @@ def _odometer_reference(spec):
     if tuples.size == 0:
         return []
     axes, nets = tg.inverse_toggle_axes(tuples, spec.beta)
-    return [sm.sequence_from_axes(f"{spec.axis_set.name}-{spec.m}-{j}", spec.beta, a)
+    return [sm.RotationSequence(f"{spec.axis_set.name}-{spec.m}-{j}",
+                                [sm.PulseElement(spec.beta, e) for e in a], spec.m)
             for j, a in enumerate(axes[se._target_mask(spec, nets)])]
 
 
