@@ -20,7 +20,7 @@ from numpy.polynomial import chebyshev as _cheb
 
 from . import rotcore
 from .rotcore import Rotation
-from .seqmodel import RotationSequence, net_quaternions, prefix_quaternions
+from .seqmodel import RotationSequence, _sweep_grid, net_quaternions, prefix_quaternions
 
 BALANCE_TOL = 1e-9
 MAX_WIGNER_RANK = 3
@@ -94,12 +94,13 @@ def numeric_error_expansion(s: RotationSequence, beta_prime: float | None = None
     beta = s.uniform_beta()
     if beta_prime is None:
         beta_prime = beta
-    grid = default_eps_grid() if eps_grid is None else np.asarray(eps_grid, dtype=float)
+    grid = default_eps_grid() if eps_grid is None else _sweep_grid(eps_grid, "eps grid")
     if grid.size < 5:
         raise ValueError("eps grid needs at least 5 points")
     if np.max(np.abs(np.sort(grid) + np.sort(grid)[::-1])) > 1e-12:
         raise ValueError("eps grid must be symmetric about zero")
-    nets = net_quaternions(s, beta_prime + np.concatenate([[0.0], grid]))
+    nets = net_quaternions(s, _sweep_grid(beta_prime + np.concatenate([[0.0], grid]),
+                                          "flip angle beta'"))
     errors = rotcore.quat_normalize(rotcore.quat_mul(rotcore.quat_conj(nets[0]), nets[1:]))
     vs = rotcore.quat_to_rotation_vector(errors)
     degree = min(14, grid.size - 1)

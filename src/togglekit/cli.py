@@ -313,10 +313,15 @@ def _run(args) -> int:
     raise _UsageError(f"unknown command {args.command!r}")
 
 
+_PARSER: _Parser | None = None   # built on the first call; parsing leaves it unchanged
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return _run(args)
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")

@@ -6,6 +6,7 @@ rank robustness against simultaneous flip-angle and field errors.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -164,13 +165,14 @@ def centroid_map(dd: DDSequence, omega_grid=None, beta_scale_grid=None,
 
     ``amp`` defaults to 1/total-time (amp * T = 1).
     """
-    omegas = default_omega_grid(dd) if omega_grid is None else np.asarray(omega_grid, dtype=float)
+    omegas = default_omega_grid(dd) if omega_grid is None \
+        else seqmodel._sweep_grid(omega_grid, "omega grid")
     scales = default_beta_scale_grid() if beta_scale_grid is None \
-        else np.asarray(beta_scale_grid, dtype=float)
-    if omegas.size == 0 or scales.size == 0:
-        raise ValueError("grids must be nonempty")
+        else seqmodel._sweep_grid(beta_scale_grid, "beta-scale grid")
     if amp is None:
         amp = 1.0 / dd.total_time
+    elif not math.isfinite(amp):
+        raise ValueError(f"amp must be finite, got {amp}")
     thetas = _field_phases(kick_times(dd), omegas[:, None], amp)
     dressed = rotcore.unit_vectors(rotcore.rotate_about_z(dd.pulses.axes, thetas))
     return CentroidMap(omegas, scales, _centroid_norms(dressed, dd.pulses.betas, scales), amp)
@@ -178,9 +180,10 @@ def centroid_map(dd: DDSequence, omega_grid=None, beta_scale_grid=None,
 
 def map_to_csv(cm: CentroidMap) -> str:
     """Header row of beta'/beta values, first column omega, cells |C^(1)|."""
-    lines = ["omega\\beta_scale," + ",".join(f"{s:.17g}" for s in cm.beta_scales)]
-    for w, row in zip(cm.omegas, cm.values):
-        lines.append(f"{w:.17g}," + ",".join(f"{v:.17g}" for v in row))
+    cells = ",".join(["%.17g"] * cm.beta_scales.size)
+    lines = ["omega\\beta_scale," + cells % tuple(cm.beta_scales.tolist())]
+    row_fmt = "%.17g," + cells
+    lines += [row_fmt % (w, *row) for w, row in zip(cm.omegas.tolist(), cm.values.tolist())]
     return "\n".join(lines) + "\n"
 
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import averaging, rotcore, toggling
 from .rotcore import Rotation, quat_apply
-from .seqmodel import (RotationSequence, global_phase_shift, net_propagator,
+from .seqmodel import (RotationSequence, _sweep_grid, global_phase_shift, net_propagator,
                        net_quaternions, prefix_quaternions, riffle, sequence_from_axes)
 
 DEFAULT_GRID = np.linspace(0.0, 2.0 * np.pi, 721)   # half-degree steps
@@ -44,9 +44,7 @@ def q_profile(s: RotationSequence, e_xi, grid=None) -> list[ProfileSample]:
 def _profile_arrays(s: RotationSequence, e_xi, grid):
     """The grid (DEFAULT_GRID if None), and over it the net quaternions,
     the final probe vectors and the q values."""
-    grid = DEFAULT_GRID if grid is None else np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("grid must be nonempty")
+    grid = DEFAULT_GRID if grid is None else _sweep_grid(grid)
     e_xi = np.asarray(e_xi, dtype=float)
     quats = net_quaternions(s, grid)
     finals = quat_apply(quats, e_xi)
@@ -97,7 +95,7 @@ def trajectory(s: RotationSequence, v0, beta_prime: float) -> np.ndarray:
 def rotation_errors(s: RotationSequence, beta_primes, target: Rotation) -> np.ndarray:
     """Residual rotation angles of target^-1 U(beta') over a sweep of
     realized flip angles, in degrees, in one kernel call."""
-    return _errors_deg(net_quaternions(s, beta_primes), target)
+    return _errors_deg(net_quaternions(s, _sweep_grid(beta_primes, "flip-angle grid")), target)
 
 
 def rotation_error(s: RotationSequence, beta_prime: float, target: Rotation) -> float:
@@ -193,11 +191,14 @@ def convert_m2_to_m4(s: RotationSequence) -> RotationSequence:
 # CSV export
 # ---------------------------------------------------------------------------
 
+_CSV_ROW6 = ",".join(["%.17g"] * 6)
+
+
 def profile_csv(s: RotationSequence, e_xi=rotcore.E_Z, grid=None) -> str:
     """Rows beta_prime, q, vx, vy, vz, err_deg (error vs the nominal net)."""
     grid, quats, finals, qs = _profile_arrays(s, e_xi, grid)
     errs = _errors_deg(quats, net_propagator(s))
     rows = np.column_stack([grid, qs, finals, errs]).tolist()
     lines = ["beta_prime,q,vx,vy,vz,err_deg"]
-    lines += [",".join(f"{x:.17g}" for x in row) for row in rows]
+    lines += [_CSV_ROW6 % tuple(row) for row in rows]
     return "\n".join(lines) + "\n"

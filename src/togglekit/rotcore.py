@@ -77,15 +77,41 @@ def axis_from_phase(phi: float, latitude: float = 0.0) -> np.ndarray:
 # quaternion kernels, broadcastable over leading axes; shape (..., 4) / (..., 3)
 # ---------------------------------------------------------------------------
 
+def _mul4(aw, ax, ay, az, bw, bx, by, bz):
+    """Hamilton product a*b on components (arrays or numpy scalars)."""
+    return (aw * bw - ((ax * bx + ay * by) + az * bz),
+            (aw * bx + bw * ax) + (ay * bz - az * by),
+            (aw * by + bw * ay) + (az * bx - ax * bz),
+            (aw * bz + bw * az) + (ax * by - ay * bx))
+
+
+def _unit4(w, x, y, z):
+    """Components divided by their norm, summed in np.linalg.norm's order."""
+    n = np.sqrt(((w * w + x * x) + y * y) + z * z)
+    return w / n, x / n, y / n, z / n
+
+
+def _unit3(x, y, z):
+    n = np.sqrt((x * x + y * y) + z * z)
+    return x / n, y / n, z / n
+
+
+def _apply3(w, x, y, z, vx, vy, vz):
+    """q v q* on components: v + w t + qv x t with t = 2 qv x v, each cross
+    product written out as np.cross computes it."""
+    tx = 2.0 * (y * vz - z * vy)
+    ty = 2.0 * (z * vx - x * vz)
+    tz = 2.0 * (x * vy - y * vx)
+    return ((vx + w * tx) + (y * tz - z * ty),
+            (vy + w * ty) + (z * tx - x * tz),
+            (vz + w * tz) + (x * ty - y * tx))
+
+
 def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hamilton product a*b (apply b first, then a, when used as rotations)."""
-    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
     out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-    out[..., 0] = aw * bw - ((ax * bx + ay * by) + az * bz)
-    out[..., 1] = (aw * bx + bw * ax) + (ay * bz - az * by)
-    out[..., 2] = (aw * by + bw * ay) + (az * bx - ax * bz)
-    out[..., 3] = (aw * bz + bw * az) + (ax * by - ay * bx)
+    out[..., 0], out[..., 1], out[..., 2], out[..., 3] = _mul4(
+        a[..., 0], a[..., 1], a[..., 2], a[..., 3], b[..., 0], b[..., 1], b[..., 2], b[..., 3])
     return out
 
 
@@ -96,14 +122,19 @@ def quat_conj(q: np.ndarray) -> np.ndarray:
 
 
 def quat_normalize(q: np.ndarray) -> np.ndarray:
-    return q / np.linalg.norm(q, axis=-1, keepdims=True)
+    out = np.empty(q.shape)
+    out[..., 0], out[..., 1], out[..., 2], out[..., 3] = _unit4(
+        q[..., 0], q[..., 1], q[..., 2], q[..., 3])
+    return out
 
 
 def quat_apply(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Rotate vector(s) v by quaternion(s) q (active rotation q v q*)."""
-    qv = q[..., 1:]
-    t = 2.0 * np.cross(qv, v)
-    return v + q[..., :1] * t + np.cross(qv, t)
+    v = np.asarray(v, dtype=float)
+    out = np.empty(np.broadcast_shapes(q.shape[:-1], v.shape[:-1]) + (3,))
+    out[..., 0], out[..., 1], out[..., 2] = _apply3(
+        q[..., 0], q[..., 1], q[..., 2], q[..., 3], v[..., 0], v[..., 1], v[..., 2])
+    return out
 
 
 def quat_from_axis_angle(axes: np.ndarray, angles) -> np.ndarray:

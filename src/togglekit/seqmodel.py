@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rotcore
-from .rotcore import Rotation, axis_from_phase, quat_from_axis_angle, quat_identity, quat_mul
+from .rotcore import Rotation, _mul4, _unit4, axis_from_phase, quat_from_axis_angle
 
 EQUATORIAL_TOL = 1e-9
 BETA_MATCH_TOL = 1e-12
@@ -274,24 +274,38 @@ def net_quaternions(s: RotationSequence, beta_primes) -> np.ndarray:
     return prefix_quaternions(axes, scales[:, None] * s.betas[None, :])[:, -1, :]
 
 
+def _sweep_grid(values, what: str = "grid") -> np.ndarray:
+    """A sweep grid (flip angles, scales, field frequencies) as a float
+    array, checked once where it enters the library: nonempty and finite."""
+    grid = np.asarray(values, dtype=float)
+    if grid.size == 0:
+        raise ValueError(f"{what} must be nonempty")
+    finite = np.isfinite(grid)
+    if not finite.all():
+        raise ValueError(f"{what} must be finite, got {grid[~finite].flat[0]}")
+    return grid
+
+
 def prefix_quaternions(axes: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """Quaternions U_0..U_n for prefixes of a batch of sequences.
 
     axes: (..., n, 3); angles: (n,) or (..., n).  Returns (..., n+1, 4) with
-    U_0 the identity.  Vectorized over all leading axes.
+    U_0 the identity.  Vectorized over all leading axes: the step
+    quaternions come from one call, and the chain runs on the components of
+    their transposed view (4, n, *lead[::-1]), so an unbatched chain steps
+    on numpy scalars and a batched one on arrays, through the same code.
     """
     axes = np.asarray(axes, dtype=float)
     n = axes.shape[-2]
     angles = np.broadcast_to(np.asarray(angles, dtype=float), axes.shape[:-1])
-    lead = axes.shape[:-2]
-    out = np.empty(lead + (n + 1, 4))
-    q = quat_identity(lead)
-    out[..., 0, :] = q
+    sw, sx, sy, sz = quat_from_axis_angle(axes, angles).T
+    out = np.empty(axes.shape[:-2] + (n + 1, 4))
+    ow, ox, oy, oz = out.T
+    w, x, y, z = 1.0, 0.0, 0.0, 0.0
+    ow[0], ox[0], oy[0], oz[0] = w, x, y, z
     for i in range(n):
-        step = quat_from_axis_angle(axes[..., i, :], angles[..., i])
-        q = quat_mul(step, q)
-        q = q / np.linalg.norm(q, axis=-1, keepdims=True)
-        out[..., i + 1, :] = q
+        w, x, y, z = _unit4(*_mul4(sw[i], sx[i], sy[i], sz[i], w, x, y, z))
+        ow[i + 1], ox[i + 1], oy[i + 1], oz[i + 1] = w, x, y, z
     return out
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rotcore
-from .rotcore import quat_apply, quat_conj
+from .rotcore import _apply3, _mul4, _unit3, _unit4, quat_apply, quat_conj
 from .seqmodel import RotationSequence, prefix_quaternions
 
 CYCLE_TOL = 1e-9
@@ -48,17 +48,21 @@ def inverse_toggle_axes(toggled: np.ndarray, angles) -> tuple[np.ndarray, np.nda
     vectorized over all leading axes.  Returns (..., n, 3) and (..., 4).
     """
     toggled = np.asarray(toggled, dtype=float)
-    angles = np.broadcast_to(np.asarray(angles, dtype=float), toggled.shape[:-1])
+    half = 0.5 * np.broadcast_to(np.asarray(angles, dtype=float), toggled.shape[:-1])
+    cos_h, sin_h = np.cos(half).T, np.sin(half).T   # step i is (cos_h, sin_h e_i)
+    fx, fy, fz = toggled.T
     axes = np.empty_like(toggled)
-    q = rotcore.quat_identity(toggled.shape[:-2])
+    ex, ey, ez = axes.T
+    w, x, y, z = 1.0, 0.0, 0.0, 0.0
     for i in range(toggled.shape[-2]):
-        v = toggled[..., i, :]
+        vx, vy, vz = fx[i], fy[i], fz[i]
         if i > 0:
-            v = quat_apply(q, v)
-            v = v / np.linalg.norm(v, axis=-1, keepdims=True)
-        axes[..., i, :] = v
-        q = rotcore.quat_mul(rotcore.quat_from_axis_angle(v, angles[..., i]), q)
-        q = q / np.linalg.norm(q, axis=-1, keepdims=True)
+            vx, vy, vz = _unit3(*_apply3(w, x, y, z, vx, vy, vz))
+        ex[i], ey[i], ez[i] = vx, vy, vz
+        s = sin_h[i]
+        w, x, y, z = _unit4(*_mul4(cos_h[i], s * vx, s * vy, s * vz, w, x, y, z))
+    q = np.empty(toggled.shape[:-2] + (4,))
+    q.T[0], q.T[1], q.T[2], q.T[3] = w, x, y, z
     return axes, q
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import averaging
+from . import averaging, seqmodel
 from .ddsim import DDSequence
 from .seqmodel import RotationSequence
 
@@ -45,9 +45,7 @@ class MasSweepRow:
 def mas_kappa_sweep(compensated: bool, beta_scale_grid) -> list[MasSweepRow]:
     """max_mu' |kappa_{2,0,mu'}| versus flip-angle scale for the virtual MAS
     cycle, plus the full mu' row for export."""
-    grid = np.atleast_1d(np.asarray(beta_scale_grid, dtype=float))
-    if grid.size == 0:
-        raise ValueError("grid must be nonempty")
+    grid = np.atleast_1d(seqmodel._sweep_grid(beta_scale_grid))
     dd = compensated_cycle() if compensated else uncompensated_cycle()
     rows = []
     for s in grid:
@@ -80,8 +78,9 @@ def sweep_csv(beta_scale_grid) -> str:
     """CSV rows: scale, value, compensated flag, then the mu' components."""
     lines = ["beta_scale,max_abs_kappa20,compensated,"
              + ",".join(f"re_mu{m},im_mu{m}" for m in range(-2, 3))]
+    fmt = "%.17g,%.17g,%d," + ",".join(["%.17g,%.17g"] * 5)
     for comp in (False, True):
         for row in mas_kappa_sweep(comp, beta_scale_grid):
-            comps = ",".join(f"{z.real:.17g},{z.imag:.17g}" for z in row.kappa_row)
-            lines.append(f"{row.beta_scale:.17g},{row.max_abs:.17g},{int(comp)},{comps}")
+            parts = [c for z in row.kappa_row.tolist() for c in (z.real, z.imag)]
+            lines.append(fmt % (row.beta_scale, row.max_abs, comp, *parts))
     return "\n".join(lines) + "\n"

@@ -158,6 +158,11 @@ def test_numeric_expansion_grid_validation():
         av.numeric_error_expansion(s, eps_grid=[1e-3, 2e-3, 3e-3, 4e-3, 5e-3])
     with pytest.raises(ValueError):
         av.numeric_error_expansion(s, eps_grid=[-0.1, 0.0, 0.1])
+    # inf + -inf is NaN, which the symmetry test alone lets through
+    with pytest.raises(ValueError, match="eps grid must be finite"):
+        av.numeric_error_expansion(s, eps_grid=[-np.inf, -0.1, 0.0, 0.1, np.inf])
+    with pytest.raises(ValueError, match="must be finite"):
+        av.numeric_error_expansion(s, beta_prime=np.nan)
 
 
 def test_symmetry_class_examples():

@@ -227,3 +227,41 @@ def test_bad_input_exits_1_with_one_line(capsys, tmp_path, argv, doc, says):
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err
     assert says in err
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    calls = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "_build_parser", lambda: calls.append(1) or build())
+    for argv in (["cycle", "f1"], ["catalog", "list"], ["not-a-command"],
+                 ["orders", "f1", "--beta-scale", "nan"], ["centroid", "nb1_tpg"]):
+        cli.main(argv)
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("bad", [
+    ["profile", "f1", "--xi", "w"],
+    ["ddmap", "kdd20", "--tau", "3", "--amp", "nan"],
+    ["ddmap", "xy4", "--json", "--out"],
+    ["search", "--axes", "cube", "--n", "4"],
+], ids=lambda argv: " ".join(argv))
+def test_usage_error_leaves_the_next_call_unchanged(capsys, monkeypatch, bad):
+    good = ["ddmap", "xy4", "--tau", "2"]
+    monkeypatch.setattr(cli, "_PARSER", None)
+    alone = run(capsys, *good)
+    assert alone[0] == 0 and alone[2] == ""
+    code, out, err = run(capsys, *bad)
+    assert code == 1 and out == "" and err.startswith("usage error:")
+    assert run(capsys, *good) == alone
+
+
+def test_out_does_not_carry_over_to_the_next_call(capsys, tmp_path):
+    path = tmp_path / "profile.csv"
+    code, out, _ = run(capsys, "profile", "f1", "--out", str(path))
+    assert code == 0 and out == ""
+    written = path.read_text(encoding="utf-8")
+    path.unlink()
+    code, out, _ = run(capsys, "profile", "f1")
+    assert code == 0 and out == written and not path.exists()

@@ -185,3 +185,30 @@ def test_centroid_map_matches_omega_loop_bit_for_bit(name):
         assert cm.values.tobytes() == want.tobytes()
     assert ddsim.static_field_dressed(dd, 0.3).pulses.axes.tobytes() == \
         rc.unit_vectors(rc.rotate_about_z(dd.pulses.axes, 0.3 * ddsim.kick_times(dd))).tobytes()
+
+
+@pytest.mark.parametrize("kwargs, says", [
+    pytest.param({"amp": np.inf}, "amp must be finite", id="amp-inf"),
+    pytest.param({"amp": np.nan}, "amp must be finite", id="amp-nan"),
+    pytest.param({"beta_scale_grid": [1.0, np.inf]}, "beta-scale grid must be finite",
+                 id="scale-inf"),
+    pytest.param({"omega_grid": [np.nan]}, "omega grid must be finite", id="omega-nan"),
+    pytest.param({"omega_grid": []}, "omega grid must be nonempty", id="omega-empty"),
+])
+def test_centroid_map_rejects_non_finite_inputs_with_one_line(kwargs, says):
+    with pytest.raises(ValueError, match=says) as info:
+        ddsim.centroid_map(catalog.named_dd("xy4"), **kwargs)
+    assert "\n" not in str(info.value)
+
+
+def test_map_csv_bytes_equal_per_value_formatting():
+    """One %-format call per row writes what f"{x:.17g}" per value wrote,
+    signed zeros and non-finite cells included."""
+    cm = ddsim.CentroidMap(np.array([-0.0, 1e-300, 2.5]), np.array([0.0, 1.0 / 3.0, 1e17]),
+                           np.array([[np.nan, -np.inf, np.inf], [-0.0, 0.1, 1e-17],
+                                     [1.0, 2.0 / 3.0, 123456789.0]]), 1.0)
+    lines = ["omega\\beta_scale," + ",".join(f"{s:.17g}" for s in cm.beta_scales)]
+    for w, row in zip(cm.omegas, cm.values):
+        lines.append(f"{w:.17g}," + ",".join(f"{v:.17g}" for v in row))
+    assert ddsim.map_to_csv(cm) == "\n".join(lines) + "\n"
+    assert "\n-0,nan,-inf,inf\n1e-300,-0," in ddsim.map_to_csv(cm)

@@ -257,3 +257,20 @@ def test_rotation_errors_match_scalar_errors_bit_for_bit():
         assert got.tolist() == want
         assert [pf.rotation_error(s, bp, target) for bp in bps] == want
         assert want[-1] == 0.0
+
+
+@pytest.mark.parametrize("call, says", [
+    pytest.param(lambda: pf.profile_csv(catalog.f1(), grid=[np.inf]), "grid must be finite",
+                 id="profile-csv-inf"),
+    pytest.param(lambda: pf.q_values(catalog.f1(), rc.E_Z, [0.0, np.nan]), "grid must be finite",
+                 id="q-values-nan"),
+    pytest.param(lambda: pf.glide_reflection_check(catalog.f1(), catalog.nb1_tpg(),
+                                                   grid=[-np.inf]), "grid must be finite",
+                 id="glide-inf"),
+    pytest.param(lambda: pf.rotation_errors(catalog.f1(), [np.inf], rc.IDENTITY),
+                 "flip-angle grid must be finite", id="rotation-errors-inf"),
+])
+def test_sweeps_reject_non_finite_grids_with_one_line(call, says):
+    with pytest.raises(ValueError, match=says) as info:
+        call()
+    assert "\n" not in str(info.value)

@@ -117,6 +117,58 @@ def test_quat_mul_bit_identical_to_cross_product_form():
         assert np.array_equal(rc.quat_mul(a[i], b[i]), cross_form(a[i], b[i]))
 
 
+def _quat_mul_reference(a, b):
+    """quat_mul's array formula before it moved onto components."""
+    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    out[..., 0] = aw * bw - ((ax * bx + ay * by) + az * bz)
+    out[..., 1] = (aw * bx + bw * ax) + (ay * bz - az * by)
+    out[..., 2] = (aw * by + bw * ay) + (az * bx - ax * bz)
+    out[..., 3] = (aw * bz + bw * az) + (ax * by - ay * bx)
+    return out
+
+
+def _quat_apply_reference(q, v):
+    """quat_apply in its np.cross form, kept as the reference."""
+    qv = q[..., 1:]
+    t = 2.0 * np.cross(qv, v)
+    return v + q[..., :1] * t + np.cross(qv, t)
+
+
+def _strided(rng, shape):
+    """Random values of ``shape`` in a non-contiguous view."""
+    return rng.normal(size=shape[::-1] + (2,))[..., 0].T
+
+
+@pytest.mark.parametrize("shapes", [((4,), (4,)), ((300, 4), (300, 4)), ((300, 4), (4,)),
+                                    ((4,), (300, 4)), ((5, 1, 4), (3, 4)), ((25, 21, 4), (21, 4))])
+@pytest.mark.parametrize("layout", ["contiguous", "strided"])
+def test_quat_kernels_bit_identical_to_array_formulas(shapes, layout):
+    rng = np.random.default_rng(23)
+    make = (lambda shape: rng.normal(size=shape)) if layout == "contiguous" \
+        else (lambda shape: _strided(rng, shape))
+    a, b = make(shapes[0]), make(shapes[1])
+    assert layout == "contiguous" or not a.flags.c_contiguous
+    assert np.array_equal(rc.quat_mul(a, b), _quat_mul_reference(a, b))
+    assert np.array_equal(rc.quat_normalize(a), a / np.linalg.norm(a, axis=-1, keepdims=True))
+    unit = a / np.linalg.norm(a, axis=-1, keepdims=True)
+    v = b[..., 1:]
+    assert np.array_equal(rc.quat_apply(unit, v), _quat_apply_reference(unit, v))
+    assert np.array_equal(rc.quat_apply(a, v), _quat_apply_reference(a, v))
+
+
+def test_quat_kernels_keep_signed_zeros_and_non_finite_values():
+    a = np.array([[0.0, -0.0, 1.0, -2.0], [np.inf, 1.0, -0.0, 0.5], [np.nan, 0.0, 1.0, 0.0]])
+    b = np.array([[-0.0, 0.0, -1.0, 3.0], [1.0, -np.inf, 0.0, 2.0], [1.0, 1.0, 1.0, 1.0]])
+    with np.errstate(invalid="ignore"):
+        pairs = [(rc.quat_mul(a, b), _quat_mul_reference(a, b)),
+                 (rc.quat_normalize(a), a / np.linalg.norm(a, axis=-1, keepdims=True)),
+                 (rc.quat_apply(a, b[:, 1:]), _quat_apply_reference(a, b[:, 1:]))]
+    for got, want in pairs:
+        assert got.tobytes() == want.tobytes()
+
+
 def test_pi_rotation_axis_tie_break_is_lex_largest():
     axis, angle = rc.to_axis_angle(rc.from_axis_angle(-rc.E_Y, np.pi))
     assert abs(angle - np.pi) < 1e-12

@@ -206,6 +206,41 @@ def test_net_quaternions_match_scalar_loop():
             assert np.max(np.abs(q - reference_prefix_propagator(s, n, bp / beta).q)) < 1e-14
 
 
+def reference_prefix_quaternions(axes, angles):
+    """The array-form loop prefix_quaternions ran before its chain moved onto
+    components, kept as the reference."""
+    axes = np.asarray(axes, dtype=float)
+    n = axes.shape[-2]
+    angles = np.broadcast_to(np.asarray(angles, dtype=float), axes.shape[:-1])
+    lead = axes.shape[:-2]
+    out = np.empty(lead + (n + 1, 4))
+    q = rc.quat_identity(lead)
+    out[..., 0, :] = q
+    for i in range(n):
+        step = rc.quat_from_axis_angle(axes[..., i, :], angles[..., i])
+        q = rc.quat_mul(step, q)
+        q = q / np.linalg.norm(q, axis=-1, keepdims=True)
+        out[..., i + 1, :] = q
+    return out
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 40])
+@pytest.mark.parametrize("lead", [(), (1,), (5,), (25, 21)], ids=str)
+def test_prefix_quaternions_bit_identical_to_array_loop(n, lead):
+    rng = np.random.default_rng([71, n, *lead])
+    axes = rng.normal(size=lead + (n, 3))
+    axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
+    strided = np.swapaxes(np.swapaxes(axes, -1, -2).copy(), -1, -2)   # (3, n) storage
+    assert n < 2 or not strided.flags.c_contiguous
+    shared = rng.uniform(0.0, 2 * np.pi, 2 * n)[::2]                  # (n,), every other value
+    per_row = rng.uniform(-2 * np.pi, 2 * np.pi, lead + (n,))
+    for ax in (axes, strided):
+        for angles in (shared, per_row):
+            got = sm.prefix_quaternions(ax, angles)
+            assert got.shape == lead + (n + 1, 4) and got.flags.c_contiguous
+            assert got.tobytes() == reference_prefix_quaternions(ax, angles).tobytes()
+
+
 def test_reverse():
     s = sm.sequence_from_phases("ab", np.pi, [0.0, np.pi / 2])
     r = sm.reverse(s)

@@ -142,6 +142,48 @@ def test_inverse_toggle_axes_round_trip_and_net(angle_shape):
     assert np.max(np.abs(nets - sign * ref)) < 1e-14
 
 
+def _cross_form_apply(q, v):
+    """quat_apply in its np.cross form."""
+    qv = q[..., 1:]
+    t = 2.0 * np.cross(qv, v)
+    return v + q[..., :1] * t + np.cross(qv, t)
+
+
+def reference_inverse_toggle_axes(toggled, angles):
+    """The array-form loop inverse_toggle_axes ran before its chain moved
+    onto components, kept as the reference."""
+    toggled = np.asarray(toggled, dtype=float)
+    angles = np.broadcast_to(np.asarray(angles, dtype=float), toggled.shape[:-1])
+    axes = np.empty_like(toggled)
+    q = rc.quat_identity(toggled.shape[:-2])
+    for i in range(toggled.shape[-2]):
+        v = toggled[..., i, :]
+        if i > 0:
+            v = _cross_form_apply(q, v)
+            v = v / np.linalg.norm(v, axis=-1, keepdims=True)
+        axes[..., i, :] = v
+        q = rc.quat_mul(rc.quat_from_axis_angle(v, angles[..., i]), q)
+        q = q / np.linalg.norm(q, axis=-1, keepdims=True)
+    return axes, q
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 40])
+@pytest.mark.parametrize("lead", [(), (1,), (5,), (25, 21)], ids=str)
+def test_inverse_toggle_axes_bit_identical_to_array_loop(n, lead):
+    rng = np.random.default_rng([37, n, *lead])
+    f = random_unit_vectors(rng, lead + (n,))
+    strided = np.swapaxes(np.swapaxes(f, -1, -2).copy(), -1, -2)   # (3, n) storage
+    assert n < 2 or not strided.flags.c_contiguous
+    shared = rng.uniform(0.0, 2 * np.pi, 2 * n)[::2]                # (n,), every other value
+    per_row = rng.uniform(-2 * np.pi, 2 * np.pi, lead + (n,))
+    for toggled in (f, strided):
+        for angles in (shared, per_row):
+            axes, net = tg.inverse_toggle_axes(toggled, angles)
+            want_axes, want_net = reference_inverse_toggle_axes(toggled, angles)
+            assert axes.shape == lead + (n, 3) and net.shape == lead + (4,)
+            assert axes.tobytes() == want_axes.tobytes() and net.tobytes() == want_net.tobytes()
+
+
 def test_inverse_of_shifted_f1_is_nb1():
     shifted = sm.global_phase_shift(catalog.f1(), 4 * PHI)
     back = tg.inverse_toggling_map(shifted)

@@ -43,6 +43,11 @@ def test_sweep_rejects_empty_grid():
         vm.mas_kappa_sweep(False, [])
 
 
+def test_sweep_rejects_non_finite_grid():
+    with pytest.raises(ValueError, match="grid must be finite"):
+        vm.mas_kappa_sweep(True, [1.0, np.inf])
+
+
 def test_sweep_csv():
     text = vm.sweep_csv([1.0, 1.1])
     lines = text.strip().split("\n")
@@ -50,3 +55,14 @@ def test_sweep_csv():
     assert lines[0].startswith("beta_scale,max_abs_kappa20,compensated")
     row = lines[1].split(",")
     assert len(row) == 13    # scale, max, flag, 5 complex pairs
+
+
+def test_sweep_csv_bytes_equal_per_value_formatting():
+    grid = [0.8, 1.0, 1.05]
+    lines = ["beta_scale,max_abs_kappa20,compensated,"
+             + ",".join(f"re_mu{m},im_mu{m}" for m in range(-2, 3))]
+    for comp in (False, True):
+        for row in vm.mas_kappa_sweep(comp, grid):
+            comps = ",".join(f"{z.real:.17g},{z.imag:.17g}" for z in row.kappa_row)
+            lines.append(f"{row.beta_scale:.17g},{row.max_abs:.17g},{int(comp)},{comps}")
+    assert vm.sweep_csv(grid) == "\n".join(lines) + "\n"
