@@ -291,23 +291,21 @@ def criterion_10() -> CriterionResult:
 
 
 def criterion_11() -> CriterionResult:
-    """Wigner matrices: unitarity, homomorphism, Cartesian equivalence."""
+    """Wigner matrices at every supported rank: unitarity, homomorphism,
+    Cartesian equivalence, over 100 random rotation pairs, each rank in one
+    batched kernel call."""
     rng = np.random.default_rng(1111)
+    axes = rotcore.unit_vectors(rng.normal(size=(2, 100, 3)))
+    q1, q2 = rotcore.quat_from_axis_angle(axes, rng.uniform(0, np.pi, size=(2, 100)))
+    quats = np.stack([q1, q2, rotcore.quat_normalize(rotcore.quat_mul(q2, q1))])
+    mats = [averaging.wigner_matrices(lam, quats)
+            for lam in range(averaging.MAX_WIGNER_RANK + 1)]
+    worst_u = max(float(np.max(np.abs(d1 @ d1.conj().swapaxes(-1, -2) - np.eye(d1.shape[-1]))))
+                  for d1, _, _ in mats)
+    worst_h = max(float(np.max(np.abs(d21 - d2 @ d1))) for d1, d2, d21 in mats)
     t_mat = averaging.spherical_basis_matrix()
-    worst_u = worst_h = worst_c = 0.0
-    for _ in range(100):
-        v1, v2 = rng.normal(size=(2, 3))
-        r1 = rotcore.from_axis_angle(v1 / np.linalg.norm(v1), float(rng.uniform(0, np.pi)))
-        r2 = rotcore.from_axis_angle(v2 / np.linalg.norm(v2), float(rng.uniform(0, np.pi)))
-        prod = rotcore.compose(r2, r1)
-        for lam in range(4):
-            d1 = averaging.wigner_d(lam, r1)
-            worst_u = max(worst_u, float(np.max(np.abs(
-                d1 @ d1.conj().T - np.eye(2 * lam + 1)))))
-            worst_h = max(worst_h, float(np.max(np.abs(
-                averaging.wigner_d(lam, prod) - averaging.wigner_d(lam, r2) @ d1))))
-        worst_c = max(worst_c, float(np.max(np.abs(
-            averaging.wigner_d(1, r1) - t_mat.conj().T @ r1.as_matrix() @ t_mat))))
+    r1 = rotcore.quat_apply(q1[:, None, :], np.eye(3)).swapaxes(-1, -2)   # columns R e_j
+    worst_c = float(np.max(np.abs(mats[1][0] - t_mat.conj().T @ r1 @ t_mat)))
     ok = worst_u < 1e-9 and worst_h < 1e-9 and worst_c < 1e-10
     return _result(11, "Wigner-D properties", ok,
                    f"unitarity {worst_u:.2e}, homomorphism {worst_h:.2e}, "

@@ -1,5 +1,6 @@
 """Error-analysis layer: centroids, balance, average-rotation orders,
-order-reversal symmetry rules, Wigner D-matrices, and the rank-lambda
+order-reversal symmetry rules, Wigner D-matrices of ranks 0..8 in closed
+form from the Cayley-Klein parameters of the rotation, and the rank-lambda
 decoupling coefficients of delay-interleaved sequences.
 
 Average-rotation orders are reported as rotation-vector coefficients per
@@ -13,6 +14,7 @@ so order1 is the plain vector sum of the axes (n times the centroid).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,10 +22,13 @@ from numpy.polynomial import chebyshev as _cheb
 
 from . import rotcore
 from .rotcore import Rotation
-from .seqmodel import RotationSequence, _sweep_grid, net_quaternions, prefix_quaternions
+from .seqmodel import (RotationSequence, _scaled_angles, _sweep_grid, net_quaternions,
+                       prefix_quaternions)
 
 BALANCE_TOL = 1e-9
-MAX_WIGNER_RANK = 3
+MAX_WIGNER_RANK = 8
+# (w, x, y, z) @ _CAYLEY_KLEIN = (u00, u01, u10, u11) = (w + iz, y - ix, -y - ix, w - iz)
+_CAYLEY_KLEIN = np.array([[1, 0, 0, 1], [0, -1j, -1j, 0], [0, 1, -1, 0], [1j, 0, 0, -1j]])
 
 
 def centroid(vectors) -> np.ndarray:
@@ -143,19 +148,13 @@ def symmetry_class(s: RotationSequence, tol: float = 1e-9) -> str:
 # Wigner D-matrices and rank-lambda averages
 # ---------------------------------------------------------------------------
 
-def _angular_momentum(lam: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Spin-lam generators (Jx, Jy, Jz) in the basis mu = -lam .. +lam."""
-    mu = np.arange(-lam, lam + 1, dtype=float)
-    jz = np.diag(mu)
-    raising = np.zeros((2 * lam + 1, 2 * lam + 1))
-    ladder = np.sqrt(lam * (lam + 1) - mu[:-1] * (mu[:-1] + 1))
-    raising[np.arange(1, 2 * lam + 1), np.arange(2 * lam)] = ladder
-    jx = 0.5 * (raising + raising.T)
-    jy = -0.5j * (raising - raising.T)
-    return jx, jy, jz
-
-
-_J_CACHE = {lam: _angular_momentum(lam) for lam in range(MAX_WIGNER_RANK + 1)}
+def _rank(lam) -> int:
+    """``lam`` as an int, raising unless it is an integer rank in
+    0..MAX_WIGNER_RANK (bools are not)."""
+    if isinstance(lam, bool) or not isinstance(lam, numbers.Integral) \
+            or not 0 <= lam <= MAX_WIGNER_RANK:
+        raise ValueError(f"rank must be an integer in 0..{MAX_WIGNER_RANK}, got {lam!r}")
+    return int(lam)
 
 
 def spherical_basis_matrix() -> np.ndarray:
@@ -170,20 +169,35 @@ def spherical_basis_matrix() -> np.ndarray:
     ])
 
 
-def wigner_d(lam: int, r: Rotation) -> np.ndarray:
-    """(2*lam+1) square Wigner matrix <lam,mu| exp(-i beta J.e) |lam,mu'>,
-    rows and columns ordered by ascending mu.  Unitary; a homomorphism of
-    SO(3) for the integer ranks supported here.
+def wigner_matrices(lam: int, quats) -> np.ndarray:
+    """Wigner matrices <lam,mu| exp(-i beta J.e) |lam,mu'> (..., 2lam+1, 2lam+1)
+    of unit quaternions (w, x, y, z) (..., 4), rows and columns by ascending mu.
+
+    Closed form in the Cayley-Klein entries u00, u01, u10, u11 of the spin-1/2
+    matrix [[w + iz, y - ix], [-y - ix, w - iz]]: with n = lam + mu, n' = lam + mu'
+    and l = k - n - n' + 2lam, D_{mu,mu'} is sqrt(n! (2lam-n)! n'! (2lam-n')!)
+    times the sum over k of u00^l u01^(n'-k) u10^(n-k) u11^k / (l! (n'-k)! (n-k)! k!),
+    every exponent >= 0.
     """
-    if lam not in _J_CACHE:
-        raise ValueError(f"rank {lam} unsupported (0..{MAX_WIGNER_RANK})")
-    if lam == 0:
-        return np.ones((1, 1), dtype=complex)
-    e, beta = rotcore.to_axis_angle(r)
-    jx, jy, jz = _J_CACHE[lam]
-    h = e[0] * jx + e[1] * jy + e[2] * jz
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * beta * w)) @ v.conj().T
+    two = 2 * _rank(lam)
+    i = np.arange(two + 1)
+    # every (n, n', k) whose four exponents are >= 0, ordered by cell (n, n'), then by k
+    n, n_p, k = np.nonzero((i <= i[:, None]) & (i <= i[:, None, None])
+                           & (i >= i[:, None] + i[:, None, None] - two))
+    exps = np.array([k - n - n_p + two, n_p - k, n - k, k])
+    fact = np.cumprod(np.maximum(i, 1.0))
+    coef = np.sqrt(fact[n] * fact[two - n] * fact[n_p] * fact[two - n_p]) / fact[exps].prod(0)
+    q = np.asarray(quats, dtype=float)
+    powers = np.ones(q.shape[:-1] + (4, two + 1), dtype=complex)
+    powers[..., 1:] = (q @ _CAYLEY_KLEIN)[..., None]
+    terms = coef * np.cumprod(powers, axis=-1)[..., np.arange(4)[:, None], exps].prod(-2)
+    first = np.flatnonzero(np.minimum(exps[0], k) == 0)   # each cell's first term
+    return np.add.reduceat(terms, first, axis=-1).reshape(q.shape[:-1] + (two + 1, two + 1))
+
+
+def wigner_d(lam: int, r: Rotation) -> np.ndarray:
+    """The (2lam+1) square Wigner matrix of ``r``: a batch of one of ``wigner_matrices``."""
+    return wigner_matrices(lam, r.q)
 
 
 @dataclass(frozen=True)
@@ -218,6 +232,12 @@ def kappa(dd, lam: int, scale: float = 1.0) -> KappaTable:
     collects pulses 0..j-1 at flip-angle scale ``scale`` and delay 0
     precedes the first pulse.
     """
+    return KappaTable(_rank(lam), _kappa_matrices(dd, lam, scale))
+
+
+def _kappa_matrices(dd, lam: int, scales) -> np.ndarray:
+    """``kappa`` matrices (*np.shape(scales), 2lam+1, 2lam+1) over flip-angle
+    scales: one prefix chain, one Wigner call over the prefixes with a delay."""
     delays = np.asarray(dd.delays, dtype=float)
     if np.any(delays < 0):
         raise ValueError("delays must be non-negative")
@@ -225,11 +245,8 @@ def kappa(dd, lam: int, scale: float = 1.0) -> KappaTable:
     if total <= 0.0:
         raise ValueError("at least one delay must be positive")
     pulses = dd.pulses
-    prefixes = prefix_quaternions(pulses.axes, scale * pulses.betas)
-    dim = 2 * lam + 1
-    acc = np.zeros((dim, dim), dtype=complex)
-    for tau, q in zip(delays, prefixes):
-        if tau == 0.0:
-            continue
-        acc += tau * wigner_d(lam, rotcore.inverse(Rotation(q)))
-    return KappaTable(lam, acc / total)
+    angles = _scaled_angles(scales, pulses.betas)
+    prefixes = prefix_quaternions(np.broadcast_to(pulses.axes, angles.shape + (3,)), angles)
+    used = delays > 0.0
+    d = wigner_matrices(lam, rotcore.quat_conj(prefixes[..., used, :]))   # D(U_j^-1)
+    return np.einsum("j,...jab->...ab", delays[used], d) / total

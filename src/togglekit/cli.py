@@ -154,7 +154,8 @@ def _build_parser() -> _Parser:
 
     pk = sub.add_parser("kappa", help="rank-lambda decoupling coefficients")
     pk.add_argument("ddseq")
-    pk.add_argument("--lambda", dest="lam", type=int, required=True)
+    pk.add_argument("--lambda", dest="lam", type=int, required=True,
+                    help=f"rank, an integer in 0..{averaging.MAX_WIGNER_RANK}")
     pk.add_argument("--beta-scale", type=_finite_float, default=1.0)
     pk.add_argument("--tau", type=_positive_float, default=1.0)
     pk.add_argument("--json", action="store_true")

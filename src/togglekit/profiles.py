@@ -11,8 +11,9 @@ import numpy as np
 
 from . import averaging, rotcore, toggling
 from .rotcore import Rotation, quat_apply
-from .seqmodel import (RotationSequence, _sweep_grid, global_phase_shift, net_propagator,
-                       net_quaternions, prefix_quaternions, riffle, sequence_from_axes)
+from .seqmodel import (RotationSequence, _scaled_angles, _sweep_grid, global_phase_shift,
+                       net_propagator, net_quaternions, prefix_quaternions, riffle,
+                       sequence_from_axes)
 
 DEFAULT_GRID = np.linspace(0.0, 2.0 * np.pi, 721)   # half-degree steps
 DEFAULT_GRID.flags.writeable = False
@@ -88,7 +89,7 @@ def trajectory(s: RotationSequence, v0, beta_prime: float) -> np.ndarray:
     n+1 rows, starting with v0 itself."""
     beta = s.uniform_beta()
     v0 = np.asarray(v0, dtype=float)
-    quats = prefix_quaternions(s.axes, (beta_prime / beta) * s.betas)
+    quats = prefix_quaternions(s.axes, _scaled_angles(float(beta_prime) / beta, s.betas))
     return quat_apply(quats, v0)
 
 

@@ -259,7 +259,7 @@ def prefix_propagator(s: RotationSequence, i: int, scale: float = 1.0) -> Rotati
     """
     if not 0 <= i <= len(s):
         raise ValueError(f"prefix length {i} out of range 0..{len(s)}")
-    return Rotation(prefix_quaternions(s.axes[:i], scale * s.betas[:i])[-1])
+    return Rotation(prefix_quaternions(s.axes[:i], _scaled_angles(scale, s.betas)[:i])[-1])
 
 
 def net_propagator(s: RotationSequence, scale: float = 1.0) -> Rotation:
@@ -284,6 +284,15 @@ def _sweep_grid(values, what: str = "grid") -> np.ndarray:
     if not finite.all():
         raise ValueError(f"{what} must be finite, got {grid[~finite].flat[0]}")
     return grid
+
+
+def _scaled_angles(scales, betas: np.ndarray) -> np.ndarray:
+    """Flip angles ``betas`` (n,) times each flip-angle scale, shape
+    np.shape(scales) + (n,), checked by ``_sweep_grid``: a scale that is not
+    finite, or that overflows a product, ends in its ValueError."""
+    with np.errstate(over="ignore"):
+        angles = np.multiply.outer(scales, betas)
+    return _sweep_grid(angles, "scaled flip angles")
 
 
 def prefix_quaternions(axes: np.ndarray, angles: np.ndarray) -> np.ndarray:

@@ -44,15 +44,12 @@ class MasSweepRow:
 
 def mas_kappa_sweep(compensated: bool, beta_scale_grid) -> list[MasSweepRow]:
     """max_mu' |kappa_{2,0,mu'}| versus flip-angle scale for the virtual MAS
-    cycle, plus the full mu' row for export."""
+    cycle, plus the full mu' row for export, one row per grid point in input
+    order."""
     grid = np.atleast_1d(seqmodel._sweep_grid(beta_scale_grid))
     dd = compensated_cycle() if compensated else uncompensated_cycle()
-    rows = []
-    for s in grid:
-        kt = averaging.kappa(dd, 2, float(s))
-        row = kt.row(0)
-        rows.append(MasSweepRow(float(s), row, float(np.max(np.abs(row)))))
-    return rows
+    rows = averaging._kappa_matrices(dd, 2, grid)[:, 2]   # mu = 0
+    return list(map(MasSweepRow, grid.tolist(), rows, np.max(np.abs(rows), axis=1).tolist()))
 
 
 def suppression_order_slopes(h: float = 1e-7) -> tuple[float, float]:
@@ -63,15 +60,10 @@ def suppression_order_slopes(h: float = 1e-7) -> tuple[float, float]:
     zero); the compensated cycle starts at second order or higher (slope
     consistent with zero to the evaluation noise).
     """
-    beta = 2.0 * np.pi / 3.0
-    scale = 1.0 + h / beta
-    out = []
-    for comp in (False, True):
-        dd = compensated_cycle() if comp else uncompensated_cycle()
-        k0 = float(np.max(np.abs(averaging.kappa(dd, 2, 1.0).row(0))))
-        k1 = float(np.max(np.abs(averaging.kappa(dd, 2, scale).row(0))))
-        out.append((k1 - k0) / h)
-    return out[0], out[1]
+    scales = [1.0, 1.0 + h / (2.0 * np.pi / 3.0)]
+    (u0, u1), (c0, c1) = ([row.max_abs for row in mas_kappa_sweep(comp, scales)]
+                          for comp in (False, True))
+    return (u1 - u0) / h, (c1 - c0) / h
 
 
 def sweep_csv(beta_scale_grid) -> str:

@@ -1,9 +1,13 @@
 """Averaging layer: centroids, Magnus orders, symmetry rules, Wigner, kappa."""
 
+import json
+import warnings
+
 import numpy as np
 import pytest
 
-from togglekit import averaging as av, catalog, ddsim, rotcore as rc, seqmodel as sm, toggling as tg
+from togglekit import (averaging as av, catalog, cli, ddsim, rotcore as rc, seqmodel as sm,
+                       toggling as tg, virtualmas as vm)
 
 
 def test_centroid_examples():
@@ -207,7 +211,7 @@ def test_wigner_cartesian_equivalence():
 
 def test_wigner_homomorphism_and_unitarity():
     rng = np.random.default_rng(47)
-    for lam in (2, 3):
+    for lam in range(av.MAX_WIGNER_RANK + 1):
         v1, v2 = rng.normal(size=(2, 3))
         r1 = rc.from_axis_angle(v1 / np.linalg.norm(v1), 1.1)
         r2 = rc.from_axis_angle(v2 / np.linalg.norm(v2), 2.3)
@@ -217,8 +221,116 @@ def test_wigner_homomorphism_and_unitarity():
 
 
 def test_wigner_unsupported_rank():
-    with pytest.raises(ValueError):
-        av.wigner_d(4, rc.IDENTITY)
+    for lam in (9, -1, True, 2.0):
+        with pytest.raises(ValueError, match=r"rank must be an integer in 0\.\.8"):
+            av.wigner_d(lam, rc.IDENTITY)
+
+
+# The spin-lam generators and the eigendecomposition that computed D before
+# the Cayley-Klein closed form: the reference the kernel is checked against.
+
+def _angular_momentum(lam: int):
+    """Spin-lam generators (Jx, Jy, Jz) in the basis mu = -lam .. +lam."""
+    mu = np.arange(-lam, lam + 1, dtype=float)
+    jz = np.diag(mu)
+    raising = np.zeros((2 * lam + 1, 2 * lam + 1))
+    ladder = np.sqrt(lam * (lam + 1) - mu[:-1] * (mu[:-1] + 1))
+    raising[np.arange(1, 2 * lam + 1), np.arange(2 * lam)] = ladder
+    jx = 0.5 * (raising + raising.T)
+    jy = -0.5j * (raising - raising.T)
+    return jx, jy, jz
+
+
+def _wigner_eigh(lam: int, r: rc.Rotation) -> np.ndarray:
+    if lam == 0:
+        return np.ones((1, 1), dtype=complex)
+    e, beta = rc.to_axis_angle(r)
+    jx, jy, jz = _angular_momentum(lam)
+    w, v = np.linalg.eigh(e[0] * jx + e[1] * jy + e[2] * jz)
+    return (v * np.exp(-1j * beta * w)) @ v.conj().T
+
+
+def _kappa_eigh(dd, lam: int, scale: float = 1.0) -> np.ndarray:
+    """kappa as a loop over the prefixes, one eigh-built D per delay."""
+    delays = np.asarray(dd.delays, dtype=float)
+    prefixes = sm.prefix_quaternions(dd.pulses.axes, scale * dd.pulses.betas)
+    acc = np.zeros((2 * lam + 1, 2 * lam + 1), dtype=complex)
+    for tau, q in zip(delays, prefixes):
+        if tau == 0.0:
+            continue
+        acc += tau * _wigner_eigh(lam, rc.inverse(rc.Rotation(q)))
+    return acc / delays.sum()
+
+
+def test_wigner_matches_eigh_reference_at_every_rank():
+    rng = np.random.default_rng(49)
+    axes = rc.unit_vectors(rng.normal(size=(30, 3)))
+    quats = rc.unit_quaternions(rc.quat_from_axis_angle(axes, rng.uniform(0.0, 2 * np.pi, 30)))
+    for lam in range(av.MAX_WIGNER_RANK + 1):
+        batch = av.wigner_matrices(lam, quats)
+        assert batch.shape == (30, 2 * lam + 1, 2 * lam + 1)
+        for q, d in zip(quats, batch):
+            r = rc.Rotation(q)
+            assert np.max(np.abs(d - _wigner_eigh(lam, r))) < 1e-12
+            assert np.array_equal(av.wigner_d(lam, r), d)   # a batch of one
+
+
+DD_SPECS = [*(name for name in catalog.DD_ENTRIES if name != "udd"), "udd(5)", "udd(8)"]
+
+
+@pytest.mark.parametrize("spec", DD_SPECS)
+def test_kappa_matches_per_prefix_eigh_sum(spec):
+    dd = catalog.named_dd(spec)
+    for lam in range(4):
+        for scale in (0.9, 1.0, 1.1):
+            got = av.kappa(dd, lam, scale).matrix
+            assert np.max(np.abs(got - _kappa_eigh(dd, lam, scale))) < 1e-14
+
+
+def test_kappa_scale_batch_matches_single_calls():
+    dd = catalog.whh4()
+    scales = np.array([[0.8, 1.0], [1.05, 1.3]])
+    batch = av._kappa_matrices(dd, 3, scales)
+    assert batch.shape == (2, 2, 7, 7)
+    for idx in np.ndindex(scales.shape):
+        assert np.allclose(batch[idx], av.kappa(dd, 3, scales[idx]).matrix, rtol=0, atol=1e-15)
+
+
+def test_mas_kappa_sweep_matches_per_scale_loop():
+    grid = [1.2, 0.8, 1.0, 0.95, 1.07]
+    for compensated in (False, True):
+        dd = vm.compensated_cycle() if compensated else vm.uncompensated_cycle()
+        rows = vm.mas_kappa_sweep(compensated, grid)
+        assert [row.beta_scale for row in rows] == grid   # input order
+        for row in rows:
+            want = _kappa_eigh(dd, 2, row.beta_scale)[2]
+            assert np.max(np.abs(row.kappa_row - want)) < 1e-14
+            assert row.max_abs == float(np.max(np.abs(row.kappa_row)))
+
+
+# the three commands whose sha256 in data/cli_golden.json moved with the closed form
+GOLDEN_KAPPA = [pytest.param(argv, spec, lam, scale, id=" ".join(argv))
+                for argv, spec, lam, scale in (
+                    (["kappa", "vmas", "--lambda", "2"], "vmas", 2, 1.0),
+                    (["kappa", "whh4", "--lambda", "2", "--beta-scale", "0.9"], "whh4", 2, 0.9),
+                    (["kappa", "kdd20", "--lambda", "3", "--json"], "kdd20", 3, 1.0))]
+
+
+@pytest.mark.parametrize("argv, spec, lam, scale", GOLDEN_KAPPA)
+def test_golden_kappa_outputs_match_eigh_reference(capsys, argv, spec, lam, scale):
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    if "--json" in argv:
+        doc = json.loads(out)
+        assert doc["lambda"] == lam
+        cells = np.array(doc["cells_row_major"])
+    else:
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [(int(r[1]), int(r[2])) for r in rows] == \
+            [(mu, mup) for mu in range(-lam, lam + 1) for mup in range(-lam, lam + 1)]
+        cells = np.array([[float(r[3]), float(r[4])] for r in rows])
+    got = (cells[:, 0] + 1j * cells[:, 1]).reshape(2 * lam + 1, 2 * lam + 1)
+    assert np.max(np.abs(got - _kappa_eigh(catalog.named_dd(spec), lam, scale))) < 1e-14
 
 
 def test_kappa_identity_prefix_only():
@@ -273,3 +385,17 @@ def test_kappa_entries_bounded_by_one():
         for dd in (catalog.whh4(), catalog.vmas(), catalog.named_dd("kdd20")):
             kt = av.kappa(dd, lam, float(rng.uniform(0.5, 1.5)))
             assert np.max(np.abs(kt.matrix)) <= 1.0 + 1e-10
+
+
+@pytest.mark.parametrize("lam", [-1, 9, True, 1.0])
+def test_kappa_rejects_bad_rank(lam):
+    with pytest.raises(ValueError, match=r"rank must be an integer in 0\.\.8"):
+        av.kappa(catalog.vmas(), lam)
+
+
+@pytest.mark.parametrize("scale", [np.inf, np.nan, 1e308])
+def test_kappa_rejects_non_finite_scaled_angles(scale):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="scaled flip angles must be finite"):
+            av.kappa(catalog.named_dd("xy4"), 1, scale)

@@ -191,6 +191,11 @@ AXIS_SHAPES = {"axis-len2": [1, 0], "axis-len4": [1, 0, 0, 0], "axis-nested": [[
                   "--balance", "z"], None, "candidate states", id="search-state-bound"),
     pytest.param(["ddmap", "xy4", "--tau", "0"], None, "--tau", id="zero-tau"),
     pytest.param(["kappa", "xy4", "--lambda", "1", "--tau", "inf"], None, "--tau", id="inf-tau"),
+    *[pytest.param(["kappa", "xy4", "--lambda", lam], None, "rank must be an integer in 0..8",
+                   id=f"kappa-lambda{lam}") for lam in ("-1", "9")],
+    *[pytest.param([*argv, "--beta-scale", "1e308"], None, "scaled flip angles must be finite",
+                   id=f"{argv[0]}-overflowing-beta-scale")
+      for argv in (["kappa", "xy4", "--lambda", "1"], ["trajectory", "f1"])],
     *[pytest.param(argv, None, flag, id=f"{argv[0]}-{flag}-{value}")
       for argv, flag, value in (
           (["trajectory", "f1", "--beta-scale", "nan"], "--beta-scale", "nan"),

@@ -269,6 +269,8 @@ def test_rotation_errors_match_scalar_errors_bit_for_bit():
                  id="glide-inf"),
     pytest.param(lambda: pf.rotation_errors(catalog.f1(), [np.inf], rc.IDENTITY),
                  "flip-angle grid must be finite", id="rotation-errors-inf"),
+    pytest.param(lambda: pf.trajectory(catalog.f1(), rc.E_Z, np.inf),
+                 "scaled flip angles must be finite", id="trajectory-inf"),
 ])
 def test_sweeps_reject_non_finite_grids_with_one_line(call, says):
     with pytest.raises(ValueError, match=says) as info:

@@ -146,6 +146,11 @@ def test_prefix_propagator_out_of_range():
         sm.prefix_propagator(catalog.f1(), 6)
 
 
+def test_prefix_propagator_rejects_non_finite_scale():
+    with pytest.raises(ValueError, match="scaled flip angles must be finite, got nan"):
+        sm.prefix_propagator(catalog.f1(), 3, np.nan)
+
+
 def test_f1_net_is_compensated_pi_with_equatorial_axis():
     u = sm.net_propagator(catalog.f1())
     # independent matrix-product oracle
