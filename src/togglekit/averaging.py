@@ -22,7 +22,7 @@ from numpy.polynomial import chebyshev as _cheb
 
 from . import rotcore
 from .rotcore import Rotation
-from .seqmodel import (RotationSequence, _scaled_angles, _sweep_grid, net_quaternions,
+from .seqmodel import (RotationSequence, _scaled_angles, _sweep_angles, _sweep_grid,
                        prefix_quaternions)
 
 BALANCE_TOL = 1e-9
@@ -91,34 +91,73 @@ def numeric_error_expansion(s: RotationSequence, beta_prime: float | None = None
                             eps_grid=None, fit_tol: float = 1e-8) -> AverageRotationOrders:
     """Oracle for average_orders: expand the residual rotation vector of
     U(beta')^-1 U(beta'+eps) in eps by polynomial fit and return the cubic
-    coefficients.
+    coefficients; a batch of one of ``_error_expansions``.
 
     The grid must be symmetric about zero with at least 5 points.  Raises
     if the fit residual or the constant term exceeds ``fit_tol``.
     """
     beta = s.uniform_beta()
-    if beta_prime is None:
-        beta_prime = beta
+    power = _error_expansions(s.axes[None], s.betas[None],
+                              [beta if beta_prime is None else beta_prime], eps_grid, fit_tol)[0]
+    return AverageRotationOrders(power[1], power[2], power[3])
+
+
+def _cheb_to_power(degree: int) -> np.ndarray:
+    """Square matrix whose entry [k, j] is the t^k coefficient of the
+    Chebyshev polynomial T_j(t), from T_j+1 = 2t T_j - T_j-1 (integers, exact)."""
+    m = np.zeros((degree + 1, degree + 1))
+    m[0, 0] = m[1, 1] = 1.0
+    for j in range(1, degree):
+        m[1:, j + 1] = 2.0 * m[:-1, j]
+        m[:, j + 1] -= m[:, j - 1]
+    return m
+
+
+_CHEB_DEGREE = 14
+_CHEB_TO_POWER = _cheb_to_power(_CHEB_DEGREE)
+
+
+def _error_expansions(axes, betas, beta_primes, eps_grid=None,
+                      fit_tol: float = 1e-8) -> np.ndarray:
+    """``numeric_error_expansion`` over a stack of same-length uniform-angle
+    sequences: axes (N, n, 3), flip angles (N, n) and a realized flip angle
+    beta' per row (N,).  Returns the power-series coefficients (N, degree+1, 3)
+    of each row's residual rotation vector in eps, row k the eps^k term.
+
+    All N sweeps run in one chain; one Chebyshev fit in eps/h (h the grid's
+    half width) covers every column, and one constant Chebyshev-to-power
+    matrix, with order k divided by h^k, converts it.  Raises naming the
+    first row whose fit residual or constant term exceeds ``fit_tol``.
+    """
     grid = default_eps_grid() if eps_grid is None else _sweep_grid(eps_grid, "eps grid")
     if grid.size < 5:
         raise ValueError("eps grid needs at least 5 points")
     if np.max(np.abs(np.sort(grid) + np.sort(grid)[::-1])) > 1e-12:
         raise ValueError("eps grid must be symmetric about zero")
-    nets = net_quaternions(s, _sweep_grid(beta_prime + np.concatenate([[0.0], grid]),
-                                          "flip angle beta'"))
-    errors = rotcore.quat_normalize(rotcore.quat_mul(rotcore.quat_conj(nets[0]), nets[1:]))
-    vs = rotcore.quat_to_rotation_vector(errors)
-    degree = min(14, grid.size - 1)
-    coeffs = _cheb.chebfit(grid, vs, degree)
-    resid = np.max(np.abs(_cheb.chebval(grid, coeffs).T - vs))
-    power = np.zeros((degree + 1, 3))
-    for k in range(3):
-        p = _cheb.cheb2poly(coeffs[:, k])   # may trim trailing zeros
-        power[:p.size, k] = p
-    if resid > fit_tol or np.max(np.abs(power[0])) > fit_tol:
-        raise ValueError(f"error expansion fit failed (residual {resid:.3g}, "
-                         f"constant {np.max(np.abs(power[0])):.3g})")
-    return AverageRotationOrders(power[1].copy(), power[2].copy(), power[3].copy())
+    h = float(np.max(np.abs(grid)))
+    if h == 0.0:
+        raise ValueError("eps grid needs a nonzero point")
+    betas = np.asarray(betas, dtype=float)
+    sweeps = _sweep_grid(np.asarray(beta_primes, dtype=float)[:, None]
+                         + np.concatenate([[0.0], grid]), "flip angle beta'")
+    angles = _sweep_angles(sweeps / betas[:, :1], betas)
+    nets = prefix_quaternions(np.asarray(axes, dtype=float)[:, None], angles)[..., -1, :]
+    errors = rotcore.quat_normalize(rotcore.quat_mul(rotcore.quat_conj(nets[:, :1]), nets[:, 1:]))
+    vs = rotcore.quat_to_rotation_vector(errors).transpose(1, 0, 2)   # (G, N, 3)
+    columns = vs.reshape(grid.size, -1)
+    degree = min(_CHEB_DEGREE, grid.size - 1)
+    t = grid / h
+    coeffs = _cheb.chebfit(t, columns, degree)
+    resid = np.abs(_cheb.chebvander(t, degree) @ coeffs - columns).reshape(vs.shape).max(axis=(0, 2))
+    power = (_CHEB_TO_POWER[:degree + 1, :degree + 1] @ coeffs).reshape((degree + 1,) + vs.shape[1:])
+    power = power.transpose(1, 0, 2) / (h ** np.arange(degree + 1))[:, None]
+    constant = np.abs(power[:, 0]).max(axis=-1)
+    failed = np.flatnonzero(~((resid <= fit_tol) & (constant <= fit_tol)))   # NaN fails too
+    if failed.size:
+        r = failed[0]
+        raise ValueError(f"error expansion fit failed for row {r} (residual {resid[r]:.3g}, "
+                         f"constant {constant[r]:.3g})")
+    return power
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +285,7 @@ def _kappa_matrices(dd, lam: int, scales) -> np.ndarray:
         raise ValueError("at least one delay must be positive")
     pulses = dd.pulses
     angles = _scaled_angles(scales, pulses.betas)
-    prefixes = prefix_quaternions(np.broadcast_to(pulses.axes, angles.shape + (3,)), angles)
+    prefixes = prefix_quaternions(pulses.axes, angles)
     used = delays > 0.0
     d = wigner_matrices(lam, rotcore.quat_conj(prefixes[..., used, :]))   # D(U_j^-1)
     return np.einsum("j,...jab->...ab", delays[used], d) / total

@@ -152,9 +152,7 @@ def _centroid_norms(axes: np.ndarray, betas: np.ndarray, beta_scales) -> np.ndar
     """|centroid| of the toggled axes of every axis list in ``axes``
     (..., n, 3) at every flip-angle scale: shape (..., S)."""
     scales = np.atleast_1d(np.asarray(beta_scales, dtype=float))
-    axes = np.broadcast_to(axes[..., None, :, :],
-                           axes.shape[:-2] + (scales.size,) + axes.shape[-2:])
-    toggled = toggling.toggle_axes(axes, scales[:, None] * betas[None, :])
+    toggled = toggling.toggle_axes(axes[..., None, :, :], scales[:, None] * betas[None, :])
     return np.linalg.norm(toggled.mean(axis=-2), axis=-1)
 
 

@@ -57,23 +57,30 @@ def _errors_deg(nets: np.ndarray, target: Rotation) -> np.ndarray:
     return np.degrees(rotcore.quat_angle_between(target.q, rotcore.unit_quaternions(nets)))
 
 
-def _require_inverter(s: RotationSequence, e_xi, tol: float = 1e-8) -> None:
-    q_pi = float(q_values(s, e_xi, [np.pi])[0])
-    if abs(q_pi + 1.0) > tol:
+def _inverter_q_values(s: RotationSequence, e_xi, sweep, tol: float = 1e-8) -> np.ndarray:
+    """q values over a sweep that starts at beta' = pi, raising unless ``s``
+    inverts the probe vector there."""
+    qs = q_values(s, e_xi, sweep)
+    if abs(qs[0] + 1.0) > tol:
         raise ValueError(f"{s.name!r} is not a nominal inverter of the probe "
-                         f"vector (q(pi) = {q_pi:.6g})")
+                         f"vector (q(pi) = {qs[0]:.6g})")
+    return qs
 
 
 def glide_reflection_deviations(s: RotationSequence, s_dual: RotationSequence,
                                 grid=None, e_xi=rotcore.E_Z) -> tuple[float, float]:
     """Max-over-grid deviation |q_dual(b') + q_s(pi + b')| and the same for
-    the pi - b' branch."""
+    the pi - b' branch: one sweep of ``s`` over [pi, pi + grid, pi - grid]
+    and one of the dual over [pi, grid], each checked to invert at pi."""
     grid = DEFAULT_GRID if grid is None else np.asarray(grid, dtype=float)
-    _require_inverter(s, e_xi)
-    _require_inverter(s_dual, e_xi)
-    qd = q_values(s_dual, e_xi, grid)
-    plus = float(np.max(np.abs(qd + q_values(s, e_xi, np.pi + grid))))
-    minus = float(np.max(np.abs(qd + q_values(s, e_xi, np.pi - grid))))
+    usable = grid.size > 0 and bool(np.isfinite(grid).all())
+    sweep = grid if usable else grid[:0]   # a bad grid is reported after both inverter checks
+    qs = _inverter_q_values(s, e_xi, np.concatenate([[np.pi], np.pi + sweep, np.pi - sweep]))
+    qd = _inverter_q_values(s_dual, e_xi, np.concatenate([[np.pi], sweep]))[1:]
+    if not usable:
+        _sweep_grid(grid)
+    plus = float(np.max(np.abs(qd + qs[1:grid.size + 1])))
+    minus = float(np.max(np.abs(qd + qs[grid.size + 1:])))
     return plus, minus
 
 
@@ -110,13 +117,17 @@ def rotation_error(s: RotationSequence, beta_prime: float, target: Rotation) -> 
 
 _MIRROR_XZ = np.array([1.0, -1.0, 1.0])
 _MIRROR_TOL = 1e-9
+# axis pairs per batched mirror test: its 96 KB of differences stay below glibc's
+# 128 KB mmap threshold, so a block adds no peak memory and measured no slower
+_MIRROR_PAIRS = 1 << 12
 
 
-def _mirror_asymmetry(axes: np.ndarray) -> float:
-    """Set-wise distance of ``axes`` from its own xz-plane mirror image."""
+def _mirror_asymmetry(axes: np.ndarray) -> np.ndarray:
+    """Set-wise distance of each axis set (..., n, 3) from its own xz-plane
+    mirror image, shape (...)."""
     mirrored = axes * _MIRROR_XZ
-    d2 = np.sum((mirrored[:, None, :] - axes[None, :, :]) ** 2, axis=-1)
-    return float(np.sqrt(d2.min(axis=1).max()))
+    d2 = np.sum((mirrored[..., :, None, :] - axes[..., None, :, :]) ** 2, axis=-1)
+    return np.sqrt(d2.min(axis=-1).max(axis=-1))
 
 
 def _symmetrizing_angles(axes: np.ndarray) -> list[float]:
@@ -135,8 +146,10 @@ def _symmetrizing_angles(axes: np.ndarray) -> list[float]:
     # folded twice: a tiny negative angle folds to 2pi in floating point
     candidates = np.concatenate([half, half + np.pi]) % (2.0 * np.pi) % (2.0 * np.pi)
     turned = rotcore.rotate_about_z(axes, candidates[:, None])
-    found = sorted(float(d) for d, t in zip(candidates, turned)
-                   if _mirror_asymmetry(t) < _MIRROR_TOL)
+    block = max(1, _MIRROR_PAIRS // len(axes) ** 2)   # candidates per batched test
+    asymmetry = np.concatenate([_mirror_asymmetry(turned[i:i + block])
+                                for i in range(0, len(turned), block)])
+    found = np.sort(candidates[asymmetry < _MIRROR_TOL]).tolist()
     merged: list[float] = []
     for d in found:
         if not merged or d - merged[-1] > _MIRROR_TOL:

@@ -50,6 +50,8 @@ def unit_vector(v) -> np.ndarray:
     7 us through the batched checks (2-vCPU x86 VM, numpy 2.4).
     """
     v = np.asarray(v, dtype=float)
+    if v.ndim == 0:
+        raise ValueError(f"expected a vector, got the scalar {float(v)!r}")
     flat = v.ravel(order="K")
     n = math.sqrt(float(flat.dot(flat)))   # what np.linalg.norm(v) computes
     if not UNIT_TOL <= n < math.inf:   # NaN fails too

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rotcore
-from .rotcore import Rotation, _mul4, _unit4, axis_from_phase, quat_from_axis_angle
+from .rotcore import Rotation, _mul4, _unit4, axis_from_phase
 
 EQUATORIAL_TOL = 1e-9
 BETA_MATCH_TOL = 1e-12
@@ -270,8 +270,16 @@ def net_quaternions(s: RotationSequence, beta_primes) -> np.ndarray:
     """Net propagator quaternions (len(beta_primes), 4) of a uniform-angle
     sequence over a sweep of realized flip angles, in one kernel call."""
     scales = np.asarray(beta_primes, dtype=float) / s.uniform_beta()
-    axes = np.broadcast_to(s.axes, (scales.size,) + s.axes.shape)
-    return prefix_quaternions(axes, scales[:, None] * s.betas[None, :])[:, -1, :]
+    return prefix_quaternions(s.axes, _sweep_angles(scales, s.betas))[:, -1, :]
+
+
+def _sweep_angles(scales: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """Flip angles of sequences ``betas`` (..., n) over sweeps of scales
+    (..., G): (..., G, n), or one (..., G, 1) column when every sequence's
+    angles are exactly equal, so the chain's cos and sin run once per scale."""
+    if np.all(betas == betas[..., :1]):
+        betas = betas[..., :1]
+    return scales[..., None] * betas[..., None, :]
 
 
 def _sweep_grid(values, what: str = "grid") -> np.ndarray:
@@ -298,24 +306,34 @@ def _scaled_angles(scales, betas: np.ndarray) -> np.ndarray:
 def prefix_quaternions(axes: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """Quaternions U_0..U_n for prefixes of a batch of sequences.
 
-    axes: (..., n, 3); angles: (n,) or (..., n).  Returns (..., n+1, 4) with
-    U_0 the identity.  Vectorized over all leading axes: the step
-    quaternions come from one call, and the chain runs on the components of
-    their transposed view (4, n, *lead[::-1]), so an unbatched chain steps
+    axes: (..., n, 3); angles: (..., n), the two broadcast against each
+    other.  Returns (*lead, n+1, 4) with U_0 the identity and (*lead, n) the
+    broadcast shape.  cos and sin run on the angles' own shape, and the
+    step components broadcast from there; the chain runs on the components
+    of their transposed view (n, *lead[::-1]), so an unbatched chain steps
     on numpy scalars and a batched one on arrays, through the same code.
+    A batch of one steps on the unbatched view.
     """
     axes = np.asarray(axes, dtype=float)
-    n = axes.shape[-2]
-    angles = np.broadcast_to(np.asarray(angles, dtype=float), axes.shape[:-1])
-    sw, sx, sy, sz = quat_from_axis_angle(axes, angles).T
-    out = np.empty(axes.shape[:-2] + (n + 1, 4))
+    half = 0.5 * np.asarray(angles, dtype=float)
+    sin_axes = np.sin(half)[..., None] * axes    # step i is (cos_h, sin_h e_i)
+    shape = sin_axes.shape[:-1]
+    lead, n = shape[:-1], shape[-1]
+    cos_h = np.cos(half)
+    if half.shape != shape:
+        cos_h = np.broadcast_to(cos_h, shape)
+    if lead and math.prod(lead) == 1:
+        cos_h, sin_axes = cos_h.reshape(n), sin_axes.reshape(n, 3)
+    sw = cos_h.T
+    sx, sy, sz = sin_axes.T
+    out = np.empty(cos_h.shape[:-1] + (n + 1, 4))
     ow, ox, oy, oz = out.T
     w, x, y, z = 1.0, 0.0, 0.0, 0.0
     ow[0], ox[0], oy[0], oz[0] = w, x, y, z
     for i in range(n):
         w, x, y, z = _unit4(*_mul4(sw[i], sx[i], sy[i], sz[i], w, x, y, z))
         ow[i + 1], ox[i + 1], oy[i + 1], oz[i + 1] = w, x, y, z
-    return out
+    return out.reshape(lead + (n + 1, 4))
 
 
 # ---------------------------------------------------------------------------

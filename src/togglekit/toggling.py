@@ -8,6 +8,7 @@ organizing fact behind everything in this package.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,30 +32,42 @@ class TogglingFrameSet:
 def toggle_axes(axes: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """One toggling transformation on raw axis arrays.
 
-    axes: (..., n, 3); angles: (n,) or broadcastable.  Vectorized over
-    leading axes; axis i maps to U_i^-1 axes_i with U_0 the identity.
+    axes: (..., n, 3); angles: (..., n), the two broadcast against each
+    other.  Vectorized over leading axes; axis i maps to U_i^-1 axes_i with
+    U_0 the identity.
     """
-    prefixes = prefix_quaternions(axes, angles)[..., :-1, :]
-    out = quat_apply(quat_conj(prefixes), axes)
-    return out / np.linalg.norm(out, axis=-1, keepdims=True)
+    axes = np.asarray(axes, dtype=float)
+    p = prefix_quaternions(axes, angles)[..., :-1, :]
+    out = np.empty(p.shape[:-1] + (3,))
+    out[..., 0], out[..., 1], out[..., 2] = _unit3(*_apply3(   # conj(U_i) rotates by U_i^-1
+        p[..., 0], -p[..., 1], -p[..., 2], -p[..., 3], axes[..., 0], axes[..., 1], axes[..., 2]))
+    return out
 
 
 def inverse_toggle_axes(toggled: np.ndarray, angles) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of toggle_axes on raw axis arrays: the axes whose toggling
     image is ``toggled``, and their net quaternions U_n.
 
-    toggled: (..., n, 3); angles: (n,) or (..., n).  Reconstructs forward,
-    e_0 = f_0 and e_i = U_i f_i with U_i built from the recovered e_0..e_i-1,
-    vectorized over all leading axes.  Returns (..., n, 3) and (..., 4).
+    toggled: (..., n, 3); angles: (n,) or (..., n), or one angle for all.
+    Reconstructs forward, e_0 = f_0 and e_i = U_i f_i with U_i built from
+    the recovered e_0..e_i-1, vectorized over all leading axes; cos and sin
+    run on the angles' own shape, and a batch of one steps on the unbatched
+    view.  Returns (..., n, 3) and (..., 4).
     """
     toggled = np.asarray(toggled, dtype=float)
-    half = 0.5 * np.broadcast_to(np.asarray(angles, dtype=float), toggled.shape[:-1])
-    cos_h, sin_h = np.cos(half).T, np.sin(half).T   # step i is (cos_h, sin_h e_i)
+    shape = toggled.shape
+    half = 0.5 * np.asarray(angles, dtype=float)
+    cos_h, sin_h = np.cos(half), np.sin(half)   # step i is (cos_h, sin_h e_i)
+    if half.shape != shape[:-1]:
+        cos_h, sin_h = np.broadcast_to(cos_h, shape[:-1]), np.broadcast_to(sin_h, shape[:-1])
+    if len(shape) > 2 and math.prod(shape[:-2]) == 1:
+        toggled, cos_h, sin_h = toggled.reshape(shape[-2:]), cos_h.reshape(-1), sin_h.reshape(-1)
+    cos_h, sin_h = cos_h.T, sin_h.T
     fx, fy, fz = toggled.T
     axes = np.empty_like(toggled)
     ex, ey, ez = axes.T
     w, x, y, z = 1.0, 0.0, 0.0, 0.0
-    for i in range(toggled.shape[-2]):
+    for i in range(shape[-2]):
         vx, vy, vz = fx[i], fy[i], fz[i]
         if i > 0:
             vx, vy, vz = _unit3(*_apply3(w, x, y, z, vx, vy, vz))
@@ -63,7 +76,7 @@ def inverse_toggle_axes(toggled: np.ndarray, angles) -> tuple[np.ndarray, np.nda
         w, x, y, z = _unit4(*_mul4(cos_h[i], s * vx, s * vy, s * vz, w, x, y, z))
     q = np.empty(toggled.shape[:-2] + (4,))
     q.T[0], q.T[1], q.T[2], q.T[3] = w, x, y, z
-    return axes, q
+    return axes.reshape(shape), q.reshape(shape[:-2] + (4,))
 
 
 def toggling_map(s: RotationSequence) -> RotationSequence:

@@ -156,6 +156,67 @@ def test_numeric_expansion_matches_scalar_loop():
             assert np.max(np.abs(got - reference_numeric_error_expansion(s, beta_prime))) < 1e-10
 
 
+def reference_cheb2poly_expansion(s, beta_prime):
+    """numeric_error_expansion as it ran before the batched kernel: one sweep
+    per sequence, a Chebyshev fit in eps itself and cheb2poly per column.
+    Returns the power-series coefficients (15, 3)."""
+    grid = av.default_eps_grid()
+    nets = sm.net_quaternions(s, beta_prime + np.concatenate([[0.0], grid]))
+    errors = rc.quat_normalize(rc.quat_mul(rc.quat_conj(nets[0]), nets[1:]))
+    coeffs = np.polynomial.chebyshev.chebfit(grid, rc.quat_to_rotation_vector(errors), 14)
+    power = np.zeros((15, 3))
+    for k in range(3):
+        p = np.polynomial.chebyshev.cheb2poly(coeffs[:, k])
+        power[:p.size, k] = p
+    return power
+
+
+def criterion_8_sequences():
+    """The 200 random sequences of acceptance criterion 8, drawn in its order."""
+    rng = np.random.default_rng(808)
+    for _ in range(100):   # the symmetry-rule half lists come first
+        rng.normal(size=(int(rng.integers(2, 5)), 3))
+    seqs = []
+    for _ in range(200):
+        n = int(rng.integers(2, 7))
+        axes = rng.normal(size=(n, 3))
+        axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
+        seqs.append(sm.sequence_from_axes("r", float(rng.uniform(0.5, np.pi)), axes))
+    return seqs
+
+
+def test_oracle_kernel_matches_per_sequence_loop_on_criterion_8():
+    seqs = criterion_8_sequences()
+    for n in range(2, 7):
+        group = [s for s in seqs if len(s) == n]
+        betas = np.array([s.betas for s in group])
+        powers = av._error_expansions(np.array([s.axes for s in group]), betas, betas[:, 0])
+        assert powers.shape == (len(group), 15, 3)
+        for s, power in zip(group, powers):
+            want = reference_cheb2poly_expansion(s, s.betas[0])
+            assert np.max(np.abs(power[0] - want[0])) < 1e-12
+            assert np.max(np.abs(power[1:4] - want[1:4])) < 1e-10
+
+
+def test_chebyshev_to_power_matrix_equals_cheb2poly():
+    for j in range(15):
+        want = np.polynomial.chebyshev.cheb2poly([0] * j + [1])
+        assert np.array_equal(av._CHEB_TO_POWER[:, j], np.pad(want, (0, 14 - j)))
+
+
+def test_oracle_kernel_names_the_failed_row():
+    # pulses about one axis: the residual rotation is eps times the signed axis
+    # count, linear in eps until its angle passes pi, where the vector wraps
+    signs = np.array([1.0, -1.0, 1.0, -1.0, 1.0])[:, None]
+    axes = np.stack([signs * rc.E_X, np.tile(rc.E_X, (5, 1)), signs * rc.E_Y])
+    betas = np.full((3, 5), np.pi)
+    grid = av.default_eps_grid(3.0)   # |eps| < pi, but 5 |eps| wraps
+    with pytest.raises(ValueError, match=r"^error expansion fit failed for row 1 \(residual"):
+        av._error_expansions(axes, betas, betas[:, 0], grid)
+    good = av._error_expansions(axes[[0, 2]], betas[:2], betas[:2, 0], grid)
+    assert np.max(np.abs(good[:, 1] - np.array([rc.E_X, rc.E_Y]))) < 1e-12
+
+
 def test_numeric_expansion_grid_validation():
     s = catalog.f1()
     with pytest.raises(ValueError):
@@ -167,6 +228,8 @@ def test_numeric_expansion_grid_validation():
         av.numeric_error_expansion(s, eps_grid=[-np.inf, -0.1, 0.0, 0.1, np.inf])
     with pytest.raises(ValueError, match="must be finite"):
         av.numeric_error_expansion(s, beta_prime=np.nan)
+    with pytest.raises(ValueError, match="nonzero point"):
+        av.numeric_error_expansion(s, eps_grid=np.zeros(5))
 
 
 def test_symmetry_class_examples():
@@ -294,6 +357,21 @@ def test_kappa_scale_batch_matches_single_calls():
     assert batch.shape == (2, 2, 7, 7)
     for idx in np.ndindex(scales.shape):
         assert np.allclose(batch[idx], av.kappa(dd, 3, scales[idx]).matrix, rtol=0, atol=1e-15)
+
+
+def test_kappa_batch_of_one_bit_identical_to_array_steps():
+    # a lead shape of product 1 steps on the unbatched view; its chain used
+    # to step on 1-element arrays, to the same bits
+    from test_seqmodel import reference_broadcast_trig_prefix_quaternions as array_chain
+    dd = vm.compensated_cycle()
+    delays = np.asarray(dd.delays, dtype=float)
+    used = delays > 0
+    for scales in ([1.0], [[0.9]], [1.0, 1.1], 1.05):
+        angles = np.multiply.outer(scales, dd.pulses.betas)
+        prefixes = array_chain(np.broadcast_to(dd.pulses.axes, angles.shape + (3,)), angles)
+        d = av.wigner_matrices(2, rc.quat_conj(prefixes[..., used, :]))
+        want = np.einsum("j,...jab->...ab", delays[used], d) / float(delays.sum())
+        assert av._kappa_matrices(dd, 2, scales).tobytes() == want.tobytes()
 
 
 def test_mas_kappa_sweep_matches_per_scale_loop():

@@ -81,6 +81,76 @@ def test_glide_rejects_non_inverters():
         pf.glide_reflection_check(catalog.f1(), catalog.f1(), grid=[])
 
 
+def reference_glide_deviations(s, s_dual, grid=None, e_xi=rc.E_Z):
+    """glide_reflection_deviations as it ran before one sweep per sequence:
+    two q(pi) inverter checks, then three sweeps; kept as the reference."""
+    def require_inverter(seq):
+        q_pi = float(pf.q_values(seq, e_xi, [np.pi])[0])
+        if abs(q_pi + 1.0) > 1e-8:
+            raise ValueError(f"{seq.name!r} is not a nominal inverter of the probe "
+                             f"vector (q(pi) = {q_pi:.6g})")
+
+    grid = pf.DEFAULT_GRID if grid is None else np.asarray(grid, dtype=float)
+    require_inverter(s)
+    require_inverter(s_dual)
+    qd = pf.q_values(s_dual, e_xi, grid)
+    plus = float(np.max(np.abs(qd + pf.q_values(s, e_xi, np.pi + grid))))
+    minus = float(np.max(np.abs(qd + pf.q_values(s, e_xi, np.pi - grid))))
+    return plus, minus
+
+
+def _turned_dual_pair(rng, n, turn):
+    """A random odd equatorial pi-sequence and its toggling image, both
+    turned by ``turn``, with the probe e_z turned the same way."""
+    s = sm.sequence_from_phases("r", np.pi, rng.uniform(0, 2 * np.pi, n))
+    s = sm.sequence_from_axes("s", np.pi, rc.quat_apply(turn.q, s.axes))
+    return s, tg.toggling_map(s), rc.rotate(turn, rc.E_Z)
+
+
+def test_glide_bit_identical_to_three_sweeps():
+    rng = np.random.default_rng(56)
+    pairs = [(catalog.f1(), sm.global_phase_shift(catalog.nb1_tpg(), 4 * np.arccos(-0.25)),
+              rc.E_Z), (catalog.bprime(9), catalog.nprime(9), rc.E_Z)]
+    turns = [rc.from_axis_angle(rc.E_Y, np.pi / 2), rc.from_axis_angle(rc.E_X, -np.pi / 2)]
+    pairs += [_turned_dual_pair(rng, 2 * k + 1, turns[k % 2]) for k in range(4)]
+    # an off-axis probe: numpy's (1, 3) @ (3,) product rounds differently from
+    # a many-row one, so one-point grids (the old code's one-row sweeps) agree
+    # to within an ulp of 1 only
+    off_axis = [_turned_dual_pair(rng, 2 * k + 1, rc.from_rotation_vector(rng.normal(size=3)))
+                for k in range(4)]
+    for (s, dual, probe), exact in [(p, True) for p in pairs] + [(p, False) for p in off_axis]:
+        for grid in (None, rng.uniform(-np.pi, np.pi, 40), [0.3]):
+            got = pf.glide_reflection_deviations(s, dual, grid, probe)
+            want = reference_glide_deviations(s, dual, grid, probe)
+            if exact or grid is None or len(grid) > 1:
+                assert got == want
+            else:
+                assert np.max(np.abs(np.subtract(got, want))) <= 2.3e-16
+
+
+def _raised(call):
+    try:
+        call()
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError("no ValueError")
+
+
+@pytest.mark.parametrize("case", ["s mixed", "s not inverter", "dual not inverter",
+                                  "empty", "nan", "inf", "-inf"])
+def test_glide_checks_in_the_old_order(case):
+    # s before its dual, and the grid (nonempty, finite) after both
+    good = catalog.f1()
+    mixed = sm.sequence_from_phases("mixed", [np.pi, 0.5 * np.pi, np.pi], [0.0, 1.0, 2.0])
+    s, dual = {"s mixed": (mixed, catalog.xy4()), "s not inverter": (catalog.xy4(), mixed),
+               "dual not inverter": (good, catalog.xy4())}.get(case, (good, good))
+    for grid in {"empty": [[]], "nan": [[0.1, np.nan]], "inf": [[np.inf, np.nan]],
+                 "-inf": [[0.2, -np.inf]]}.get(case, [[], [np.nan], None]):
+        want = _raised(lambda: reference_glide_deviations(s, dual, grid))
+        assert _raised(lambda: pf.glide_reflection_deviations(s, dual, grid)) == want
+        assert "\n" not in want
+
+
 def test_trajectory_at_zero_scale_stays_put():
     path = pf.trajectory(catalog.f1(), rc.E_Z, 0.0)
     assert np.allclose(path, rc.E_Z, atol=1e-15)
@@ -180,6 +250,49 @@ def test_symmetrizing_angles_recover_known_turn(seed):
     assert np.min(np.minimum(offsets, np.pi - offsets)) < 1e-12
     for d in deltas:
         assert pf._mirror_asymmetry(rc.rotate_about_z(turned, d)) < 1e-9
+
+
+def reference_mirror_asymmetry(axes):
+    """Set-wise distance of one axis set from its xz mirror image, as
+    ``_symmetrizing_angles`` called it once per candidate turn."""
+    mirrored = axes * np.array([1.0, -1.0, 1.0])
+    d2 = np.sum((mirrored[:, None, :] - axes[None, :, :]) ** 2, axis=-1)
+    return float(np.sqrt(d2.min(axis=1).max()))
+
+
+def reference_symmetrizing_angles(axes):
+    """_symmetrizing_angles with its per-candidate loop, kept as the reference."""
+    tol = 1e-9
+    r = int(np.argmax(np.hypot(axes[:, 0], axes[:, 1])))
+    phis = np.arctan2(axes[:, 1], axes[:, 0])
+    half = -0.5 * (phis[r] + phis[np.abs(axes[:, 2] - axes[r, 2]) < tol])
+    candidates = np.concatenate([half, half + np.pi]) % (2.0 * np.pi) % (2.0 * np.pi)
+    turned = rc.rotate_about_z(axes, candidates[:, None])
+    found = sorted(float(d) for d, t in zip(candidates, turned)
+                   if reference_mirror_asymmetry(t) < tol)
+    merged = []
+    for d in found:
+        if not merged or d - merged[-1] > tol:
+            merged.append(d)
+    if len(merged) > 1 and merged[-1] - merged[0] > 2.0 * np.pi - tol:
+        merged.pop()
+    return merged
+
+
+def test_symmetrizing_angles_equal_per_candidate_loop():
+    rng = np.random.default_rng(57)
+    sets = [catalog.bprime(n).axes for n in (3, 7, 11, 15)]
+    sets += [rc.rotate_about_z(_mirror_symmetric_set(rng, int(rng.integers(1, 6)),
+                                                     int(rng.integers(0, 3)), k % 2 == 0),
+                               rng.uniform(-np.pi, np.pi)) for k in range(30)]
+    sets += [rng.normal(size=(7, 3)) for _ in range(5)]   # no symmetrizing turn
+    sets += [_mirror_symmetric_set(rng, 25, 10, True)]   # 120 candidates, tested in blocks
+    assert 2 * len(sets[-1]) > pf._MIRROR_PAIRS // len(sets[-1]) ** 2
+    for axes in sets:
+        assert pf._symmetrizing_angles(axes) == reference_symmetrizing_angles(axes)
+        stack = rc.rotate_about_z(axes, rng.uniform(0, 2 * np.pi, (4, 1)))
+        got = pf._mirror_asymmetry(stack)
+        assert got.tolist() == [reference_mirror_asymmetry(a) for a in stack]
 
 
 def test_convert_rejects_wrong_inputs():

@@ -1,0 +1,47 @@
+"""Invariants of the paper on seeded random inputs: the m = 2 duality of
+odd equatorial pi-sequences, its glide reflection, and the phase map."""
+
+import numpy as np
+import pytest
+
+from togglekit import profiles as pf, rotcore as rc, seqmodel as sm, toggling as tg
+
+SEEDS = range(20)
+
+
+def random_odd_pi_sequence(rng):
+    n = 2 * int(rng.integers(0, 8)) + 1
+    return sm.sequence_from_phases("r", np.pi, rng.uniform(0.0, 2 * np.pi, n))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_dual_of_odd_equatorial_pi_sequence_inverts(seed):
+    # an odd equatorial pi-sequence nets a pi turn about an equatorial axis,
+    # and so does its toggling-frame dual
+    s = random_odd_pi_sequence(np.random.default_rng([91, seed]))
+    dual = tg.toggling_map(s)
+    assert dual.is_equatorial()
+    for seq in (s, dual):
+        assert abs(pf.q_values(seq, rc.E_Z, [np.pi])[0] + 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_glide_reflection_of_random_dual_pairs(seed):
+    rng = np.random.default_rng([92, seed])
+    s = random_odd_pi_sequence(rng)
+    dual = tg.toggling_map(s)
+    grid = rng.uniform(-2 * np.pi, 2 * np.pi, 50)
+    qd = pf.q_values(dual, rc.E_Z, grid)
+    qs = pf.q_values(s, rc.E_Z, np.pi + grid)
+    assert np.max(np.abs(qd + qs)) < 1e-9
+    assert pf.glide_reflection_check(s, dual, grid) < 1e-9
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_phase_map_matches_toggle_axes(seed):
+    rng = np.random.default_rng([93, seed])
+    phis = rng.uniform(-4 * np.pi, 4 * np.pi, int(rng.integers(1, 16)))
+    s = sm.sequence_from_phases("r", np.pi, phis)
+    mapped = tg.phase_map(phis)
+    want = np.stack([np.cos(mapped), np.sin(mapped), np.zeros_like(mapped)], axis=-1)
+    assert np.max(np.abs(tg.toggle_axes(s.axes, s.betas) - want)) < 1e-9

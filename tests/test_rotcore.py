@@ -46,6 +46,13 @@ def test_non_finite_input_rejected(bad):
         rc.from_axis_angle(rc.E_X, bad)
 
 
+@pytest.mark.parametrize("scalar", [2.0, np.float64(-1.5), np.array(3.0)], ids=repr)
+def test_unit_vector_rejects_a_scalar_with_one_line(scalar):
+    with pytest.raises(ValueError, match="^expected a vector, got the scalar") as info:
+        rc.unit_vector(scalar)
+    assert "\n" not in str(info.value)
+
+
 def test_unit_vector_matches_linalg_norm_bit_for_bit():
     rng = np.random.default_rng(5)
     vecs = rng.normal(size=(100_000, 3)) * 10.0 ** rng.uniform(-6, 6, size=(100_000, 1))

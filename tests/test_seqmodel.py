@@ -246,6 +246,85 @@ def test_prefix_quaternions_bit_identical_to_array_loop(n, lead):
             assert got.tobytes() == reference_prefix_quaternions(ax, angles).tobytes()
 
 
+def reference_broadcast_trig_prefix_quaternions(axes, angles):
+    """The component chain prefix_quaternions ran before cos and sin moved
+    onto the angles' own shape: the step quaternions over the full broadcast
+    shape, and a batch of one stepping on 1-element arrays; kept as the
+    reference."""
+    axes = np.asarray(axes, dtype=float)
+    n = axes.shape[-2]
+    angles = np.broadcast_to(np.asarray(angles, dtype=float), axes.shape[:-1])
+    sw, sx, sy, sz = rc.quat_from_axis_angle(axes, angles).T
+    out = np.empty(axes.shape[:-2] + (n + 1, 4))
+    ow, ox, oy, oz = out.T
+    w, x, y, z = 1.0, 0.0, 0.0, 0.0
+    ow[0], ox[0], oy[0], oz[0] = w, x, y, z
+    for i in range(n):
+        w, x, y, z = rc._unit4(*rc._mul4(sw[i], sx[i], sy[i], sz[i], w, x, y, z))
+        ow[i + 1], ox[i + 1], oy[i + 1], oz[i + 1] = w, x, y, z
+    return out
+
+
+def _unit_rows(rng, shape):
+    v = rng.normal(size=shape + (3,))
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 15])
+def test_angle_column_bit_identical_to_broadcast_trig(n):
+    # a uniform sweep passes one (G, 1) column; the old chain took (G, n) angles
+    rng = np.random.default_rng([72, n])
+    axes = _unit_rows(rng, (n,))
+    column = rng.uniform(0.0, 2 * np.pi, (13, 1))
+    want = reference_broadcast_trig_prefix_quaternions(np.broadcast_to(axes, (13, n, 3)),
+                                                       np.broadcast_to(column, (13, n)))
+    assert sm.prefix_quaternions(axes, column).tobytes() == want.tobytes()
+
+
+def test_ddmap_angles_bit_identical_to_broadcast_trig():
+    # ddsim.centroid_map: (21, n) angles against (25, 21, n, 3) dressed axes
+    rng = np.random.default_rng(73)
+    axes = _unit_rows(rng, (25, 1, 20))
+    angles = np.linspace(0.0, 2.0, 21)[:, None] * np.full(20, np.pi)
+    want = reference_broadcast_trig_prefix_quaternions(np.broadcast_to(axes, (25, 21, 20, 3)),
+                                                       angles)
+    got = sm.prefix_quaternions(axes, angles)
+    assert got.shape == (25, 21, 21, 4) and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("lead", [(1,), (1, 1)], ids=str)
+def test_batch_of_one_bit_identical_to_array_steps(lead):
+    rng = np.random.default_rng([74, *lead])
+    axes = _unit_rows(rng, lead + (9,))
+    for angles in (rng.uniform(0.0, 2 * np.pi, 9), rng.uniform(0.0, 2 * np.pi, lead + (9,))):
+        got = sm.prefix_quaternions(axes, angles)
+        assert got.shape == lead + (10, 4) and got.flags.c_contiguous
+        want = reference_broadcast_trig_prefix_quaternions(axes, angles)
+        assert got.tobytes() == want.tobytes()
+
+
+def reference_net_quaternions(s, beta_primes):
+    """net_quaternions as it was: (G, n) angles through the broadcast-trig chain."""
+    scales = np.asarray(beta_primes, dtype=float) / s.uniform_beta()
+    axes = np.broadcast_to(s.axes, (scales.size,) + s.axes.shape)
+    return reference_broadcast_trig_prefix_quaternions(
+        axes, scales[:, None] * s.betas[None, :])[:, -1, :]
+
+
+def test_net_quaternions_bit_identical_to_broadcast_trig():
+    rng = np.random.default_rng(75)
+    grid = np.linspace(0.0, 2 * np.pi, 721)
+    for n in (1, 2, 8, 13):
+        beta = float(rng.uniform(0.1, 2 * np.pi))
+        s = sm.sequence_from_axes("r", beta, _unit_rows(rng, (n,)))
+        # angles within BETA_MATCH_TOL but not exactly equal take the (G, n) path
+        betas = beta + rng.uniform(-1e-13, 1e-13, n) * (np.arange(n) > 0)
+        near = sm.sequences_from_arrays(["near"], betas[None], s.axes[None])[0]
+        for seq in (s, near):
+            want = reference_net_quaternions(seq, grid)
+            assert sm.net_quaternions(seq, grid).tobytes() == want.tobytes()
+
+
 def test_reverse():
     s = sm.sequence_from_phases("ab", np.pi, [0.0, np.pi / 2])
     r = sm.reverse(s)

@@ -88,6 +88,24 @@ def test_inverse_round_trip_random():
         assert np.max(np.abs(fwd.axes - s.axes)) < 1e-10
 
 
+def reference_toggle_axes(axes, angles):
+    """toggle_axes as it ran before it worked on components: the conjugated
+    prefixes through quat_apply, then np.linalg.norm; kept as the reference."""
+    prefixes = sm.prefix_quaternions(axes, angles)[..., :-1, :]
+    out = rc.quat_apply(rc.quat_conj(prefixes), axes)
+    return out / np.linalg.norm(out, axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("lead", [(), (1,), (9,), (25, 1)], ids=str)
+def test_toggle_axes_bit_identical_to_quat_apply_form(lead):
+    rng = np.random.default_rng([39, *lead])
+    axes = random_unit_vectors(rng, lead + (12,))
+    angles = [rng.uniform(0.0, 2 * np.pi, 12), np.linspace(0.0, 2.0, 21)[:, None] * np.pi]
+    for a in angles if lead == (25, 1) else angles[:1] + [rng.uniform(-7, 7, lead + (12,))]:
+        got = tg.toggle_axes(axes, a)
+        assert got.tobytes() == reference_toggle_axes(axes, a).tobytes()
+
+
 def reference_inverse_toggling_map(s):
     """The per-element loop that inverse_toggling_map ran before
     inverse_toggle_axes, kept as the reference."""
@@ -182,6 +200,42 @@ def test_inverse_toggle_axes_bit_identical_to_array_loop(n, lead):
             want_axes, want_net = reference_inverse_toggle_axes(toggled, angles)
             assert axes.shape == lead + (n, 3) and net.shape == lead + (4,)
             assert axes.tobytes() == want_axes.tobytes() and net.tobytes() == want_net.tobytes()
+
+
+def reference_broadcast_trig_inverse_toggle_axes(toggled, angles):
+    """The component chain inverse_toggle_axes ran before cos and sin moved
+    onto the angles' own shape: the trig over the broadcast (..., n) angles,
+    and a batch of one stepping on 1-element arrays; kept as the reference."""
+    toggled = np.asarray(toggled, dtype=float)
+    half = 0.5 * np.broadcast_to(np.asarray(angles, dtype=float), toggled.shape[:-1])
+    cos_h, sin_h = np.cos(half).T, np.sin(half).T
+    fx, fy, fz = toggled.T
+    axes = np.empty_like(toggled)
+    ex, ey, ez = axes.T
+    w, x, y, z = 1.0, 0.0, 0.0, 0.0
+    for i in range(toggled.shape[-2]):
+        vx, vy, vz = fx[i], fy[i], fz[i]
+        if i > 0:
+            vx, vy, vz = rc._unit3(*rc._apply3(w, x, y, z, vx, vy, vz))
+        ex[i], ey[i], ez[i] = vx, vy, vz
+        s = sin_h[i]
+        w, x, y, z = rc._unit4(*rc._mul4(cos_h[i], s * vx, s * vy, s * vz, w, x, y, z))
+    q = np.empty(toggled.shape[:-2] + (4,))
+    q.T[0], q.T[1], q.T[2], q.T[3] = w, x, y, z
+    return axes, q
+
+
+@pytest.mark.parametrize("lead", [(), (1,), (1, 1), (300,), (4, 5)], ids=str)
+def test_inverse_toggle_axes_bit_identical_to_broadcast_trig(lead):
+    # search passes one scalar beta for every candidate tuple
+    rng = np.random.default_rng([38, *lead])
+    f = random_unit_vectors(rng, lead + (8,))
+    for angles in (2 * np.pi / 3, np.pi, rng.uniform(0.0, 2 * np.pi, 8),
+                   rng.uniform(0.0, 2 * np.pi, lead + (8,))):
+        axes, net = tg.inverse_toggle_axes(f, angles)
+        want_axes, want_net = reference_broadcast_trig_inverse_toggle_axes(f, angles)
+        assert axes.shape == lead + (8, 3) and net.shape == lead + (4,)
+        assert axes.tobytes() == want_axes.tobytes() and net.tobytes() == want_net.tobytes()
 
 
 def test_inverse_of_shifted_f1_is_nb1():
