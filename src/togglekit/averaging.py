@@ -52,6 +52,10 @@ class AverageRotationOrders:
     order3: np.ndarray
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:   # row-wise, the bits of np.cross
+    return np.stack(rotcore._cross3(*a.T, *b.T), axis=-1)
+
+
 def average_orders(vectors) -> AverageRotationOrders:
     """Leading average-rotation orders for error kicks about ``vectors``.
 
@@ -69,15 +73,16 @@ def average_orders(vectors) -> AverageRotationOrders:
     suffix = np.zeros_like(e)                     # T_j = sum_{k>j} e_k
     suffix[:-1] = np.cumsum(e[::-1], axis=0)[-2::-1]
 
-    order2 = 0.5 * np.cross(e, prefix).sum(axis=0)
+    cross_ps = _cross(e, prefix)                  # e_j x S_j
+    order2 = 0.5 * cross_ps.sum(axis=0)
 
-    cross_ps = np.cross(e, prefix)                # e_j x S_j
     w = np.zeros_like(e)                          # W_k = sum_{j<k} e_j x S_j
     w[1:] = np.cumsum(cross_ps, axis=0)[:-1]
-    triple_a = np.cross(e, w).sum(axis=0)                       # e_k x (e_j x e_i)
-    triple_b = np.cross(prefix, np.cross(e, suffix)).sum(axis=0)  # e_i x (e_j x e_k)
-    pair_a = np.cross(e, np.cross(e, prefix)).sum(axis=0)       # e_k x (e_k x e_i)
-    pair_b = np.cross(e, np.cross(e, suffix)).sum(axis=0)       # e_i x (e_i x e_k)
+    cross_es = _cross(e, suffix)                  # e_j x T_j
+    triple_a = _cross(e, w).sum(axis=0)           # e_k x (e_j x e_i)
+    triple_b = _cross(prefix, cross_es).sum(axis=0)   # e_i x (e_j x e_k)
+    pair_a = _cross(e, cross_ps).sum(axis=0)      # e_k x (e_k x e_i)
+    pair_b = _cross(e, cross_es).sum(axis=0)      # e_i x (e_i x e_k)
     order3 = (triple_a + triple_b) / 6.0 + (pair_a + pair_b) / 12.0
     return AverageRotationOrders(order1, order2, order3)
 

@@ -49,7 +49,8 @@ def _profile_arrays(s: RotationSequence, e_xi, grid):
     e_xi = np.asarray(e_xi, dtype=float)
     quats = net_quaternions(s, grid)
     finals = quat_apply(quats, e_xi)
-    return grid, quats, finals, finals @ e_xi
+    qs = (finals[:, 0] * e_xi[0] + finals[:, 1] * e_xi[1]) + finals[:, 2] * e_xi[2]
+    return grid, quats, finals, qs   # element-wise: q at a point does not depend on the grid
 
 
 def _errors_deg(nets: np.ndarray, target: Rotation) -> np.ndarray:

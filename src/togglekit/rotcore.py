@@ -30,9 +30,9 @@ for _e in (E_X, E_Y, E_Z):
 def unit_vectors(v) -> np.ndarray:
     """Every vector along the last axis of ``v`` scaled to unit length, as a
     read-only array; raises on a (near-)zero or non-finite vector.  Each
-    row comes out bit-identical to ``unit_vector`` of that row."""
+    row's norm is summed like ``np.linalg.norm`` of that row."""
     v = np.ascontiguousarray(v, dtype=float)
-    n = np.sqrt(np.vecdot(v, v))   # per contiguous row, the dot product unit_vector takes
+    n = np.sqrt(np.vecdot(v, v))   # per contiguous row, the dot product np.linalg.norm takes
     lo = np.minimum.reduce(n, axis=None, initial=math.inf)
     hi = np.maximum.reduce(n, axis=None, initial=0.0)
     if not (UNIT_TOL <= lo and hi < math.inf):   # a NaN norm reaches both and fails
@@ -43,34 +43,30 @@ def unit_vectors(v) -> np.ndarray:
 
 
 def unit_vector(v) -> np.ndarray:
-    """Normalize ``v`` to unit length, raising on (near-)zero or non-finite input.
-
-    A scalar kernel rather than a batch of one of ``unit_vectors``, because
-    every eagerly built ``PulseElement`` pays it: 3.5 us per vector against
-    7 us through the batched checks (2-vCPU x86 VM, numpy 2.4).
-    """
+    """Normalize ``v`` to unit length, raising on (near-)zero or non-finite
+    input: a batch of one of ``unit_vectors``, the elements of a
+    multi-dimensional ``v`` taken as one vector in C order."""
     v = np.asarray(v, dtype=float)
     if v.ndim == 0:
         raise ValueError(f"expected a vector, got the scalar {float(v)!r}")
-    flat = v.ravel(order="K")
-    n = math.sqrt(float(flat.dot(flat)))   # what np.linalg.norm(v) computes
-    if not UNIT_TOL <= n < math.inf:   # NaN fails too
-        raise ValueError(f"cannot normalize a vector of norm {n}")
-    out = v / n
-    out.flags.writeable = False
-    return out
+    return unit_vectors(v.reshape(1, -1))[0].reshape(v.shape)
 
 
-def axis_from_phase(phi: float, latitude: float = 0.0) -> np.ndarray:
-    """Unit vector at azimuthal phase ``phi`` and the given latitude.
+def axis_from_phase(phi, latitude=0.0) -> np.ndarray:
+    """Unit vectors (..., 3) at azimuthal phases ``phi`` and latitudes, which
+    broadcast against each other.
 
     latitude 0 gives the equatorial (cos phi, sin phi, 0); latitude +pi/2
     gives e_z regardless of phi.
     """
-    if not -np.pi / 2 - UNIT_TOL <= latitude <= np.pi / 2 + UNIT_TOL:
-        raise ValueError(f"latitude {latitude} outside [-pi/2, pi/2]")
+    phi = np.asarray(phi, dtype=float)
+    latitude = np.asarray(latitude, dtype=float)
+    inside = np.abs(latitude) <= np.pi / 2 + UNIT_TOL   # NaN is outside
+    if not inside.all():
+        raise ValueError(f"latitude {float(latitude[~inside].flat[0])} outside [-pi/2, pi/2]")
     c = np.cos(latitude)
-    out = np.array([c * np.cos(phi), c * np.sin(phi), np.sin(latitude)])
+    x = c * np.cos(phi)
+    out = np.stack([x, c * np.sin(phi), np.broadcast_to(np.sin(latitude), x.shape)], axis=-1)
     out.flags.writeable = False
     return out
 
@@ -98,15 +94,17 @@ def _unit3(x, y, z):
     return x / n, y / n, z / n
 
 
+def _cross3(ax, ay, az, bx, by, bz):
+    """Cross product a x b on components, in the operation order of np.cross."""
+    return ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
+
+
 def _apply3(w, x, y, z, vx, vy, vz):
-    """q v q* on components: v + w t + qv x t with t = 2 qv x v, each cross
-    product written out as np.cross computes it."""
-    tx = 2.0 * (y * vz - z * vy)
-    ty = 2.0 * (z * vx - x * vz)
-    tz = 2.0 * (x * vy - y * vx)
-    return ((vx + w * tx) + (y * tz - z * ty),
-            (vy + w * ty) + (z * tx - x * tz),
-            (vz + w * tz) + (x * ty - y * tx))
+    """q v q* on components: v + w t + qv x t with t = 2 qv x v."""
+    cx, cy, cz = _cross3(x, y, z, vx, vy, vz)
+    tx, ty, tz = 2.0 * cx, 2.0 * cy, 2.0 * cz
+    cx, cy, cz = _cross3(x, y, z, tx, ty, tz)
+    return (vx + w * tx) + cx, (vy + w * ty) + cy, (vz + w * tz) + cz
 
 
 def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,10 +1,10 @@
 """Pulse-sequence data model and the structural algebra on sequences.
 
-A sequence is an ordered list of (flip angle, axis) elements with index 0
-first in time.  Net propagators multiply right-to-left, so the propagator
-of elements 0..i-1 is R(beta_{i-1}, e_{i-1}) ... R(beta_0, e_0).
+A sequence is the arrays (beta_i, e_i) of its elements, with index 0 first
+in time.  Net propagators multiply right-to-left, so the propagator of
+elements 0..i-1 is R(beta_{i-1}, e_{i-1}) ... R(beta_0, e_0).
 
-Sequences are immutable; every operation returns a new sequence.
+Sequences are immutable; every operation maps arrays to a new sequence.
 """
 
 from __future__ import annotations
@@ -25,11 +25,8 @@ BETA_MATCH_TOL = 1e-12
 
 @dataclass(frozen=True)
 class PulseElement:
-    """One piecewise rotation: flip angle ``beta`` (> 0) about ``axis``.
-
-    ``phase`` keeps the unreduced construction phase when the element was
-    built from (phi, latitude); axis-built elements derive it via atan2.
-    """
+    """One piecewise rotation: flip angle ``beta`` (> 0) about ``axis``, with
+    the unreduced ``phase`` and ``latitude`` it was built from, if any."""
 
     beta: float
     axis: np.ndarray
@@ -43,33 +40,6 @@ class PulseElement:
         if ax.shape != (3,):
             raise ValueError(f"an axis needs 3 components, got an array of shape {ax.shape}")
         object.__setattr__(self, "axis", rotcore.unit_vector(ax))
-
-    @property
-    def phase_value(self) -> float:
-        if self.phase is not None:
-            return self.phase
-        return math.atan2(self.axis[1], self.axis[0])
-
-    @property
-    def latitude_value(self) -> float:
-        if self.latitude is not None:
-            return self.latitude
-        return math.asin(max(-1.0, min(1.0, self.axis[2])))
-
-    def is_equatorial(self, tol: float = EQUATORIAL_TOL) -> bool:
-        return abs(self.axis[2]) < tol
-
-
-def element_from_phase(beta: float, phi: float, latitude: float = 0.0) -> PulseElement:
-    return PulseElement(beta, axis_from_phase(phi, latitude), phase=phi, latitude=latitude)
-
-
-def _unit_element(beta: float, axis: np.ndarray) -> PulseElement:
-    """The element of a checked flip angle and a read-only unit axis row,
-    built without normalizing the axis a second time (that moves last bits)."""
-    el = PulseElement.__new__(PulseElement)
-    vars(el).update(beta=beta, axis=axis, phase=None, latitude=None)
-    return el
 
 
 def positive_int(name: str, value) -> int:
@@ -98,32 +68,33 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class RotationSequence:
-    """Ordered pulse elements plus an optional uniform cycle order m.
+def _filled(shape, values) -> np.ndarray:
+    """A read-only float array of ``shape`` with ``values`` broadcast into it."""
+    out = np.empty(shape)
+    out[...] = values
+    return _read_only(out)
 
-    The flip angles ``betas`` (n,) and unit axes ``axes`` (n, 3) are stored
-    once, as read-only arrays.  A sequence built from ``elements`` keeps
-    them, with their phase and latitude provenance; one built by
-    ``sequences_from_arrays`` derives its elements on first read.  If
-    ``cycle_order`` is set, every flip angle must equal 2*pi/m.
-    Sequences are immutable.
+
+class RotationSequence:
+    """Ordered pulse elements plus an optional uniform cycle order m (then
+    every flip angle is 2*pi/m), immutable.
+
+    Flip angles ``betas`` (n,), unit ``axes`` (n, 3) and the phase/latitude
+    provenance (two (n,) arrays, NaN where an element has none) are stored
+    once, read-only, by ``_sequences``.  ``RotationSequence(name, elements)``
+    is a batch of one of it; ``elements`` is derived on first read.
     """
 
     def __init__(self, name: str, elements, cycle_order: int | None = None):
-        vars(self).update(name=name, cycle_order=cycle_order, betas=None, axes=None,
-                          _elements=tuple(elements))
-        self.__post_init__()
+        els = tuple(elements)
+        _sequences([name], [[el.beta for el in els]],
+                   np.array([el.axis for el in els], dtype=float).reshape(1, -1, 3), cycle_order,
+                   [[math.nan if el.phase is None else el.phase for el in els]],
+                   [[math.nan if el.latitude is None else el.latitude for el in els]],
+                   unit=True, out=[self])
 
     def __post_init__(self):
-        if self.axes is not None:   # arrays from sequences_from_arrays, checked there
-            return
-        els = self._elements
-        if len(els) < 1:
-            raise ValueError("a sequence needs at least one element")
-        betas = [el.beta for el in els]
-        vars(self).update(cycle_order=_checked_cycle_order(self.cycle_order, betas),
-                          betas=_read_only(np.array(betas, dtype=float)),
-                          axes=_read_only(np.array([el.axis for el in els])))
+        """Runs once for every built sequence, after its arrays are set."""
 
     def __setattr__(self, name, value):
         raise AttributeError(f"RotationSequence is immutable; cannot set {name!r}")
@@ -140,14 +111,23 @@ class RotationSequence:
 
     @property
     def elements(self) -> tuple[PulseElement, ...]:
-        if self._elements is None:
-            vars(self)["_elements"] = tuple(
-                map(_unit_element, self.betas.tolist(), self.axes))
+        if self._elements is None:   # rows checked and unit already: no PulseElement.__init__
+            els = tuple(PulseElement.__new__(PulseElement) for _ in range(len(self)))
+            for el, b, a, p, t in zip(els, self.betas.tolist(), self.axes,
+                                      self._given_phases.tolist(), self._given_latitudes.tolist()):
+                vars(el).update(beta=b, axis=a, phase=None if math.isnan(p) else p,
+                                latitude=None if math.isnan(t) else t)
+            vars(self)["_elements"] = els
         return self._elements
 
     @property
     def phases(self) -> np.ndarray:
-        return np.array([el.phase_value for el in self.elements])
+        """Each element's construction phase, or atan2 of its axis if it has none."""
+        out = self._given_phases.copy()
+        missing = np.isnan(out)
+        if missing.any():
+            out[missing] = [math.atan2(y, x) for x, y in self.axes[missing, :2].tolist()]
+        return out
 
     def is_equatorial(self, tol: float = EQUATORIAL_TOL) -> bool:
         return all(abs(z) < tol for z in self.axes[:, 2].tolist())
@@ -160,10 +140,7 @@ class RotationSequence:
         return betas[0]
 
     def with_name(self, name: str) -> "RotationSequence":
-        out = RotationSequence.__new__(RotationSequence)
-        vars(out).update(vars(self), name=name)
-        out.__post_init__()
-        return out
+        return _take(self, slice(None), name, self.cycle_order)
 
     def with_axes(self, axes: np.ndarray, name: str | None = None) -> "RotationSequence":
         """Same angles, new axes (phase/latitude provenance dropped)."""
@@ -171,14 +148,14 @@ class RotationSequence:
                                      np.asarray(axes, dtype=float)[None], self.cycle_order)[0]
 
 
-def sequences_from_arrays(names, betas, axes, cycle_order: int | None = None
-                          ) -> list[RotationSequence]:
-    """One sequence per row of an (N, n, 3) axis stack, checked in one pass.
-
-    ``betas`` broadcasts to (N, n); ``names`` has N entries.  The axes are
-    normalized to the same bits as ``PulseElement`` normalizes each one, so
-    the arrays equal those of the same sequences built element by element;
-    the elements themselves are built only when read.
+def _sequences(names, betas, axes, cycle_order=None, phases=None, latitudes=None, *,
+               unit: bool = False, out=None) -> list[RotationSequence]:
+    """The one constructor of sequences: one per row of an (N, n, 3) axis
+    stack, checked in one pass.  ``betas`` and the provenance ``phases`` and
+    ``latitudes`` (None: all NaN) broadcast to (N, n).  The axes are
+    normalized in one call, unless ``unit`` says they are rows a sequence
+    stores: normalizing a unit row again moves its last bits.  ``out`` holds
+    the N objects to fill, by default new ones.
     """
     axes = np.asarray(axes, dtype=float)
     if axes.ndim != 3 or axes.shape[2] != 3:
@@ -193,50 +170,67 @@ def sequences_from_arrays(names, betas, axes, cycle_order: int | None = None
     if not all(0.0 < b < math.inf for b in values):   # NaN fails too
         raise ValueError("flip angle must be positive and finite; reverse via the axis")
     m = _checked_cycle_order(cycle_order, values)
-    betas = np.empty(axes.shape[:2])
-    betas[...] = given
-    _read_only(betas)
-    axes = rotcore.unit_vectors(axes)
-    out = []
-    for name, b, a in zip(names, betas, axes):
-        s = RotationSequence.__new__(RotationSequence)
-        vars(s).update(name=name, cycle_order=m, betas=b, axes=a, _elements=None)
+    shape = axes.shape[:2]
+    betas = _filled(shape, given)
+    none = _read_only(np.full(shape[1], math.nan))   # one row shared by every sequence
+    prov = [[none] * len(axes) if rows is None else _filled(shape, rows)
+            for rows in (phases, latitudes)]
+    axes = _read_only(axes) if unit else rotcore.unit_vectors(axes)
+    if out is None:
+        out = [RotationSequence.__new__(RotationSequence) for _ in names]
+    for s, name, b, a, p, t in zip(out, names, betas, axes, *prov):
+        vars(s).update(name=name, cycle_order=m, betas=b, axes=a, _given_phases=p,
+                       _given_latitudes=t, _elements=None)
         s.__post_init__()
-        out.append(s)
     return out
 
 
+def sequences_from_arrays(names, betas, axes, cycle_order: int | None = None
+                          ) -> list[RotationSequence]:
+    """One sequence per row of an (N, n, 3) axis stack, checked in one pass
+    and normalized in one call; ``betas`` broadcasts to (N, n)."""
+    return _sequences(names, betas, axes, cycle_order)
+
+
+def _take(s: RotationSequence, index, name: str, cycle_order) -> RotationSequence:
+    """The elements of ``s`` at ``index``, its stored rows and provenance
+    reused as they are."""
+    return _sequences([name], s.betas[index][None], s.axes[index][None], cycle_order,
+                      s._given_phases[index][None], s._given_latitudes[index][None],
+                      unit=True)[0]
+
+
 def infer_cycle_order(betas, m_max: int = 64) -> int | None:
-    """Smallest m with all angles equal to 2*pi/m, if one exists."""
+    """The m with all angles equal to 2*pi/m, if one up to ``m_max`` exists:
+    the nearest integer to 2*pi/beta, which is the only candidate."""
     betas = np.atleast_1d(np.asarray(betas, dtype=float))
     b = float(betas[0])
-    if not math.isfinite(b) or np.any(np.abs(betas - b) >= BETA_MATCH_TOL):
+    if not 0.0 < b < math.inf or np.any(np.abs(betas - b) >= BETA_MATCH_TOL):
         return None
-    for m in range(1, m_max + 1):
-        if abs(b - 2.0 * np.pi / m) < BETA_MATCH_TOL:
-            return m
+    m = round(min(2.0 * np.pi / b, m_max))   # 2*pi/b is inf for a subnormal b
+    if m >= 1 and abs(b - 2.0 * np.pi / m) < BETA_MATCH_TOL:
+        return m
     return None
 
 
-def sequence_from_phases(name: str, betas, phases, latitudes=None) -> RotationSequence:
-    betas = np.atleast_1d(np.asarray(betas, dtype=float))
+def _phase_sequence(name: str, betas, phases, latitudes=None, cycle_order=None
+                    ) -> RotationSequence:
+    """Elements at ``phases`` and ``latitudes`` (default 0), which they keep
+    as their provenance; ``betas`` broadcasts."""
     phases = np.atleast_1d(np.asarray(phases, dtype=float))
-    if betas.size == 1:
-        betas = np.full(phases.shape, betas[0])
-    if latitudes is None:
-        latitudes = np.zeros_like(phases)
-    else:
-        latitudes = np.atleast_1d(np.asarray(latitudes, dtype=float))
-    els = tuple(element_from_phase(b, p, t) for b, p, t in zip(betas, phases, latitudes))
-    return RotationSequence(name, els, infer_cycle_order(betas))
+    latitudes = np.broadcast_to(0.0 if latitudes is None else latitudes, phases.shape)
+    return _sequences([name], np.asarray(betas, dtype=float)[None],
+                      axis_from_phase(phases, latitudes)[None], cycle_order,
+                      phases[None], latitudes[None])[0]
+
+
+def sequence_from_phases(name: str, betas, phases, latitudes=None) -> RotationSequence:
+    return _phase_sequence(name, betas, phases, latitudes, infer_cycle_order(betas))
 
 
 def sequence_from_axes(name: str, betas, axes) -> RotationSequence:
-    axes = np.asarray(axes, dtype=float)
-    betas = np.atleast_1d(np.asarray(betas, dtype=float))
-    if betas.size == 1:
-        betas = np.full(axes.shape[:1], betas[0])
-    return sequences_from_arrays([name], betas[None], axes[None], infer_cycle_order(betas))[0]
+    return sequences_from_arrays([name], np.asarray(betas, dtype=float)[None],
+                                 np.asarray(axes, dtype=float)[None], infer_cycle_order(betas))[0]
 
 
 def sequences_equal(a: RotationSequence, b: RotationSequence, tol: float = 1e-10) -> bool:
@@ -341,22 +335,20 @@ def prefix_quaternions(axes: np.ndarray, angles: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def reverse(s: RotationSequence) -> RotationSequence:
-    return RotationSequence(f"rev({s.name})", tuple(s.elements[::-1]), s.cycle_order)
+    return _take(s, np.arange(len(s) - 1, -1, -1), f"rev({s.name})", s.cycle_order)
 
 
 def cyclic_permute(s: RotationSequence, shift: int) -> RotationSequence:
     """Move the first ``shift`` elements to the end (shift = 1 starts at index 1)."""
-    k = shift % len(s)
-    els = s.elements[k:] + s.elements[:k]
-    return RotationSequence(f"cyc{shift}({s.name})", els, s.cycle_order)
+    n = len(s)
+    return _take(s, (np.arange(n) + shift % n) % n, f"cyc{shift}({s.name})", s.cycle_order)
 
 
 def global_phase_shift(s: RotationSequence, dphi: float) -> RotationSequence:
     """Rotate every axis about z by ``dphi`` (legal for any sequence)."""
-    axes = rotcore.rotate_about_z(s.axes, dphi)
-    els = tuple(PulseElement(el.beta, ax, phase=None if el.phase is None else el.phase + dphi,
-                             latitude=el.latitude) for el, ax in zip(s.elements, axes))
-    return RotationSequence(f"{s.name}+{dphi:.6g}", els, s.cycle_order)
+    return _sequences([f"{s.name}+{dphi:.6g}"], s.betas[None],
+                      rotcore.rotate_about_z(s.axes, dphi)[None], s.cycle_order,
+                      (s._given_phases + dphi)[None], s._given_latitudes[None])[0]
 
 
 def phase_scale(s: RotationSequence, k: int) -> RotationSequence:
@@ -365,8 +357,8 @@ def phase_scale(s: RotationSequence, k: int) -> RotationSequence:
         raise ValueError("phase_scale requires an all-equatorial sequence")
     if k != int(k):
         raise ValueError("phase scale factor must be an integer")
-    els = tuple(element_from_phase(el.beta, int(k) * el.phase_value) for el in s.elements)
-    return RotationSequence(f"{s.name}*k{k}", els, s.cycle_order)
+    return _phase_sequence(f"{s.name}*k{k}", s.betas, int(k) * s.phases,
+                           cycle_order=s.cycle_order)
 
 
 def nest(outer: RotationSequence, inner: RotationSequence) -> RotationSequence:
@@ -378,37 +370,29 @@ def nest(outer: RotationSequence, inner: RotationSequence) -> RotationSequence:
     """
     if not (outer.is_equatorial() and inner.is_equatorial()):
         raise ValueError("nest requires equatorial sequences")
-    inner_fwd = [(el.beta, el.phase_value) for el in inner.elements]
-    inner_rev = inner_fwd[::-1]
-    els = []
-    for j, out_el in enumerate(outer.elements):
-        block = inner_rev if j % 2 == 1 else inner_fwd
-        for beta, phi in block:
-            els.append(element_from_phase(beta, out_el.phase_value + phi))
-    betas = [el.beta for el in els]
-    return RotationSequence(f"{outer.name}({inner.name})", tuple(els), infer_cycle_order(betas))
+    odd = (np.arange(len(outer)) % 2 == 1)[:, None]
+    betas = np.where(odd, inner.betas[::-1], inner.betas).ravel()
+    inner_phases = inner.phases
+    phases = outer.phases[:, None] + np.where(odd, inner_phases[::-1], inner_phases)
+    return sequence_from_phases(f"{outer.name}({inner.name})", betas, phases.ravel())
 
 
 def riffle(s: RotationSequence) -> RotationSequence:
     """Split each (beta, phi) into two consecutive (beta/2, phi) elements."""
     if not s.is_equatorial():
         raise ValueError("riffle requires an equatorial sequence")
-    els = []
-    for el in s.elements:
-        half = element_from_phase(el.beta / 2.0, el.phase_value)
-        els.extend([half, half])
-    betas = [el.beta for el in els]
-    return RotationSequence(f"{s.name}v{s.name}", tuple(els), infer_cycle_order(betas))
+    return sequence_from_phases(f"{s.name}v{s.name}", np.repeat(s.betas / 2.0, 2),
+                                np.repeat(s.phases, 2))
 
 
 def scale_betas(s: RotationSequence, scale: float) -> RotationSequence:
     """Every flip angle multiplied by ``scale`` (axes unchanged)."""
     if scale <= 0:
         raise ValueError("scale must be positive")
-    els = tuple(
-        PulseElement(el.beta * scale, el.axis, phase=el.phase, latitude=el.latitude)
-        for el in s.elements)
-    return RotationSequence(s.name, els, None)
+    with np.errstate(over="ignore"):   # an infinite product fails the flip-angle check
+        betas = s.betas * scale
+    return _sequences([s.name], betas[None], s.axes[None], None,
+                      s._given_phases[None], s._given_latitudes[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -419,13 +403,15 @@ def scale_betas(s: RotationSequence, scale: float) -> RotationSequence:
 
 def to_json_dict(s: RotationSequence) -> dict:
     elements = []
-    for el in s.elements:
-        if el.is_equatorial(1e-12):
-            d = {"beta": el.beta, "phase": el.phase_value % (2.0 * np.pi)}
-        elif el.phase is not None and el.latitude is not None:
-            d = {"beta": el.beta, "phase": el.phase % (2.0 * np.pi), "latitude": el.latitude}
+    for beta, axis, phase, given, lat in zip(
+            s.betas.tolist(), s.axes.tolist(), s.phases.tolist(),
+            s._given_phases.tolist(), s._given_latitudes.tolist()):
+        if abs(axis[2]) < 1e-12:
+            d = {"beta": beta, "phase": phase % (2.0 * np.pi)}
+        elif not (math.isnan(given) or math.isnan(lat)):
+            d = {"beta": beta, "phase": given % (2.0 * np.pi), "latitude": lat}
         else:
-            d = {"beta": el.beta, "axis": [float(c) for c in el.axis]}
+            d = {"beta": beta, "axis": axis}
         elements.append(d)
     out = {"name": s.name, "elements": elements}
     if s.cycle_order is not None:
@@ -442,16 +428,22 @@ def json_elements(d) -> list[dict]:
 
 
 def from_json_dict(d: dict) -> RotationSequence:
-    els = []
+    rows = json_elements(d)
+    betas, axes = np.empty(len(rows)), np.empty((len(rows), 3))
+    phases, lats = np.full((2, len(rows)), math.nan)
+    by_phase = np.array(["axis" not in ed for ed in rows], dtype=bool)
     try:   # a value of the wrong JSON type raises TypeError
-        for ed in json_elements(d):
-            beta = float(ed["beta"])
-            if "axis" in ed:
-                els.append(PulseElement(beta, np.asarray(ed["axis"], dtype=float)))
+        for i, ed in enumerate(rows):
+            betas[i] = float(ed["beta"])
+            if by_phase[i]:
+                phases[i], lats[i] = float(ed["phase"]), float(ed.get("latitude", 0.0))
+            elif (ax := np.asarray(ed["axis"], dtype=float)).shape == (3,):
+                axes[i] = ax
             else:
-                els.append(element_from_phase(beta, float(ed["phase"]),
-                                              float(ed.get("latitude", 0.0))))
-        return RotationSequence(d.get("name", "unnamed"), tuple(els), d.get("cycle_order"))
+                raise ValueError(f"an axis needs 3 components, got an array of shape {ax.shape}")
+        axes[by_phase] = axis_from_phase(phases[by_phase], lats[by_phase])
+        return _sequences([d.get("name", "unnamed")], betas[None], axes[None],
+                          d.get("cycle_order"), phases[None], lats[None])[0]
     except TypeError as exc:
         raise ValueError(f"malformed sequence: {exc}") from exc
 

@@ -15,7 +15,6 @@ import numpy as np
 
 from . import averaging, seqmodel
 from .ddsim import DDSequence
-from .seqmodel import RotationSequence
 
 
 def uncompensated_cycle(tau: float = 1.0) -> DDSequence:
@@ -28,8 +27,8 @@ def compensated_cycle(tau: float = 1.0) -> DDSequence:
     four-pulse block; delays sit only between blocks."""
     from .catalog import p34
     block = p34()
-    els = block.elements * 3
-    pulses = RotationSequence("vmas_compensated", els, block.cycle_order)
+    pulses = seqmodel._take(block, np.tile(np.arange(len(block)), 3), "vmas_compensated",
+                            block.cycle_order)
     delays = np.zeros(13)
     delays[0] = delays[4] = delays[8] = tau
     return DDSequence(pulses, delays)

@@ -56,6 +56,32 @@ def test_average_orders_against_brute_force():
     assert np.allclose(orders.order3, o3, atol=1e-14)
 
 
+def _average_orders_reference(e):
+    """average_orders with its cross products taken by np.cross."""
+    prefix = np.zeros_like(e)
+    prefix[1:] = np.cumsum(e, axis=0)[:-1]
+    suffix = np.zeros_like(e)
+    suffix[:-1] = np.cumsum(e[::-1], axis=0)[-2::-1]
+    order2 = 0.5 * np.cross(e, prefix).sum(axis=0)
+    w = np.zeros_like(e)
+    w[1:] = np.cumsum(np.cross(e, prefix), axis=0)[:-1]
+    triple_a = np.cross(e, w).sum(axis=0)
+    triple_b = np.cross(prefix, np.cross(e, suffix)).sum(axis=0)
+    pair_a = np.cross(e, np.cross(e, prefix)).sum(axis=0)
+    pair_b = np.cross(e, np.cross(e, suffix)).sum(axis=0)
+    order3 = (triple_a + triple_b) / 6.0 + (pair_a + pair_b) / 12.0
+    return e.sum(axis=0), order2, order3
+
+
+def test_average_orders_bit_identical_to_np_cross_form():
+    rng = np.random.default_rng(44)
+    for n in [*range(1, 20), 33, 100]:
+        e = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+        got = av.average_orders(e)
+        for have, want in zip((got.order1, got.order2, got.order3), _average_orders_reference(e)):
+            assert have.tobytes() == want.tobytes()
+
+
 def test_symmetric_set_kills_order2():
     rng = np.random.default_rng(41)
     half = rng.normal(size=(3, 3))

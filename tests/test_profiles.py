@@ -347,6 +347,15 @@ def test_profile_csv_matches_point_loop_bit_for_bit():
     assert pf.profile_csv(s) == _profile_csv_reference(s, rc.E_Z, pf.DEFAULT_GRID)
 
 
+def test_q_values_do_not_depend_on_the_grid_size():
+    rng = np.random.default_rng(62)
+    probe = rc.unit_vector(rng.normal(size=3))
+    for s in (catalog.f1(), catalog.bprime(11), _random_equatorial(rng)):
+        full = pf.q_values(s, probe, pf.DEFAULT_GRID)
+        for i, bp in enumerate(pf.DEFAULT_GRID.tolist()):
+            assert pf.q_values(s, probe, [bp]).tobytes() == full[i:i + 1].tobytes()
+
+
 def test_q_profile_rotations_equal_per_point_constructors():
     s = catalog.nb1_tpg()
     grid = np.linspace(0, 2 * np.pi, 37)

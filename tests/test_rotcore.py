@@ -59,7 +59,18 @@ def test_unit_vector_matches_linalg_norm_bit_for_bit():
     extra = [rng.normal(size=2), rng.normal(size=7), rng.normal(size=(3, 3))[:, 1],
              rng.normal(size=(2, 3)).T]
     for v in [*vecs, *extra]:
-        assert rc.unit_vector(v).tobytes() == (v / np.linalg.norm(v)).tobytes()
+        # a multi-dimensional v counts as one vector of its elements in C order
+        want = v / np.linalg.norm(np.ascontiguousarray(v))
+        assert rc.unit_vector(v).tobytes() == want.tobytes()
+
+
+def test_cross3_equals_np_cross_bit_for_bit():
+    rng = np.random.default_rng(12)
+    a, b = rng.normal(size=(2, 10_000, 3)) * 10.0 ** rng.uniform(-6, 6, size=(2, 10_000, 1))
+    got = np.stack(rc._cross3(*a.T, *b.T), axis=-1)
+    assert got.tobytes() == np.cross(a, b).tobytes()
+    for x, y in zip(a[:200], b[:200]):   # numpy scalars, as a propagator chain steps on them
+        assert np.array(rc._cross3(*x, *y)).tobytes() == np.cross(x, y).tobytes()
 
 
 def test_rotate_about_z_matches_rodrigues_and_broadcasts():

@@ -157,28 +157,15 @@ def test_octahedral_group_size():
     assert len(se._OCTAHEDRAL) == 24
 
 
-def test_search_and_dedupe_build_no_pulse_elements(monkeypatch):
-    # elements are built eagerly through __post_init__, or derived on read
-    # through _unit_element; count both
-    built = []
-    post_init, unit_element = sm.PulseElement.__post_init__, sm._unit_element
-
-    def counted_post_init(el):
-        built.append(el)
-        post_init(el)
-
-    def counted_unit_element(*args):
-        built.append(args)
-        return unit_element(*args)
-
-    monkeypatch.setattr(sm.PulseElement, "__post_init__", counted_post_init)
-    monkeypatch.setattr(sm, "_unit_element", counted_unit_element)
+def test_search_and_dedupe_build_no_pulse_elements(built_elements):
+    # elements are built checked through __post_init__, or derived on read
+    # from the arrays; the fixture counts both
     raw = se.enumerate_balanced(se.SearchSpec(se.octahedron(), 6, 4, "equatorial_pi"))
     unique = se.dedupe(raw)
-    assert len(raw) > len(unique) > 0 and built == []
-    assert len(unique[0].elements) == 6 and len(built) == 6
+    assert len(raw) > len(unique) > 0 and len(built_elements) == 0
+    assert len(unique[0].elements) == 6 and len(built_elements) == 6
     sm.PulseElement(1.0, rc.E_X)
-    assert len(built) == 7
+    assert len(built_elements) == 7
 
 
 # ---------------------------------------------------------------------------

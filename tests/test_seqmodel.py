@@ -1,11 +1,14 @@
 """Sequence model: propagators, structural algebra, JSON schema."""
 
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
 
-from togglekit import catalog, rotcore as rc, seqmodel as sm, toggling as tg
+from togglekit import (catalog, ddsim, rotcore as rc, seqmodel as sm, toggling as tg,
+                       virtualmas as vm)
 
 PHI = np.arccos(-0.25)
 
@@ -39,7 +42,7 @@ def test_sequence_requires_elements():
 
 
 def test_cycle_order_consistency_enforced():
-    el = sm.element_from_phase(np.pi, 0.0)
+    el = _phase_element(np.pi, 0.0)
     with pytest.raises(ValueError):
         sm.RotationSequence("bad", (el,), cycle_order=3)
     ok = sm.RotationSequence("ok", (el,), cycle_order=2)
@@ -48,7 +51,7 @@ def test_cycle_order_consistency_enforced():
 
 @pytest.mark.parametrize("m", [2.0, True, "2", 0, -2])
 def test_cycle_order_must_be_a_positive_integer(m):
-    el = sm.element_from_phase(2 * np.pi, 0.0) if m is True else sm.element_from_phase(np.pi, 0.0)
+    el = _phase_element(2 * np.pi, 0.0) if m is True else _phase_element(np.pi, 0.0)
     with pytest.raises(ValueError):
         sm.RotationSequence("bad", (el,), cycle_order=m)
     with pytest.raises(ValueError):
@@ -56,7 +59,7 @@ def test_cycle_order_must_be_a_positive_integer(m):
 
 
 def test_cycle_order_is_stored_as_int():
-    s = sm.RotationSequence("ok", (sm.element_from_phase(np.pi, 0.0),), cycle_order=np.int64(2))
+    s = sm.RotationSequence("ok", (_phase_element(np.pi, 0.0),), cycle_order=np.int64(2))
     assert type(s.cycle_order) is int
     [t] = sm.sequences_from_arrays(["ok"], np.pi, [[rc.E_X]], np.int32(2))
     assert type(t.cycle_order) is int
@@ -448,7 +451,7 @@ def test_json_round_trip_axis_form():
 
 
 def test_json_latitude_form():
-    el = sm.element_from_phase(np.pi / 2, 0.3, 0.4)
+    el = _phase_element(np.pi / 2, 0.3, 0.4)
     s = sm.RotationSequence("lat", (el,))
     d = sm.to_json_dict(s)
     assert d["elements"][0]["latitude"] == 0.4
@@ -472,3 +475,284 @@ def test_sequences_equal_tolerances():
 def test_from_json_dict_rejects_malformed_documents(doc):
     with pytest.raises(ValueError):
         sm.from_json_dict(doc)
+
+
+# ---------------------------------------------------------------------------
+# reference: the element-built forms that the one array constructor replaced
+# ---------------------------------------------------------------------------
+
+def _ref_axis_from_phase(phi, latitude=0.0):
+    """The scalar axis kernel, one element at a time."""
+    c = np.cos(latitude)
+    return np.array([c * np.cos(phi), c * np.sin(phi), np.sin(latitude)])
+
+
+def _phase_element(beta, phi, latitude=0.0):
+    return sm.PulseElement(beta, _ref_axis_from_phase(phi, latitude), phase=phi, latitude=latitude)
+
+
+def _ref_phase_value(el):
+    return el.phase if el.phase is not None else math.atan2(el.axis[1], el.axis[0])
+
+
+def _ref_infer_cycle_order(betas, m_max=64):
+    """The scan over m = 1..m_max."""
+    betas = np.atleast_1d(np.asarray(betas, dtype=float))
+    b = float(betas[0])
+    if not math.isfinite(b) or np.any(np.abs(betas - b) >= sm.BETA_MATCH_TOL):
+        return None
+    for m in range(1, m_max + 1):
+        if abs(b - 2.0 * np.pi / m) < sm.BETA_MATCH_TOL:
+            return m
+    return None
+
+
+def _ref_sequence_from_phases(name, betas, phases, latitudes=None):
+    betas = np.atleast_1d(np.asarray(betas, dtype=float))
+    phases = np.atleast_1d(np.asarray(phases, dtype=float))
+    if betas.size == 1:
+        betas = np.full(phases.shape, betas[0])
+    latitudes = (np.zeros_like(phases) if latitudes is None
+                 else np.atleast_1d(np.asarray(latitudes, dtype=float)))
+    els = tuple(_phase_element(b, p, t) for b, p, t in zip(betas, phases, latitudes))
+    return sm.RotationSequence(name, els, _ref_infer_cycle_order(betas))
+
+
+def _ref_with_name(s, name):
+    return sm.RotationSequence(name, s.elements, s.cycle_order)
+
+
+def _ref_phases(s):
+    return np.array([_ref_phase_value(el) for el in s.elements])
+
+
+def _ref_reverse(s):
+    return sm.RotationSequence(f"rev({s.name})", tuple(s.elements[::-1]), s.cycle_order)
+
+
+def _ref_cyclic_permute(s, shift):
+    k = shift % len(s)
+    return sm.RotationSequence(f"cyc{shift}({s.name})", s.elements[k:] + s.elements[:k],
+                               s.cycle_order)
+
+
+def _ref_global_phase_shift(s, dphi):
+    axes = rc.rotate_about_z(s.axes, dphi)
+    els = tuple(sm.PulseElement(el.beta, ax, phase=None if el.phase is None else el.phase + dphi,
+                                latitude=el.latitude) for el, ax in zip(s.elements, axes))
+    return sm.RotationSequence(f"{s.name}+{dphi:.6g}", els, s.cycle_order)
+
+
+def _ref_phase_scale(s, k):
+    els = tuple(_phase_element(el.beta, int(k) * _ref_phase_value(el)) for el in s.elements)
+    return sm.RotationSequence(f"{s.name}*k{k}", els, s.cycle_order)
+
+
+def _ref_nest(outer, inner):
+    inner_fwd = [(el.beta, _ref_phase_value(el)) for el in inner.elements]
+    els = []
+    for j, out_el in enumerate(outer.elements):
+        for beta, phi in (inner_fwd[::-1] if j % 2 == 1 else inner_fwd):
+            els.append(_phase_element(beta, _ref_phase_value(out_el) + phi))
+    return sm.RotationSequence(f"{outer.name}({inner.name})", tuple(els),
+                               _ref_infer_cycle_order([el.beta for el in els]))
+
+
+def _ref_riffle(s):
+    els = []
+    for el in s.elements:
+        half = _phase_element(el.beta / 2.0, _ref_phase_value(el))
+        els.extend([half, half])
+    return sm.RotationSequence(f"{s.name}v{s.name}", tuple(els),
+                               _ref_infer_cycle_order([el.beta for el in els]))
+
+
+def _ref_scale_betas(s, scale):
+    els = tuple(sm.PulseElement(el.beta * scale, el.axis, phase=el.phase, latitude=el.latitude)
+                for el in s.elements)
+    return sm.RotationSequence(s.name, els, None)
+
+
+def _ref_to_json_dict(s):
+    elements = []
+    for el in s.elements:
+        if abs(el.axis[2]) < 1e-12:
+            d = {"beta": el.beta, "phase": _ref_phase_value(el) % (2.0 * np.pi)}
+        elif el.phase is not None and el.latitude is not None:
+            d = {"beta": el.beta, "phase": el.phase % (2.0 * np.pi), "latitude": el.latitude}
+        else:
+            d = {"beta": el.beta, "axis": [float(c) for c in el.axis]}
+        elements.append(d)
+    out = {"name": s.name, "elements": elements}
+    if s.cycle_order is not None:
+        out["cycle_order"] = s.cycle_order
+    return out
+
+
+def _ref_from_json_dict(d):
+    els = []
+    for ed in sm.json_elements(d):
+        beta = float(ed["beta"])
+        if "axis" in ed:
+            els.append(sm.PulseElement(beta, np.asarray(ed["axis"], dtype=float)))
+        else:
+            els.append(_phase_element(beta, float(ed["phase"]), float(ed.get("latitude", 0.0))))
+    return sm.RotationSequence(d.get("name", "unnamed"), tuple(els), d.get("cycle_order"))
+
+
+def _ref_compensated_cycle_pulses():
+    block = catalog.p34()
+    return sm.RotationSequence("vmas_compensated", block.elements * 3, block.cycle_order)
+
+
+def _same(got, want):
+    """Names, cycle orders, array bytes, phases and JSON text all equal."""
+    assert (got.name, got.cycle_order) == (want.name, want.cycle_order)
+    assert got.betas.tobytes() == want.betas.tobytes()
+    assert got.axes.tobytes() == want.axes.tobytes()
+    assert got.phases.tobytes() == _ref_phases(want).tobytes()
+    assert json.dumps(sm.to_json_dict(got)) == json.dumps(_ref_to_json_dict(want))
+
+
+def _catalog_specs():
+    args = {"n[,k]": [(3,), (5,), (7, 2), (9,), (11, 3)],
+            "m,n[,k]": [(3, 3), (3, 5), (5, 3, 2)]}
+    for entry in catalog.ENTRIES.values():
+        for a in args.get(entry.params, [()]):
+            yield f"{entry.name}({','.join(map(str, a))})" if a else entry.name
+
+
+DD_SPECS = ["xy4", "mlev4", "u5", "kdd20", "whh4", "vmas", "udd(5)"]
+
+MIXED_DOC = {"name": "mixed", "elements": [
+    {"beta": 1.1, "phase": 0.3, "latitude": 0.7}, {"beta": 2.2, "axis": [1.0, 2.0, -0.5]},
+    {"beta": 0.7, "phase": -4.0}, {"beta": 3.0, "axis": [0.0, 0.0, 2.0]},
+    {"beta": 1.3, "phase": 1.0, "latitude": -1.2}, {"beta": 0.4, "axis": [3.0, -1.0, 0.0]}]}
+
+
+def _op_inputs():
+    """Catalog entries, random phase, latitude and axis sequences, and JSON input."""
+    rng = np.random.default_rng(131)
+    out = [catalog.named(spec) for spec in _catalog_specs()]
+    for n in range(1, 9):
+        out.append(sm.sequence_from_phases(f"p{n}", rng.uniform(0.2, 6.0), rng.uniform(-9, 9, n)))
+        out.append(sm.sequence_from_phases(f"l{n}", rng.uniform(0.2, 6.0, n), rng.uniform(-9, 9, n),
+                                           rng.uniform(-1.5, 1.5, n)))
+        out.append(sm.sequence_from_axes(f"a{n}", rng.uniform(0.2, 6.0, n),
+                                         rng.normal(size=(n, 3)) * 3.0))
+    out.append(sm.from_json_dict(MIXED_DOC))
+    return out
+
+
+def test_catalog_entries_equal_element_built_references(monkeypatch):
+    new = {spec: catalog.named(spec) for spec in _catalog_specs()}
+    new_dd = {spec: catalog.named_dd(spec).pulses for spec in DD_SPECS}
+    monkeypatch.setattr(catalog, "sequence_from_phases", _ref_sequence_from_phases)
+    monkeypatch.setattr(ddsim, "sequence_from_phases", _ref_sequence_from_phases)
+    monkeypatch.setattr(sm, "nest", _ref_nest)
+    monkeypatch.setattr(sm, "riffle", _ref_riffle)
+    monkeypatch.setattr(sm.RotationSequence, "with_name", _ref_with_name)
+    for spec, got in new.items():
+        _same(got, catalog.named(spec))
+    for spec, got in new_dd.items():
+        _same(got, catalog.named_dd(spec).pulses)
+    assert len(new) == 33
+
+
+def test_structural_ops_equal_element_built_references():
+    inputs = _op_inputs()
+    for i, s in enumerate(inputs):
+        _same(sm.reverse(s), _ref_reverse(s))
+        _same(s.with_name("renamed"), _ref_with_name(s, "renamed"))
+        for shift in (0, 1, 2, -3, 7):
+            _same(sm.cyclic_permute(s, shift), _ref_cyclic_permute(s, shift))
+        for dphi in (0.3, -2.5, 1e-12):
+            _same(sm.global_phase_shift(s, dphi), _ref_global_phase_shift(s, dphi))
+        for scale in (0.9, 1.0, 1.37):
+            _same(sm.scale_betas(s, scale), _ref_scale_betas(s, scale))
+        if s.is_equatorial():
+            _same(sm.riffle(s), _ref_riffle(s))
+            for k in (1, 2, -3):
+                _same(sm.phase_scale(s, k), _ref_phase_scale(s, k))
+            for inner in inputs[i % 5::9]:
+                if inner.is_equatorial():
+                    _same(sm.nest(s, inner), _ref_nest(s, inner))
+    _same(vm.compensated_cycle().pulses, _ref_compensated_cycle_pulses())
+
+
+def test_json_input_equals_element_built_reference():
+    rng = np.random.default_rng(132)
+    docs = [MIXED_DOC, {"elements": [{"beta": 0.5, "axis": [0.0, 1e-7, 1.0]}]},
+            {"name": "m4", "cycle_order": 4, "elements": [
+                {"beta": np.pi / 2, "phase": 0.1}, {"beta": np.pi / 2, "axis": [0.3, 0.1, 0.2]},
+                {"beta": np.pi / 2, "phase": 2.0, "latitude": 0.5}]}]
+    for n in range(1, 9):
+        rows = [{"beta": float(b), "phase": float(p), "latitude": float(t)} if rng.random() < 0.5
+                else {"beta": float(b), "axis": rng.normal(size=3).tolist()}
+                for b, p, t in zip(rng.uniform(0.1, 6.0, n), rng.uniform(-9, 9, n),
+                                   rng.uniform(-1.57, 1.57, n))]
+        docs.append({"name": f"j{n}", "elements": rows})
+    docs += [sm.to_json_dict(s) for s in _op_inputs()]
+    for doc in docs:
+        got, want = sm.from_json_dict(doc), _ref_from_json_dict(doc)
+        _same(got, want)
+        for lazy, eager in zip(got.elements, want.elements):
+            assert ((lazy.beta, lazy.phase, lazy.latitude)
+                    == (eager.beta, eager.phase, eager.latitude))
+            assert lazy.axis.tobytes() == eager.axis.tobytes()
+
+
+def test_vectorized_axis_from_phase_equals_scalar_kernel():
+    rng = np.random.default_rng(133)
+    lists = [(s.phases, s._given_latitudes) for s in map(catalog.named, _catalog_specs())
+             if not np.isnan(s._given_phases).any()]
+    lists += [(rng.uniform(-20, 20, n), rng.uniform(-np.pi / 2, np.pi / 2, n))
+              for n in rng.integers(1, 40, 39)]
+    assert len(lists) > 60
+    for phases, lats in lists:
+        want = np.array([_ref_axis_from_phase(p, t) for p, t in zip(phases, lats)])
+        assert rc.axis_from_phase(phases, lats).tobytes() == want.tobytes()
+        assert rc.axis_from_phase(phases).tobytes() == np.array(
+            [_ref_axis_from_phase(p) for p in phases]).tobytes()
+
+
+def test_axis_from_phase_names_the_first_bad_latitude():
+    with pytest.raises(ValueError, match=r"^latitude 2\.0 outside"):
+        rc.axis_from_phase([0.0, 1.0, 2.0], [0.0, 2.0, -3.0])
+    with pytest.raises(ValueError, match="^latitude nan outside"):
+        rc.axis_from_phase(0.0, np.nan)
+
+
+def test_library_builds_no_pulse_elements(built_elements):
+    seqs = [catalog.named(spec) for spec in _catalog_specs()]
+    seqs += [catalog.named_dd(spec).pulses for spec in DD_SPECS]
+    seqs.append(vm.compensated_cycle().pulses)
+    seqs.append(sm.from_json_dict(MIXED_DOC))
+    seqs.append(sm.sequence_from_phases("l", np.pi, [0.1, 0.2], [0.3, -0.4]))
+    assert len(built_elements) == 0
+    f1, u5 = catalog.f1(), catalog.u5()
+    for s in seqs:
+        sm.reverse(s), sm.cyclic_permute(s, 2), sm.global_phase_shift(s, 0.4)
+        sm.scale_betas(s, 1.1), s.with_name("x"), s.with_axes(s.axes), s.phases
+        sm.from_json_dict(sm.to_json_dict(s))
+    for s in (f1, u5):
+        sm.phase_scale(s, 3), sm.nest(f1, s), sm.riffle(s)
+    assert len(built_elements) == 0
+    assert len(f1.elements) == 5 and len(built_elements) == 5
+
+
+def test_infer_cycle_order_equals_the_scan():
+    cases = [0.0, -0.0, -1.0, -np.pi, np.inf, -np.inf, np.nan, 5e-324, 1e-300, 4 * np.pi, 20.0]
+    for m in range(1, 66):
+        b = 2.0 * np.pi / m
+        cases += [b, b + 1e-13, b - 1e-13, b + 2e-12, b - 2e-12]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for b in cases:
+            assert sm.infer_cycle_order(b) == _ref_infer_cycle_order(b), b
+            assert sm.infer_cycle_order([b, b]) == _ref_infer_cycle_order([b, b]), b
+            assert sm.infer_cycle_order([b, b + 1.0]) is None
+            for m_max in (0, 1, 8):
+                assert sm.infer_cycle_order(b, m_max) == _ref_infer_cycle_order(b, m_max), b
+    assert sm.infer_cycle_order(2.0 * np.pi / 64) == 64
+    assert sm.infer_cycle_order(2.0 * np.pi / 65) is None
