@@ -31,10 +31,6 @@ import numpy as np
 
 from . import averaging, catalog, ddsim, profiles, rotcore, search, seqmodel, toggling, virtualmas
 
-_AXIS_CYCLE = rotcore.from_axis_angle(np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0),
-                                      2.0 * np.pi / 3.0)
-
-
 @dataclass(frozen=True)
 class CriterionResult:
     number: int
@@ -223,7 +219,7 @@ def criterion_9() -> CriterionResult:
     """Search rediscovery of the catalog's compensated m=3 and m=4 gates."""
     t0 = time.perf_counter()
     res_a1 = search.enumerate_balanced(
-        search.SearchSpec(search.tetrahedron(), 4, 3, _AXIS_CYCLE))
+        search.SearchSpec(search.tetrahedron(), 4, 3, search.AXIS_CYCLING))
     got_p34 = any(seqmodel.sequences_equal(s, catalog.p34()) for s in res_a1)
 
     pi0 = rotcore.from_axis_angle(rotcore.E_X, np.pi)
@@ -272,7 +268,7 @@ def flip_angle_robustness(s: seqmodel.RotationSequence) -> CriterionResult:
                   for v in (orders.order1, orders.order2, orders.order3))
     scales = np.arange(80, 121) / 100.0
     x = (scales - 1.0) * beta
-    errs = profiles.rotation_errors(s, scales * beta, _AXIS_CYCLE)
+    errs = profiles.rotation_errors(s, scales * beta, search.AXIS_CYCLING)
     theta2 = np.degrees(o2 * x ** 2)
     gap = np.abs(errs - theta2)
     allowed = np.degrees(o3 * np.abs(x) ** 3) + 1e-9

@@ -33,6 +33,8 @@ class DDSequence:
         delays = np.asarray(self.delays, dtype=float)
         if delays.ndim != 1 or delays.size != len(self.pulses) + 1:
             raise ValueError("need exactly one more delay than pulses")
+        if not np.isfinite(delays).all():
+            raise ValueError("delays must be finite")
         if np.any(delays < 0.0):
             raise ValueError("delays must be non-negative")
         delays = delays.copy()

@@ -17,7 +17,7 @@ import numpy as np
 
 UNIT_TOL = 1e-12          # norm tolerance on construction
 DERIVED_TOL = 1e-10       # tolerance on derived quantities
-ZERO_ANGLE_TOL = 1e-9     # below this, to_axis_angle reports the identity
+ZERO_ANGLE_TOL = 1e-9     # below this, the log map reports the identity
 AXIS_INPUT_TOL = 1e-6     # how far from unit an input axis may be
 
 E_X = np.array([1.0, 0.0, 0.0])
@@ -32,7 +32,8 @@ def unit_vectors(v) -> np.ndarray:
     read-only array; raises on a (near-)zero or non-finite vector.  Each
     row's norm is summed like ``np.linalg.norm`` of that row."""
     v = np.ascontiguousarray(v, dtype=float)
-    n = np.sqrt(np.vecdot(v, v))   # per contiguous row, the dot product np.linalg.norm takes
+    with np.errstate(over="ignore"):   # an overflowing norm is inf, rejected below
+        n = np.sqrt(np.vecdot(v, v))   # per contiguous row, the dot product np.linalg.norm takes
     lo = np.minimum.reduce(n, axis=None, initial=math.inf)
     hi = np.maximum.reduce(n, axis=None, initial=0.0)
     if not (UNIT_TOL <= lo and hi < math.inf):   # a NaN norm reaches both and fails
@@ -154,15 +155,33 @@ def rotate_about_z(v: np.ndarray, angles) -> np.ndarray:
     return np.stack(np.broadcast_arrays(c * x - s * y, s * x + c * y, z), axis=-1)
 
 
+def quat_to_axis_angle(q) -> tuple[np.ndarray, np.ndarray]:
+    """Logarithm map of unit quaternion(s) (..., 4): canonical unit axes
+    (..., 3) and angles (...) in [0, pi].
+
+    Each row is flipped onto w >= 0.  Below ZERO_ANGLE_TOL a row reports
+    (e_z, 0).  At angle pi either antipodal axis is valid; the one whose
+    first nonzero component is positive (the lexicographically larger one)
+    is returned.
+    """
+    q = np.asarray(q, dtype=float)
+    sign = np.where(q[..., 0] >= 0.0, 1.0, -1.0)   # flip onto w >= 0; a w of -0 stays
+    v = q[..., 1:] * sign[..., None]
+    vnorm = np.sqrt(np.vecdot(v, v))   # per contiguous row, the dot product np.linalg.norm takes
+    angles = 2.0 * np.arctan2(vnorm, q[..., 0] * sign)
+    small = angles < ZERO_ANGLE_TOL
+    axes = np.where(small[..., None], E_Z, v / np.where(small, 1.0, vnorm)[..., None])
+    x, y, z = axes[..., 0], axes[..., 1], axes[..., 2]
+    lead = np.where(x != 0.0, x, np.where(y != 0.0, y, z))
+    flip = (angles > np.pi - 1e-12) & (lead < 0.0)
+    return np.where(flip[..., None], -axes, axes), np.where(small, 0.0, angles)
+
+
 def quat_to_rotation_vector(q: np.ndarray) -> np.ndarray:
-    """Logarithm map of unit quaternion(s) (..., 4): angle * axis with the
-    angle in [0, pi] (either axis at pi), and the zero vector below
-    ZERO_ANGLE_TOL."""
-    q = np.where(q[..., :1] >= 0.0, q, -q)
-    vnorm = np.linalg.norm(q[..., 1:], axis=-1, keepdims=True)
-    angle = 2.0 * np.arctan2(vnorm, q[..., :1])
-    small = angle < ZERO_ANGLE_TOL
-    return np.where(small, 0.0, angle * (q[..., 1:] / np.where(small, 1.0, vnorm)))
+    """Rotation vector(s) angle * axis of unit quaternion(s) (..., 4), from
+    ``quat_to_axis_angle``: the zero vector below ZERO_ANGLE_TOL."""
+    axes, angles = quat_to_axis_angle(q)
+    return angles[..., None] * axes
 
 
 def quat_angle_between(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -171,12 +190,7 @@ def quat_angle_between(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     row takes the steps of ``to_axis_angle(compose(inverse(a), b))`` and
     equals its angle bit for bit."""
     inv = unit_quaternions(quat_conj(np.asarray(a, dtype=float)))
-    q = unit_quaternions(quat_normalize(quat_mul(inv, b)))
-    # to_axis_angle's flip onto w >= 0 leaves |v| as it is and makes w |w|
-    # (a zero w keeps its sign there, which atan2 ignores when |v| > 0)
-    v = q[..., 1:]
-    angle = 2.0 * np.arctan2(np.sqrt(np.vecdot(v, v)), np.abs(q[..., 0]))
-    return np.where(angle < ZERO_ANGLE_TOL, 0.0, angle)
+    return quat_to_axis_angle(unit_quaternions(quat_normalize(quat_mul(inv, b))))[1]
 
 
 def quat_identity(shape=()) -> np.ndarray:
@@ -192,9 +206,7 @@ def quat_identity(shape=()) -> np.ndarray:
 def unit_quaternions(q) -> np.ndarray:
     """Quaternion(s) (..., 4) divided by their norms, as a read-only array,
     after the ``Rotation`` constructor's norm check over the whole stack.
-    Each row equals ``Rotation(row).q`` bit for bit.  The constructor keeps
-    its scalar kernel: 3.2 us per quaternion against 4.4 us as a batch of
-    one (2-vCPU x86 VM, numpy 2.4)."""
+    Each row equals ``Rotation(row).q`` bit for bit."""
     q = np.ascontiguousarray(q, dtype=float)
     if q.shape[-1:] != (4,):
         raise ValueError(f"quaternions must have shape (..., 4), got {q.shape}")
@@ -216,12 +228,7 @@ class Rotation:
         q = np.asarray(q, dtype=float)
         if q.shape != (4,):
             raise ValueError(f"quaternion must have shape (4,), got {q.shape}")
-        n = float(np.linalg.norm(q))
-        if not abs(n - 1.0) <= AXIS_INPUT_TOL:   # NaN fails too
-            raise ValueError(f"quaternion norm {n} too far from 1")
-        q = q / n
-        q.flags.writeable = False
-        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "q", unit_quaternions(q))
 
     def __setattr__(self, name, value):
         raise AttributeError("Rotation is immutable")
@@ -231,12 +238,7 @@ class Rotation:
         return f"Rotation(axis=({e[0]:.6g}, {e[1]:.6g}, {e[2]:.6g}), angle={beta:.6g})"
 
     def as_matrix(self) -> np.ndarray:
-        w, x, y, z = self.q
-        return np.array([
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ])
+        return quat_apply(self.q, np.eye(3)).T
 
 
 IDENTITY = Rotation(np.array([1.0, 0.0, 0.0, 0.0]))
@@ -272,22 +274,9 @@ def from_rotation_vector(v) -> Rotation:
 
 
 def to_axis_angle(r: Rotation) -> tuple[np.ndarray, float]:
-    """Canonical (axis, angle) with angle in [0, pi].
-
-    The identity reports (e_z, 0).  At angle pi either antipodal axis is
-    valid; the lexicographically larger one is returned.
-    """
-    q = r.q if r.q[0] >= 0.0 else -r.q
-    vnorm = float(np.linalg.norm(q[1:]))
-    angle = 2.0 * np.arctan2(vnorm, q[0])
-    if angle < ZERO_ANGLE_TOL:
-        return E_Z, 0.0
-    axis = q[1:] / vnorm
-    if angle > np.pi - 1e-12:
-        neg = -axis
-        if tuple(neg) > tuple(axis):
-            axis = neg
-    axis = axis.copy()
+    """Canonical (axis, angle) of ``r``: a batch of one of
+    ``quat_to_axis_angle``, the axis read-only."""
+    axis, angle = quat_to_axis_angle(r.q)
     axis.flags.writeable = False
     return axis, float(angle)
 

@@ -36,6 +36,8 @@ BALANCE_SUM_TOL = 1e-9
 WALK_TOL = 1e-6          # loose acceptance of the walk, far above its rounding drift
 _KEY_SCALE = 1e9         # states merge on their components rounded to 1e-9
 
+AXIS_CYCLING = rotcore.from_axis_angle(np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0), 2.0 * np.pi / 3.0)
+
 
 @dataclass(frozen=True)
 class AxisSet:
@@ -98,7 +100,8 @@ BUILTIN_AXIS_SETS = {
 class SearchSpec:
     """What to enumerate: ``target`` is a Rotation, the string
     'equatorial_pi' (a pi rotation about any equatorial axis), or
-    'axis_cycling' (net maps e_x -> e_y -> e_z -> e_x)."""
+    'axis_cycling' (``AXIS_CYCLING``, the 2pi/3 rotation about (1,1,1),
+    which maps e_x -> e_y -> e_z -> e_x)."""
 
     axis_set: AxisSet
     n: int
@@ -122,22 +125,11 @@ class SearchSpec:
 
 def _target_mask(spec: SearchSpec, net_quats: np.ndarray, tol: float = NET_MATCH_TOL) -> np.ndarray:
     """Boolean mask of nets (quaternions up to sign) matching the target within tol."""
-    if isinstance(spec.target, Rotation):
-        # residual angle of target^-1 U, from the quaternion scalar part
-        resid = rotcore.quat_mul(rotcore.quat_conj(spec.target.q)[None, :], net_quats)
-        angles = 2.0 * np.arctan2(np.linalg.norm(resid[:, 1:], axis=1), np.abs(resid[:, 0]))
-        return angles < tol
     if spec.target == "equatorial_pi":
         # pi rotations have scalar part 0; equatorial axis means no z component
         return (np.abs(net_quats[:, 0]) < tol / 2.0) & (np.abs(net_quats[:, 3]) < tol / 2.0)
-    # axis cycling, tested by action on the basis vectors (robust near 2pi/3)
-    ex = rotcore.quat_apply(net_quats, rotcore.E_X)
-    ey = rotcore.quat_apply(net_quats, rotcore.E_Y)
-    ez = rotcore.quat_apply(net_quats, rotcore.E_Z)
-    err = np.maximum(np.linalg.norm(ex - rotcore.E_Y, axis=1),
-                     np.maximum(np.linalg.norm(ey - rotcore.E_Z, axis=1),
-                                np.linalg.norm(ez - rotcore.E_X, axis=1)))
-    return err < tol
+    target = AXIS_CYCLING if spec.target == "axis_cycling" else spec.target
+    return rotcore.quat_angle_between(target.q, net_quats) < tol
 
 
 def _check_level(level: int, rows: int) -> None:

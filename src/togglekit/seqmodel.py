@@ -441,6 +441,9 @@ def from_json_dict(d: dict) -> RotationSequence:
                 axes[i] = ax
             else:
                 raise ValueError(f"an axis needs 3 components, got an array of shape {ax.shape}")
+        for name, vals in (("phase", phases[by_phase]), ("latitude", lats[by_phase])):
+            if not np.isfinite(vals).all():
+                raise ValueError(f"{name} {vals[~np.isfinite(vals)][0]} is not finite")
         axes[by_phase] = axis_from_phase(phases[by_phase], lats[by_phase])
         return _sequences([d.get("name", "unnamed")], betas[None], axes[None],
                           d.get("cycle_order"), phases[None], lats[None])[0]

@@ -12,7 +12,7 @@ blocks.
 
 import numpy as np
 
-from togglekit import acceptance, catalog, profiles, rotcore, seqmodel
+from togglekit import acceptance, catalog, profiles, rotcore, search, seqmodel
 
 
 def _check(fn):
@@ -81,9 +81,9 @@ def test_criterion_10_sweep_matches_scalar_errors():
     beta = s.uniform_beta()
     scales = np.arange(80, 121) / 100.0
     want = [float(np.degrees(rotcore.to_axis_angle(rotcore.compose(
-        rotcore.inverse(acceptance._AXIS_CYCLE), seqmodel.net_propagator(s, sc * beta / beta)))[1]))
+        rotcore.inverse(search.AXIS_CYCLING), seqmodel.net_propagator(s, sc * beta / beta)))[1]))
         for sc in scales]
-    assert profiles.rotation_errors(s, scales * beta, acceptance._AXIS_CYCLE).tolist() == want
+    assert profiles.rotation_errors(s, scales * beta, search.AXIS_CYCLING).tolist() == want
     assert acceptance.criterion_10().detail == (
         "|order1| 2.5e-16; |err - theta2| max 0.097 deg (|order3| bound 1.62); "
         "max 4.79 deg on |eps| <= 0.173; max 6.61 deg at scale 0.80")

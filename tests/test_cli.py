@@ -216,6 +216,24 @@ AXIS_SHAPES = {"axis-len2": [1, 0], "axis-len4": [1, 0, 0, 0], "axis-nested": [[
       for cmd in ("toggle", "centroid", "cycle") for tag, axis in AXIS_SHAPES.items()],
     pytest.param(["orders", "@in"], {"elements": [{"beta": np.pi, "axis": 1}]}, "3 components",
                  id="orders-axis-scalar"),
+    *[pytest.param([cmd, "@in"], {"elements": [{"beta": np.pi, **el}]}, says,
+                   id=f"{cmd}-{tag}")
+      for cmd in ("cycle", "orders")
+      for tag, el, says in (
+          ("inf-phase", {"phase": float("inf")}, "phase inf is not finite"),
+          ("inf-latitude", {"phase": 0.0, "latitude": float("-inf")},
+           "latitude -inf is not finite"),
+          ("overflowing-axis", {"axis": [1e300, 1e300, 0.0]}, "norm inf"))],
+    *[pytest.param(["cycle", "@in", "--deg"], {"elements": [el]}, "malformed sequence: ",
+                   id=f"deg-{tag}")
+      for tag, el in (("string-beta", {"beta": "180", "phase": 0.0}),
+                      ("string-phase", {"beta": 180.0, "phase": "inf"}),
+                      ("null-latitude", {"beta": 180.0, "phase": 0.0, "latitude": None}))],
+    *[pytest.param(argv, {"pulses": {"elements": [{"beta": np.pi, "phase": 0.0}] * 2},
+                          "delays": [0.5, bad, 0.5]}, "delays must be finite",
+                   id=f"{argv[0]}-{bad}-delay")
+      for argv in (["kappa", "@in", "--lambda", "1"], ["ddmap", "@in"])
+      for bad in (None, float("inf"), "nan")],
     # flip angles of 2pi/m, so that only the type of the cycle order is wrong
     pytest.param(["toggle", "@in"], {"cycle_order": 3.0, "elements": [
         {"beta": 2 * np.pi / 3, "phase": 0.0}]}, "cycle order must be an integer",

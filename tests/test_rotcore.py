@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from togglekit import rotcore as rc
+from togglekit import catalog, rotcore as rc, seqmodel
 
 
 def rodrigues(axis, angle):
@@ -317,3 +317,140 @@ def test_unit_quaternions_check_the_whole_stack(bad):
         rc.rotations(q)
     with pytest.raises(ValueError, match=r"shape \(\.\.\., 4\)"):
         rc.unit_quaternions(np.ones((2, 3)))
+
+
+# ---------------------------------------------------------------------------
+# references: the log map, rotation vector, constructor and matrix that the
+# one batched log map and unit_quaternions replaced
+# ---------------------------------------------------------------------------
+
+def _to_axis_angle_reference(q):
+    """The scalar to_axis_angle body, on a unit quaternion (4,)."""
+    q = q if q[0] >= 0.0 else -q
+    vnorm = float(np.linalg.norm(q[1:]))
+    angle = 2.0 * np.arctan2(vnorm, q[0])
+    if angle < rc.ZERO_ANGLE_TOL:
+        return rc.E_Z, 0.0
+    axis = q[1:] / vnorm
+    if angle > np.pi - 1e-12:
+        neg = -axis
+        if tuple(neg) > tuple(axis):
+            axis = neg
+    return axis.copy(), float(angle)
+
+
+def _rotation_vector_reference(q):
+    """quat_to_rotation_vector with its own log map and np.linalg.norm."""
+    q = np.where(q[..., :1] >= 0.0, q, -q)
+    vnorm = np.linalg.norm(q[..., 1:], axis=-1, keepdims=True)
+    angle = 2.0 * np.arctan2(vnorm, q[..., :1])
+    small = angle < rc.ZERO_ANGLE_TOL
+    return np.where(small, 0.0, angle * (q[..., 1:] / np.where(small, 1.0, vnorm)))
+
+
+def _rotation_init_reference(q):
+    """The Rotation constructor's own shape check and scalar normalizer."""
+    q = np.asarray(q, dtype=float)
+    if q.shape != (4,):
+        raise ValueError(f"quaternion must have shape (4,), got {q.shape}")
+    n = float(np.linalg.norm(q))
+    if not abs(n - 1.0) <= rc.AXIS_INPUT_TOL:
+        raise ValueError(f"quaternion norm {n} too far from 1")
+    return q / n
+
+
+def _as_matrix_reference(q):
+    w, x, y, z = q
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ])
+
+
+def _log_map_rows():
+    """Special rows first (the identity, w < 0 and w = -0, pi about axes whose
+    leading components are zero or negative, pi - 1e-13, angles below
+    ZERO_ANGLE_TOL, catalog nets), then 20 000 random unit quaternions."""
+    special = [[1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0], [-1.0, -0.0, 0.0, -0.0],
+               [0.0, -1.0, 0.0, 0.0], [0.0, 0.0, -1.0, 0.0], [0.0, 0.0, 0.0, -1.0],
+               [-0.0, 0.0, -0.0, -1.0], [0.0, -0.0, -0.6, 0.8], [0.0, 0.0, 0.6, -0.8],
+               [-0.0, 0.0, 1.0, 0.0], [0.0, -0.6, 0.0, 0.8]]
+    special += [rc.quat_from_axis_angle(e, t) for e in ([-0.6, 0.8, 0.0], [0.0, -0.8, 0.6],
+                                                       [0.6, -0.8, 0.0], [0.0, 0.0, -1.0])
+                for t in (np.pi - 1e-13, np.pi + 1e-13, -np.pi, 5e-10, -5e-10, 2 * np.pi - 3e-10)]
+    nets = [seqmodel.net_propagator(catalog.named(name)).q
+            for name in ("f1", "nb1_tpg", "t1", "pb1", "p34", "i34", "derome", "tycko", "u5")]
+    rng = np.random.default_rng(41)
+    random = rng.normal(size=(20_000, 4))
+    random /= np.linalg.norm(random, axis=1, keepdims=True)
+    random[::7, 0] *= -1.0
+    return np.concatenate([np.array(special + nets), random])
+
+
+def test_quat_to_axis_angle_matches_scalar_reference_at_every_batch_shape():
+    q = _log_map_rows()
+    want = [_to_axis_angle_reference(row) for row in q]
+    want_axes = np.array([a for a, _ in want])
+    want_angles = [t for _, t in want]
+    assert sum(t == 0.0 for t in want_angles) >= 9 and sum(t > np.pi - 1e-12 for t in want_angles) >= 14
+    axes, angles = rc.quat_to_axis_angle(q)                          # (N,)
+    assert axes.shape == (len(q), 3) and angles.shape == (len(q),)
+    assert axes.tobytes() == want_axes.tobytes() and angles.tolist() == want_angles
+    grid = q[:len(q) // 9 * 9].reshape(9, -1, 4)                      # (A, B)
+    axes, angles = rc.quat_to_axis_angle(grid)
+    assert axes.tobytes() == want_axes[:grid.shape[0] * grid.shape[1]].tobytes()
+    assert angles.ravel().tolist() == want_angles[:angles.size]
+    for row, (axis, angle) in zip(q[:2000], want):                   # ()
+        got_axis, got_angle = rc.quat_to_axis_angle(row)
+        assert got_axis.shape == (3,) and got_angle.shape == ()
+        assert got_axis.tobytes() == axis.tobytes() and float(got_angle) == angle
+        r = rc.Rotation(row)
+        axis, angle = _to_axis_angle_reference(r.q)
+        r_axis, r_angle = rc.to_axis_angle(r)
+        assert r_axis.tobytes() == axis.tobytes() and type(r_angle) is float and r_angle == angle
+        assert not r_axis.flags.writeable
+
+
+def test_quat_to_rotation_vector_matches_old_log_map():
+    # the norm moved from np.linalg.norm to vecdot: a last-bit change on a
+    # few rows, and at pi the canonical axis where either sign was valid
+    q = _log_map_rows()
+    got, want = rc.quat_to_rotation_vector(q), _rotation_vector_reference(q)
+    near_pi = np.linalg.norm(want, axis=1) > np.pi - 1e-12
+    assert np.max(np.abs(got - want)[~near_pi]) <= 4.5e-16 * np.pi
+    assert np.array_equal(np.abs(got[near_pi]), np.abs(want[near_pi]))
+    rng = np.random.default_rng(43)
+    small = rc.quat_from_axis_angle(rc.unit_vectors(rng.normal(size=(5000, 3))),
+                                    rng.uniform(-0.3, 0.3, 5000))
+    assert np.max(np.abs(rc.quat_to_rotation_vector(small) - _rotation_vector_reference(small))) \
+        <= 4.5e-16
+
+
+def test_rotation_constructor_matches_its_old_normalizer():
+    rng = np.random.default_rng(47)
+    q = rng.normal(size=(20_000, 4))
+    q *= (1.0 + rng.uniform(-1e-7, 1e-7, size=(20_000, 1))) / np.linalg.norm(q, axis=1,
+                                                                            keepdims=True)
+    for row in q:
+        r = rc.Rotation(row)
+        assert r.q.tobytes() == _rotation_init_reference(row).tobytes()
+        assert not r.q.flags.writeable and not np.shares_memory(r.q, row)
+    bad = [np.ones(3), np.ones((2, 4)), np.array(1.0), [1.01, 0, 0, 0], np.zeros(4),
+           [np.nan, 0, 0, 0], [np.inf, 0, 0, 0], [1.0, 0.0, 0.0, 3e-3]]
+    for b in bad:
+        with pytest.raises(ValueError) as want:
+            _rotation_init_reference(b)
+        with pytest.raises(ValueError) as got:
+            rc.Rotation(b)
+        assert str(got.value) == str(want.value)
+
+
+def test_as_matrix_matches_the_component_formula():
+    rng = np.random.default_rng(53)
+    q = rng.normal(size=(2000, 4))
+    for row in q / np.linalg.norm(q, axis=1, keepdims=True):
+        m = rc.Rotation(row).as_matrix()
+        assert m.shape == (3, 3)
+        assert np.max(np.abs(m - _as_matrix_reference(row))) < 2e-15
+        assert np.array_equal(m[:, 0], rc.rotate(rc.Rotation(row), rc.E_X))

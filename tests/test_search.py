@@ -5,7 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from togglekit import catalog, profiles as pf, rotcore as rc, search as se, seqmodel as sm, toggling as tg
+from togglekit import catalog, cli, profiles as pf, rotcore as rc, search as se, seqmodel as sm, \
+    toggling as tg
 
 CYC = rc.from_axis_angle(np.array([1.0, 1.0, 1.0]) / np.sqrt(3), 2 * np.pi / 3)
 PI0 = rc.from_axis_angle(rc.E_X, np.pi)
@@ -194,7 +195,56 @@ def _odometer_reference(spec):
     axes, nets = tg.inverse_toggle_axes(tuples, spec.beta)
     return [sm.RotationSequence(f"{spec.axis_set.name}-{spec.m}-{j}",
                                 [sm.PulseElement(spec.beta, e) for e in a], spec.m)
-            for j, a in enumerate(axes[se._target_mask(spec, nets)])]
+            for j, a in enumerate(axes[_target_mask_reference(spec, nets)])]
+
+
+def _target_mask_reference(spec, net_quats, tol=se.NET_MATCH_TOL):
+    """The target test before it ran on quat_angle_between: its own log map
+    for a Rotation, and the action on the basis vectors for axis cycling."""
+    if isinstance(spec.target, rc.Rotation):
+        resid = rc.quat_mul(rc.quat_conj(spec.target.q)[None, :], net_quats)
+        angles = 2.0 * np.arctan2(np.linalg.norm(resid[:, 1:], axis=1), np.abs(resid[:, 0]))
+        return angles < tol
+    if spec.target == "equatorial_pi":
+        return (np.abs(net_quats[:, 0]) < tol / 2.0) & (np.abs(net_quats[:, 3]) < tol / 2.0)
+    ex = rc.quat_apply(net_quats, rc.E_X)
+    ey = rc.quat_apply(net_quats, rc.E_Y)
+    ez = rc.quat_apply(net_quats, rc.E_Z)
+    err = np.maximum(np.linalg.norm(ex - rc.E_Y, axis=1),
+                     np.maximum(np.linalg.norm(ey - rc.E_Z, axis=1),
+                                np.linalg.norm(ez - rc.E_X, axis=1)))
+    return err < tol
+
+
+@pytest.mark.parametrize("set_name, n, m, target, balance", [
+    # the golden CLI searches with a rotation or axis-cycling target
+    ("tetrahedron", 4, 3, "1,1,1:2.0943951023931953", "full"),
+    ("cube", 4, 3, "axis_cycling", "full"),
+    ("tetrahedron", 4, 3, "axis_cycling", "z_only"),
+    # criterion 9
+    ("tetrahedron", 4, 3, "AXIS_CYCLING", "full"),
+    ("diagonal_quad", 4, 3, "1,0,0:3.141592653589793", "full"),
+    ("octahedron", 6, 4, "axis_cycling", "full"),
+    # cube n = 6
+    ("cube", 6, 3, "axis_cycling", "full"),
+    ("cube", 6, 3, "axis_cycling", "z_only"),
+])
+def test_target_tests_match_the_reference_mask(monkeypatch, set_name, n, m, target, balance):
+    if target == "AXIS_CYCLING":
+        target = se.AXIS_CYCLING
+    elif target != "axis_cycling":
+        target = cli._target_from_string(target)
+    spec = se.SearchSpec(se.BUILTIN_AXIS_SETS[set_name](), n, m, target, balance)
+    got = se.enumerate_balanced(spec)
+    monkeypatch.setattr(se, "_target_mask", _target_mask_reference)
+    want = se.enumerate_balanced(spec)
+    assert len(want) > 0
+    _assert_same_results(got, want)
+
+
+def test_axis_cycling_constant_cycles_the_basis():
+    for e, image in ((rc.E_X, rc.E_Y), (rc.E_Y, rc.E_Z), (rc.E_Z, rc.E_X)):
+        assert np.max(np.abs(rc.rotate(se.AXIS_CYCLING, e) - image)) < 1e-15
 
 
 def _round_key(axes):

@@ -471,6 +471,13 @@ def test_sequences_equal_tolerances():
     5, [], {"elements": 5}, {"elements": [1.0]}, {"name": "x"},
     {"elements": [{"beta": [1.0], "phase": 0.0}]},
     {"cycle_order": "2", "elements": [{"beta": np.pi, "phase": 0.0}]},
+    # non-finite phase or latitude, and an axis whose squared norm overflows,
+    # end in the one ValueError without a numpy RuntimeWarning first
+    {"elements": [{"beta": np.pi, "phase": np.inf}]},
+    {"elements": [{"beta": np.pi, "phase": "-inf"}]},
+    {"elements": [{"beta": np.pi, "phase": 0.0, "latitude": np.inf}]},
+    {"elements": [{"beta": np.pi, "phase": 0.0, "latitude": np.nan}]},
+    {"elements": [{"beta": np.pi, "axis": [1e300, 1e300, 0.0]}]},
 ])
 def test_from_json_dict_rejects_malformed_documents(doc):
     with pytest.raises(ValueError):
