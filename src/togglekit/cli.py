@@ -60,18 +60,15 @@ def _finite_float(text: str) -> float:
 
 def _to_degrees_dict(d: dict) -> dict:
     els = []
-    try:   # a value of the wrong JSON type raises TypeError
-        for ed in seqmodel.json_elements(d):
-            e = {"beta": np.radians(ed["beta"])}
-            if "axis" in ed:
-                e["axis"] = ed["axis"]
-            else:
-                e["phase"] = np.radians(ed["phase"])
-                if "latitude" in ed:
-                    e["latitude"] = np.radians(ed["latitude"])
-            els.append(e)
-    except TypeError as exc:
-        raise ValueError(f"malformed sequence: {exc}") from exc
+    for ed in seqmodel.json_elements(d):
+        e = {"beta": np.radians(ed["beta"])}
+        if "axis" in ed:
+            e["axis"] = ed["axis"]
+        else:
+            e["phase"] = np.radians(ed["phase"])
+            if "latitude" in ed:
+                e["latitude"] = np.radians(ed["latitude"])
+        els.append(e)
     out = {"name": d.get("name", "unnamed"), "elements": els}
     if "cycle_order" in d:
         out["cycle_order"] = d["cycle_order"]

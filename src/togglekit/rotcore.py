@@ -164,17 +164,24 @@ def quat_to_axis_angle(q) -> tuple[np.ndarray, np.ndarray]:
     first nonzero component is positive (the lexicographically larger one)
     is returned.
     """
-    q = np.asarray(q, dtype=float)
-    sign = np.where(q[..., 0] >= 0.0, 1.0, -1.0)   # flip onto w >= 0; a w of -0 stays
-    v = q[..., 1:] * sign[..., None]
-    vnorm = np.sqrt(np.vecdot(v, v))   # per contiguous row, the dot product np.linalg.norm takes
-    angles = 2.0 * np.arctan2(vnorm, q[..., 0] * sign)
+    v, vnorm, angles = _log_angles(np.asarray(q, dtype=float))
     small = angles < ZERO_ANGLE_TOL
     axes = np.where(small[..., None], E_Z, v / np.where(small, 1.0, vnorm)[..., None])
     x, y, z = axes[..., 0], axes[..., 1], axes[..., 2]
     lead = np.where(x != 0.0, x, np.where(y != 0.0, y, z))
     flip = (angles > np.pi - 1e-12) & (lead < 0.0)
-    return np.where(flip[..., None], -axes, axes), np.where(small, 0.0, angles)
+    return np.where(flip[..., None], -axes, axes), angles
+
+
+def _log_angles(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The angle steps of the log map on unit quaternions (..., 4): the vector
+    parts v of the rows flipped onto w >= 0 (a w of -0 stays), |v| and the
+    angles 2 atan2(|v|, w), set to 0 below ZERO_ANGLE_TOL."""
+    sign = np.where(q[..., 0] >= 0.0, 1.0, -1.0)
+    v = q[..., 1:] * sign[..., None]
+    vnorm = np.sqrt(np.vecdot(v, v))   # per contiguous row, the dot product np.linalg.norm takes
+    angles = 2.0 * np.arctan2(vnorm, q[..., 0] * sign)
+    return v, vnorm, np.where(angles < ZERO_ANGLE_TOL, 0.0, angles)
 
 
 def quat_to_rotation_vector(q: np.ndarray) -> np.ndarray:
@@ -187,10 +194,10 @@ def quat_to_rotation_vector(q: np.ndarray) -> np.ndarray:
 def quat_angle_between(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """SO(3) distance: the rotation angle in [0, pi] of a^-1 b for unit
     quaternions a, b (..., 4), broadcast, and 0 below ZERO_ANGLE_TOL.  Each
-    row takes the steps of ``to_axis_angle(compose(inverse(a), b))`` and
-    equals its angle bit for bit."""
+    row takes the angle steps of ``to_axis_angle(compose(inverse(a), b))``
+    and equals its angle bit for bit."""
     inv = unit_quaternions(quat_conj(np.asarray(a, dtype=float)))
-    return quat_to_axis_angle(unit_quaternions(quat_normalize(quat_mul(inv, b))))[1]
+    return _log_angles(unit_quaternions(quat_normalize(quat_mul(inv, b))))[2]
 
 
 def quat_identity(shape=()) -> np.ndarray:

@@ -138,6 +138,20 @@ def _check_level(level: int, rows: int) -> None:
                          f"above the bound {STATE_GUARD}")
 
 
+def _unique_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Groups of equal rows of a (N, L) array, in lexicographic order: the
+    index of each group's first row and each row's group, the index and
+    inverse of numpy's row-wise unique, from one stable lexsort instead of a
+    sort of structured rows."""
+    order = np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    starts = np.ones(len(keys), dtype=bool)
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=starts[1:])
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return order[starts], inverse
+
+
 def _state_keys(quats: np.ndarray, sums: np.ndarray) -> np.ndarray:
     """Integer keys (N, 4 + d) of states: the quaternion with its sign fixed
     by the first nonzero rounded component, then the partial sum."""
@@ -170,10 +184,9 @@ def _walk(spec: SearchSpec) -> np.ndarray:
         keep = np.flatnonzero(dist <= (n - level) * reach + WALK_TOL)
         if keep.size == 0:
             return np.empty((0, n), dtype=np.intp)
-        _, first, inverse = np.unique(_state_keys(q[keep], s[keep]), axis=0,
-                                      return_index=True, return_inverse=True)
+        first, inverse = _unique_rows(_state_keys(q[keep], s[keep]))
         table = np.full(rows, len(first))
-        table[keep] = inverse.reshape(-1)
+        table[keep] = inverse
         tables.append(table.reshape(-1, k))
         quats, sums = q[keep[first]], s[keep[first]]
     # backward reachability: live transitions of every level
@@ -244,6 +257,8 @@ def _octahedral_rotations() -> list[np.ndarray]:
 
 
 _OCTAHEDRAL = _octahedral_rotations()
+# each rotation as a signed permutation: (v @ g.T)[..., i] == v[..., perm[i]] * signs[i]
+_SIGNED_PERMUTATIONS = [(np.abs(g).argmax(axis=1), g.sum(axis=1)) for g in _OCTAHEDRAL]
 
 
 def _rounded(axes: np.ndarray) -> np.ndarray:
@@ -265,9 +280,16 @@ def _lex_min(best: np.ndarray, cand: np.ndarray) -> np.ndarray:
 
 
 def _octahedral_keys(axes: np.ndarray) -> np.ndarray:
+    """The smallest rounded image of each axis list under _OCTAHEDRAL.  The
+    axes are rounded once: a signed permutation moves and negates components
+    exactly, and rounding commutes with both."""
+    rounded = np.round(axes, 9)
     best = np.full((len(axes), axes.shape[1] * 3), np.inf)
-    for g in _OCTAHEDRAL:
-        best = _lex_min(best, _rounded(axes @ g.T))
+    for perm, signs in _SIGNED_PERMUTATIONS:
+        image = rounded[..., perm]
+        image *= signs
+        image += 0.0
+        best = _lex_min(best, image.reshape(best.shape))
     return best
 
 
@@ -315,6 +337,6 @@ def dedupe(results: list[RotationSequence], symmetry: str = "global_z") -> list[
     keep = []
     for idx in by_length.values():
         keys = _canonical_keys(np.array([results[i].axes for i in idx]), symmetry)
-        first = np.unique(keys, axis=0, return_index=True)[1]
+        first = _unique_rows(keys)[0]
         keep.extend(np.asarray(idx)[first].tolist())
     return [results[i] for i in sorted(keep)]

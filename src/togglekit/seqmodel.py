@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -419,11 +420,32 @@ def to_json_dict(s: RotationSequence) -> dict:
     return out
 
 
+def _json_number(name: str, value) -> None:
+    """A value read as a number must be a JSON number (an int or a float, not
+    a bool), and an int must fit a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"malformed sequence: {name} must be a JSON number, got {value!r}")
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ValueError(f"malformed sequence: {name} is an integer beyond the float range")
+
+
 def json_elements(d) -> list[dict]:
-    """The element list of a decoded sequence object, checked for shape."""
+    """The element list of a decoded sequence object, checked for shape, with
+    JSON numbers wherever a flip angle, phase, latitude or axis is read."""
     els = d.get("elements") if isinstance(d, dict) else None
     if not isinstance(els, list) or not all(isinstance(ed, dict) for ed in els):
         raise ValueError("a sequence must be a JSON object whose 'elements' is a list of objects")
+    for ed in els:
+        _json_number("beta", ed["beta"])
+        if "axis" not in ed:
+            _json_number("phase", ed["phase"])
+            if "latitude" in ed:
+                _json_number("latitude", ed["latitude"])
+        elif not (isinstance(ed["axis"], list) and len(ed["axis"]) == 3):
+            raise ValueError(f"an axis needs 3 components, got {ed['axis']!r}")
+        else:
+            for c in ed["axis"]:
+                _json_number("axis component", c)
     return els
 
 
@@ -432,23 +454,18 @@ def from_json_dict(d: dict) -> RotationSequence:
     betas, axes = np.empty(len(rows)), np.empty((len(rows), 3))
     phases, lats = np.full((2, len(rows)), math.nan)
     by_phase = np.array(["axis" not in ed for ed in rows], dtype=bool)
-    try:   # a value of the wrong JSON type raises TypeError
-        for i, ed in enumerate(rows):
-            betas[i] = float(ed["beta"])
-            if by_phase[i]:
-                phases[i], lats[i] = float(ed["phase"]), float(ed.get("latitude", 0.0))
-            elif (ax := np.asarray(ed["axis"], dtype=float)).shape == (3,):
-                axes[i] = ax
-            else:
-                raise ValueError(f"an axis needs 3 components, got an array of shape {ax.shape}")
-        for name, vals in (("phase", phases[by_phase]), ("latitude", lats[by_phase])):
-            if not np.isfinite(vals).all():
-                raise ValueError(f"{name} {vals[~np.isfinite(vals)][0]} is not finite")
-        axes[by_phase] = axis_from_phase(phases[by_phase], lats[by_phase])
-        return _sequences([d.get("name", "unnamed")], betas[None], axes[None],
-                          d.get("cycle_order"), phases[None], lats[None])[0]
-    except TypeError as exc:
-        raise ValueError(f"malformed sequence: {exc}") from exc
+    for i, ed in enumerate(rows):
+        betas[i] = ed["beta"]
+        if by_phase[i]:
+            phases[i], lats[i] = ed["phase"], ed.get("latitude", 0.0)
+        else:
+            axes[i] = ed["axis"]
+    for name, vals in (("phase", phases[by_phase]), ("latitude", lats[by_phase])):
+        if not np.isfinite(vals).all():
+            raise ValueError(f"{name} {vals[~np.isfinite(vals)][0]} is not finite")
+    axes[by_phase] = axis_from_phase(phases[by_phase], lats[by_phase])
+    return _sequences([d.get("name", "unnamed")], betas[None], axes[None],
+                      d.get("cycle_order"), phases[None], lats[None])[0]
 
 
 def load_sequence(path: str) -> RotationSequence:

@@ -252,6 +252,26 @@ def test_bad_input_exits_1_with_one_line(capsys, tmp_path, argv, doc, says):
     assert says in err
 
 
+@pytest.mark.parametrize("element, says", [
+    ({"beta": "180", "phase": 0.0}, "beta must be a JSON number, got '180'"),
+    ({"beta": 180.0, "phase": True}, "phase must be a JSON number, got True"),
+    ({"beta": 180.0, "phase": 0.0, "latitude": None}, "latitude must be a JSON number, got None"),
+    ({"beta": 180.0, "axis": [1.0, "0", 0.0]}, "axis component must be a JSON number, got '0'"),
+    ({"beta": 180.0, "axis": [1.0, [0.0], 0.0]}, "axis component must be a JSON number, got [0.0]"),
+    ({"beta": 10 ** 400, "phase": 0.0}, "beta is an integer beyond the float range"),
+], ids=["string-beta", "bool-phase", "null-latitude", "string-axis", "ragged-axis",
+        "huge-int-beta"])
+def test_json_values_are_checked_once_with_and_without_deg(capsys, tmp_path, element, says):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"elements": [element]}))
+    errs = []
+    for deg in ([], ["--deg"]):
+        code, out, err = run(capsys, "cycle", f"@{path}", *deg)
+        assert code == 1 and out == ""
+        errs.append(err)
+    assert errs[0] == errs[1] == f"error: malformed sequence: {says}\n"
+
+
 def test_parser_is_built_once_per_process(capsys, monkeypatch):
     calls = []
     build = cli._build_parser

@@ -427,6 +427,17 @@ def test_quat_to_rotation_vector_matches_old_log_map():
         <= 4.5e-16
 
 
+def test_quat_angle_between_is_the_log_map_angle_bit_for_bit():
+    # the distance takes only the log map's angle steps, without its axes
+    q = _log_map_rows()
+    _, angles = rc.quat_to_axis_angle(q)
+    assert rc._log_angles(q)[2].tobytes() == angles.tobytes()
+    for a in (rc.IDENTITY.q, np.roll(q, 1, axis=0)):
+        inv = rc.unit_quaternions(rc.quat_conj(a))
+        rel = rc.unit_quaternions(rc.quat_normalize(rc.quat_mul(inv, q)))
+        assert rc.quat_angle_between(a, q).tobytes() == rc.quat_to_axis_angle(rel)[1].tobytes()
+
+
 def test_rotation_constructor_matches_its_old_normalizer():
     rng = np.random.default_rng(47)
     q = rng.normal(size=(20_000, 4))

@@ -1,5 +1,6 @@
 """Polyhedral synthesis: enumeration, target matching, deduplication."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -349,3 +350,85 @@ def test_dedupe_matches_per_sequence_reference(symmetry):
         got, want = se.dedupe(results, symmetry), _dedupe_reference(results, symmetry)
         assert len(got) == len(want) and all(a is b for a, b in zip(got, want))
     assert len({len(s) for s in mixed}) == 4
+
+
+# ---------------------------------------------------------------------------
+# reference: np.unique over structured rows and the matmul octahedral images
+# that the lexsort row grouping and the signed-permutation gather replaced
+# ---------------------------------------------------------------------------
+
+def _unique_rows_reference(keys):
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    return first, inverse.reshape(-1)
+
+
+def _octahedral_keys_reference(axes):
+    best = np.full((len(axes), axes.shape[1] * 3), np.inf)
+    for g in se._OCTAHEDRAL:
+        best = se._lex_min(best, se._rounded(axes @ g.T))
+    return best
+
+
+def _walk_state_keys(monkeypatch, spec):
+    """The key arrays the walk of one search groups, level by level."""
+    seen, group = [], se._unique_rows
+    monkeypatch.setattr(se, "_unique_rows", lambda keys: seen.append(keys.copy()) or group(keys))
+    se._walk(spec)
+    monkeypatch.undo()
+    return seen
+
+
+def test_unique_rows_matches_np_unique(monkeypatch):
+    rng = np.random.default_rng(11)
+    ties = rng.integers(-1, 2, size=(5000, 7)).astype(np.int64)      # many repeated rows
+    ties[:, :3] = 0
+    ties[:, 0] = rng.choice([-10 ** 12, -3, 7, 10 ** 12], size=5000)
+    floats = np.round(rng.choice([-0.5, -0.0, 0.0, 1 / 3, 2 / 3], size=(3000, 12)), 9) + 0.0
+    cases = [ties, floats, ties[:1], floats[:1],
+             *_walk_state_keys(monkeypatch, se.SearchSpec(se.octahedron(), 8, 4, "equatorial_pi"))]
+    assert len(cases) == 11 and all(np.signbit(floats[floats == 0.0]) == 0)
+    for keys in cases:
+        first, inverse = se._unique_rows(keys)
+        want_first, want_inverse = _unique_rows_reference(keys)
+        assert first.dtype == inverse.dtype == np.intp and inverse.shape == (len(keys),)
+        assert np.array_equal(first, want_first) and np.array_equal(inverse, want_inverse)
+    assert len(_unique_rows_reference(ties)[0]) < len(ties) // 2
+
+
+def _digest(results, names=False):
+    h = hashlib.sha256()
+    for seq in results:
+        if names:
+            h.update(seq.name.encode())
+        h.update(seq.axes.tobytes())
+    return h.hexdigest()
+
+
+def test_largest_walk_and_dedupe_pinned():
+    # octahedron n = 8, m = 4, equatorial pi, recorded before the lexsort
+    # grouping and the signed-permutation images replaced np.unique and matmul
+    raw = se.enumerate_balanced(se.SearchSpec(se.octahedron(), 8, 4, "equatorial_pi"))
+    assert len(raw) == 3904
+    assert _digest(raw) == "8727a0c77fb182dca806b6fe088b6e5fd9ac327b454b6e5a60f33ea28d6c62e6"
+    for symmetry, count, digest in (
+            ("global_z", 976, "024591aa686baa548e76bfe094a71071c33ac0f9cc6494e26b1c8470c45ab633"),
+            ("axis_set_rotations", 244,
+             "670e2d4b5c7a304684b39cbae60e4d6f59ff523e925188d48d7d2b2411a98f94"),
+            ("none", 3904, "70b92a5b1c9f2d8f0f67ed91cabfa68009f4509573f74bc3447987c92320e8d6")):
+        unique = se.dedupe(raw, symmetry)
+        assert len(unique) == count and _digest(unique, names=True) == digest
+
+
+def test_octahedral_keys_match_the_matmul_images():
+    rng = np.random.default_rng(5)
+    mixed = _synthesis_mix()
+    stacks = [np.array([s.axes for s in mixed if len(s) == n])
+              for n in sorted({len(s) for s in mixed})]
+    # off the lattice, the 9-decimal rounding decides the keys' last digits,
+    # down to components halfway between two rounded values
+    stacks.append(rc.unit_vectors(rng.normal(size=(2000, 5, 3))))
+    stacks.append((rng.integers(-10 ** 9, 10 ** 9, size=(500, 4, 3)) + 0.5) / 1e9)
+    for axes in stacks:
+        got, want = se._octahedral_keys(axes.copy()), _octahedral_keys_reference(axes.copy())
+        assert got.tobytes() == want.tobytes()
+    assert sum(len(a) for a in stacks) > 2500

@@ -478,6 +478,10 @@ def test_sequences_equal_tolerances():
     {"elements": [{"beta": np.pi, "phase": 0.0, "latitude": np.inf}]},
     {"elements": [{"beta": np.pi, "phase": 0.0, "latitude": np.nan}]},
     {"elements": [{"beta": np.pi, "axis": [1e300, 1e300, 0.0]}]},
+    # strings, bools and nulls are not read as numbers
+    {"elements": [{"beta": "3.14", "phase": 0.0}]},
+    {"elements": [{"beta": np.pi, "phase": False}]},
+    {"elements": [{"beta": np.pi, "axis": [1.0, None, 0.0]}]},
 ])
 def test_from_json_dict_rejects_malformed_documents(doc):
     with pytest.raises(ValueError):
