@@ -15,6 +15,7 @@ so order1 is the plain vector sum of the axes (n times the centroid).
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -285,9 +286,11 @@ def _kappa_matrices(dd, lam: int, scales) -> np.ndarray:
     delays = np.asarray(dd.delays, dtype=float)
     if np.any(delays < 0):
         raise ValueError("delays must be non-negative")
-    total = float(delays.sum())
-    if total <= 0.0:
-        raise ValueError("at least one delay must be positive")
+    with np.errstate(over="ignore"):
+        total = float(delays.sum())
+    if not sys.float_info.min <= total <= sys.float_info.max:   # subnormal or inf: no normalizing
+        raise ValueError(f"delays must total a finite value of at least {sys.float_info.min!r}, "
+                         f"got {total!r}")
     pulses = dd.pulses
     angles = _scaled_angles(scales, pulses.betas)
     prefixes = prefix_quaternions(pulses.axes, angles)

@@ -58,30 +58,10 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _to_degrees_dict(d: dict) -> dict:
-    els = []
-    for ed in seqmodel.json_elements(d):
-        e = {"beta": np.radians(ed["beta"])}
-        if "axis" in ed:
-            e["axis"] = ed["axis"]
-        else:
-            e["phase"] = np.radians(ed["phase"])
-            if "latitude" in ed:
-                e["latitude"] = np.radians(ed["latitude"])
-        els.append(e)
-    out = {"name": d.get("name", "unnamed"), "elements": els}
-    if "cycle_order" in d:
-        out["cycle_order"] = d["cycle_order"]
-    return out
-
-
 def _resolve_sequence(spec: str, deg: bool = False) -> seqmodel.RotationSequence:
     if spec.startswith("@"):
         with open(spec[1:], encoding="utf-8") as fh:
-            d = json.load(fh)
-        if deg:
-            d = _to_degrees_dict(d)
-        return seqmodel.from_json_dict(d)
+            return seqmodel.from_json_dict(json.load(fh), deg)
     return catalog.named(spec)
 
 
@@ -195,7 +175,10 @@ def _target_from_string(text: str):
     norm = float(np.linalg.norm(axis))
     if not 0.0 < norm < math.inf:   # NaN fails too
         raise _UsageError(f"target axis must be finite and nonzero, got {axis_part!r}")
-    return rotcore.from_axis_angle(axis / norm, float(angle_part))
+    angle = float(angle_part)
+    if not math.isfinite(angle):
+        raise _UsageError(f"target angle must be finite, got {angle_part!r}")
+    return rotcore.from_axis_angle(axis / norm, angle)
 
 
 def _run(args) -> int:

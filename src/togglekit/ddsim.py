@@ -43,7 +43,8 @@ class DDSequence:
 
     @property
     def total_time(self) -> float:
-        return float(self.delays.sum())
+        with np.errstate(over="ignore"):   # an overflowing sum is inf
+            return float(self.delays.sum())
 
 
 def kick_times(dd: DDSequence) -> np.ndarray:
@@ -165,13 +166,19 @@ def centroid_map(dd: DDSequence, omega_grid=None, beta_scale_grid=None,
 
     ``amp`` defaults to 1/total-time (amp * T = 1).
     """
-    omegas = default_omega_grid(dd) if omega_grid is None \
-        else seqmodel._sweep_grid(omega_grid, "omega grid")
+    total = dd.total_time
+    if not 0.0 < total < math.inf and (omega_grid is None or amp is None):
+        raise ValueError(f"the delays total {total}, and the default omega grid and amp "
+                         f"are in units of 1/total-time")
+    if omega_grid is None:
+        with np.errstate(over="ignore"):   # a tiny total overflows; the check says so
+            omega_grid = default_omega_grid(dd)
+    omegas = seqmodel._sweep_grid(omega_grid, "omega grid")
     scales = default_beta_scale_grid() if beta_scale_grid is None \
         else seqmodel._sweep_grid(beta_scale_grid, "beta-scale grid")
     if amp is None:
-        amp = 1.0 / dd.total_time
-    elif not math.isfinite(amp):
+        amp = 1.0 / total
+    if not math.isfinite(amp):
         raise ValueError(f"amp must be finite, got {amp}")
     thetas = _field_phases(kick_times(dd), omegas[:, None], amp)
     dressed = rotcore.unit_vectors(rotcore.rotate_about_z(dd.pulses.axes, thetas))

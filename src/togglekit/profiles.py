@@ -118,9 +118,6 @@ def rotation_error(s: RotationSequence, beta_prime: float, target: Rotation) -> 
 
 _MIRROR_XZ = np.array([1.0, -1.0, 1.0])
 _MIRROR_TOL = 1e-9
-# axis pairs per batched mirror test: its 96 KB of differences stay below glibc's
-# 128 KB mmap threshold, so a block adds no peak memory and measured no slower
-_MIRROR_PAIRS = 1 << 12
 
 
 def _mirror_asymmetry(axes: np.ndarray) -> np.ndarray:
@@ -131,35 +128,6 @@ def _mirror_asymmetry(axes: np.ndarray) -> np.ndarray:
     return np.sqrt(d2.min(axis=-1).max(axis=-1))
 
 
-def _symmetrizing_angles(axes: np.ndarray) -> list[float]:
-    """Global z-rotation angles in [0, 2pi), ascending, that make the axis
-    set mirror-symmetric in the xz plane.
-
-    After a turn by delta the set is its own mirror exactly when its axes
-    pair up, i <-> j, with equal z and phi_i + delta = -(phi_j + delta).
-    Pairing the axis r farthest from the z pole with every axis j of equal
-    z therefore yields every such delta: -(phi_r + phi_j)/2 or that plus
-    pi.  Each candidate is checked exactly.
-    """
-    r = int(np.argmax(np.hypot(axes[:, 0], axes[:, 1])))
-    phis = np.arctan2(axes[:, 1], axes[:, 0])
-    half = -0.5 * (phis[r] + phis[np.abs(axes[:, 2] - axes[r, 2]) < _MIRROR_TOL])
-    # folded twice: a tiny negative angle folds to 2pi in floating point
-    candidates = np.concatenate([half, half + np.pi]) % (2.0 * np.pi) % (2.0 * np.pi)
-    turned = rotcore.rotate_about_z(axes, candidates[:, None])
-    block = max(1, _MIRROR_PAIRS // len(axes) ** 2)   # candidates per batched test
-    asymmetry = np.concatenate([_mirror_asymmetry(turned[i:i + block])
-                                for i in range(0, len(turned), block)])
-    found = np.sort(candidates[asymmetry < _MIRROR_TOL]).tolist()
-    merged: list[float] = []
-    for d in found:
-        if not merged or d - merged[-1] > _MIRROR_TOL:
-            merged.append(d)
-    if len(merged) > 1 and merged[-1] - merged[0] > 2.0 * np.pi - _MIRROR_TOL:
-        merged.pop()   # the same turn as merged[0], across the wrap
-    return merged
-
-
 def convert_m2_to_m4(s: RotationSequence) -> RotationSequence:
     """Convert an order-reversal-symmetric broadband pi-inverter of odd
     length into a balanced 2n-element pi/2 sequence with net rotation
@@ -168,8 +136,9 @@ def convert_m2_to_m4(s: RotationSequence) -> RotationSequence:
     Pipeline: turn the input about z so its net lies on +/-x; riffle to
     pi/2 steps; rotate the toggled axes about x by pi/2 and cyclically
     permute them by half the length; reconstruct through the inverse
-    toggling map; finally rotate everything about z so the axis set is
-    reflection-symmetric in the xz plane.
+    toggling map; finally turn the axes about z by the smallest angle in
+    [0, pi) that puts the candidate's net on +/-x, which also makes the
+    axis set reflection-symmetric in the xz plane (checked).
     """
     if not s.is_equatorial():
         raise ValueError("conversion requires an equatorial sequence")
@@ -190,15 +159,14 @@ def convert_m2_to_m4(s: RotationSequence) -> RotationSequence:
     quarter = rotcore.quat_from_axis_angle(rotcore.E_X, np.pi / 2.0)
     lifted = quat_apply(quarter, toggled)
     permuted = np.roll(lifted, len(s), axis=0)
-    frame = sequence_from_axes(name, np.pi / 2.0, permuted)
-    candidate = toggling.inverse_toggling_map(frame)
-
-    for delta in _symmetrizing_angles(candidate.axes):   # smallest first; need a (pi)_x net
-        axes = rotcore.rotate_about_z(candidate.axes, delta)
-        out = sequence_from_axes(name, np.full(2 * len(s), np.pi / 2.0), axes)
-        ax, ang = rotcore.to_axis_angle(net_propagator(out))
-        if abs(ang - np.pi) < 1e-6 and abs(abs(ax[0]) - 1.0) < 1e-6:
-            return out
+    candidate, net = toggling.inverse_toggle_axes(permuted, np.pi / 2.0)
+    # a z-turn by delta moves the net's axis phase by delta: (pi)_x needs delta = -phi mod pi
+    delta = -np.arctan2(net[2], net[1]) % np.pi
+    axes = rotcore.rotate_about_z(candidate, delta - np.pi if delta > np.pi - _MIRROR_TOL else delta)
+    net_axis, net_angle = rotcore.quat_to_axis_angle(net)   # a z-turn keeps both
+    if (abs(net_angle - np.pi) < 1e-6 and abs(net_axis[2]) < 1e-6
+            and _mirror_asymmetry(axes) < _MIRROR_TOL):
+        return sequence_from_axes(name, np.pi / 2.0, axes)
     raise ValueError("no xz-symmetrizing z-rotation yields a (pi)_x net rotation")
 
 

@@ -449,7 +449,9 @@ def json_elements(d) -> list[dict]:
     return els
 
 
-def from_json_dict(d: dict) -> RotationSequence:
+def from_json_dict(d: dict, deg: bool = False) -> RotationSequence:
+    """The sequence a decoded JSON object describes; with ``deg`` its flip
+    angles, phases and latitudes are read in degrees."""
     rows = json_elements(d)
     betas, axes = np.empty(len(rows)), np.empty((len(rows), 3))
     phases, lats = np.full((2, len(rows)), math.nan)
@@ -460,6 +462,8 @@ def from_json_dict(d: dict) -> RotationSequence:
             phases[i], lats[i] = ed["phase"], ed.get("latitude", 0.0)
         else:
             axes[i] = ed["axis"]
+    if deg:
+        betas, phases, lats = np.radians(betas), np.radians(phases), np.radians(lats)
     for name, vals in (("phase", phases[by_phase]), ("latitude", lats[by_phase])):
         if not np.isfinite(vals).all():
             raise ValueError(f"{name} {vals[~np.isfinite(vals)][0]} is not finite")

@@ -474,6 +474,13 @@ def test_kappa_rejects_zero_delays():
         av.kappa(dd, 1)
 
 
+@pytest.mark.parametrize("delays", [[5e-324, 0.0], [1e-310, 1e-310], [1e308, 1e308]])
+def test_kappa_rejects_totals_that_do_not_normalize(delays):
+    dd = ddsim.DDSequence(sm.sequence_from_phases("pix", np.pi, [0.0]), np.array(delays))
+    with pytest.raises(ValueError, match="delays must total a finite value of at least"):
+        av.kappa(dd, 1)
+
+
 def test_kappa_table_serialization():
     kt = av.kappa(catalog.vmas(), 1, 1.0)
     d = kt.to_json_dict()

@@ -234,6 +234,18 @@ AXIS_SHAPES = {"axis-len2": [1, 0], "axis-len4": [1, 0, 0, 0], "axis-nested": [[
                    id=f"{argv[0]}-{bad}-delay")
       for argv in (["kappa", "@in", "--lambda", "1"], ["ddmap", "@in"])
       for bad in (None, float("inf"), "nan")],
+    *[pytest.param(["search", "--axes", "cube", "--n", "2", "--m", "3", "--target", f"1,0,0:{a}"],
+                   None, f"target angle must be finite, got '{a}'", id=f"{a}-target-angle")
+      for a in ("inf", "-inf", "nan")],
+    pytest.param(["kappa", "xy4", "--lambda", "1", "--tau", "1e-310"], None,
+                 "delays must total a finite value", id="kappa-subnormal-total"),
+    pytest.param(["ddmap", "xy4", "--tau", "1e-307"], None, "omega grid must be finite",
+                 id="ddmap-overflowing-default-omegas"),
+    *[pytest.param(argv, {"pulses": {"elements": [{"beta": np.pi, "phase": 0.0}] * 2},
+                          "delays": delays}, says, id=f"{argv[0]}-{tag}-total")
+      for tag, delays in (("zero", [0.0, 0.0, 0.0]), ("overflowing", [1e308, 1e308, 0.0]))
+      for argv, says in ((["kappa", "@in", "--lambda", "1"], "delays must total a finite value"),
+                         (["ddmap", "@in"], "default omega grid and amp"))],
     # flip angles of 2pi/m, so that only the type of the cycle order is wrong
     pytest.param(["toggle", "@in"], {"cycle_order": 3.0, "elements": [
         {"beta": 2 * np.pi / 3, "phase": 0.0}]}, "cycle order must be an integer",

@@ -201,6 +201,16 @@ def test_centroid_map_rejects_non_finite_inputs_with_one_line(kwargs, says):
     assert "\n" not in str(info.value)
 
 
+@pytest.mark.parametrize("delays", [[0.0, 0.0], [1e308, 1e308]], ids=["zero", "overflowing"])
+def test_centroid_map_needs_a_total_only_for_its_defaults(delays):
+    dd = ddsim.DDSequence(sm.sequence_from_phases("pix", np.pi, [0.0]), np.array(delays))
+    for kwargs in ({}, {"omega_grid": [1.0]}, {"amp": 1.0}):
+        with pytest.raises(ValueError, match="default omega grid and amp"):
+            ddsim.centroid_map(dd, **kwargs)
+    cm = ddsim.centroid_map(dd, omega_grid=[0.0, 1.0], beta_scale_grid=[1.0], amp=0.0)
+    assert np.isfinite(cm.values).all()
+
+
 def test_map_csv_bytes_equal_per_value_formatting():
     """One %-format call per row writes what f"{x:.17g}" per value wrote,
     signed zeros and non-finite cells included."""

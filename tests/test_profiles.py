@@ -239,29 +239,30 @@ def _mirror_symmetric_set(rng, pairs, on_plane, equatorial):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_symmetrizing_angles_recover_known_turn(seed):
+    """A known z-turn of the input is undone: the output is the plain
+    input's or its order reversal (its xz mirror), and the final turn read
+    off the net lands it where the reference's symmetrizing scan does."""
     rng = np.random.default_rng(seed)
-    axes = _mirror_symmetric_set(rng, int(rng.integers(1, 5)), int(rng.integers(0, 3)),
-                                 equatorial=seed % 2 == 1)
-    delta0 = rng.uniform(-np.pi, np.pi)
-    turned = rc.rotate_about_z(axes, delta0)
-    deltas = pf._symmetrizing_angles(turned)
-    assert deltas == sorted(deltas) and all(0.0 <= d < 2 * np.pi for d in deltas)
-    offsets = (np.array(deltas) + delta0) % np.pi
-    assert np.min(np.minimum(offsets, np.pi - offsets)) < 1e-12
-    for d in deltas:
-        assert pf._mirror_asymmetry(rc.rotate_about_z(turned, d)) < 1e-9
+    plain = sm.sequence_from_phases("r", np.pi, _symmetric_phases(rng, lattice=False))
+    turned = sm.global_phase_shift(plain, rng.uniform(-np.pi, np.pi))
+    out = pf.convert_m2_to_m4(turned).axes
+    assert np.max(np.abs(out - reference_convert_m2_to_m4(turned)[0].axes)) < 1e-13
+    base = pf.convert_m2_to_m4(plain).axes
+    assert min(np.max(np.abs(out - base)), np.max(np.abs(out - base[::-1]))) < 1e-13
 
 
 def reference_mirror_asymmetry(axes):
-    """Set-wise distance of one axis set from its xz mirror image, as
-    ``_symmetrizing_angles`` called it once per candidate turn."""
+    """Set-wise distance of one axis set from its xz mirror image, as the
+    symmetrizing scan called it once per candidate turn."""
     mirrored = axes * np.array([1.0, -1.0, 1.0])
     d2 = np.sum((mirrored[:, None, :] - axes[None, :, :]) ** 2, axis=-1)
     return float(np.sqrt(d2.min(axis=1).max()))
 
 
 def reference_symmetrizing_angles(axes):
-    """_symmetrizing_angles with its per-candidate loop, kept as the reference."""
+    """Global z-turns in [0, 2pi), ascending, that make the axis set
+    mirror-symmetric in the xz plane: the scan convert_m2_to_m4 used to
+    take its final turn from, kept as the reference."""
     tol = 1e-9
     r = int(np.argmax(np.hypot(axes[:, 0], axes[:, 1])))
     phis = np.arctan2(axes[:, 1], axes[:, 0])
@@ -286,13 +287,101 @@ def test_symmetrizing_angles_equal_per_candidate_loop():
                                                      int(rng.integers(0, 3)), k % 2 == 0),
                                rng.uniform(-np.pi, np.pi)) for k in range(30)]
     sets += [rng.normal(size=(7, 3)) for _ in range(5)]   # no symmetrizing turn
-    sets += [_mirror_symmetric_set(rng, 25, 10, True)]   # 120 candidates, tested in blocks
-    assert 2 * len(sets[-1]) > pf._MIRROR_PAIRS // len(sets[-1]) ** 2
+    sets += [_mirror_symmetric_set(rng, 25, 10, True)]
     for axes in sets:
-        assert pf._symmetrizing_angles(axes) == reference_symmetrizing_angles(axes)
+        deltas = reference_symmetrizing_angles(axes)
+        assert np.all(pf._mirror_asymmetry(rc.rotate_about_z(axes, np.c_[deltas])) < 1e-9)
         stack = rc.rotate_about_z(axes, rng.uniform(0, 2 * np.pi, (4, 1)))
         got = pf._mirror_asymmetry(stack)
         assert got.tolist() == [reference_mirror_asymmetry(a) for a in stack]
+
+
+def reference_convert_m2_to_m4(s):
+    """convert_m2_to_m4 with its scan over the symmetrizing turns, kept as
+    the reference: the output and the final z-turn it took."""
+    axis, _ = rc.to_axis_angle(sm.net_propagator(s))
+    name = f"{s.name}->m4"
+    s = sm.global_phase_shift(s, -np.arctan2(axis[1], axis[0]))
+    r = sm.riffle(s)
+    toggled = tg.toggle_axes(r.axes, r.betas)
+    lifted = rc.quat_apply(rc.quat_from_axis_angle(rc.E_X, np.pi / 2.0), toggled)
+    frame = sm.sequence_from_axes(name, np.pi / 2.0, np.roll(lifted, len(s), axis=0))
+    candidate = tg.inverse_toggling_map(frame)
+    for delta in reference_symmetrizing_angles(candidate.axes):
+        axes = rc.rotate_about_z(candidate.axes, delta)
+        out = sm.sequence_from_axes(name, np.full(2 * len(s), np.pi / 2.0), axes)
+        ax, ang = rc.to_axis_angle(sm.net_propagator(out))
+        if abs(ang - np.pi) < 1e-6 and abs(abs(ax[0]) - 1.0) < 1e-6:
+            return out, delta
+    raise ValueError("no xz-symmetrizing z-rotation yields a (pi)_x net rotation")
+
+
+def _symmetric_phases(rng, lattice):
+    """An order-reversal-symmetric phase list of odd length 3..15, uniform
+    or on the pi/6 lattice."""
+    half = int(rng.integers(2, 9))
+    head = rng.integers(0, 12, half) * np.pi / 6 if lattice else rng.uniform(0, 2 * np.pi, half)
+    return np.concatenate([head, head[-2::-1]])
+
+
+def _assert_conversion_contract(out, n):
+    assert len(out) == 2 * n
+    assert np.allclose(out.betas, np.pi / 2)
+    assert rc.rotation_angle_between(sm.net_propagator(out),
+                                     rc.from_axis_angle(rc.E_X, np.pi)) < 1e-8
+    assert np.max(np.abs(out.axes[::-1] * [1.0, -1.0, 1.0] - out.axes)) < 1e-9   # antisymmetric
+
+
+@pytest.mark.parametrize("make", [
+    *[lambda n=n: catalog.bprime(n) for n in (3, 5, 7, 9, 11, 15, 21)],
+    catalog.tycko, catalog.u5,
+    lambda: sm.global_phase_shift(catalog.bprime(5), np.pi / 7),
+    lambda: sm.global_phase_shift(catalog.bprime(9), -2.0),
+])
+def test_convert_matches_the_scan_on_named_inputs(make):
+    s = make()
+    ref, _ = reference_convert_m2_to_m4(s)
+    out = pf.convert_m2_to_m4(s)
+    assert out.name == ref.name
+    assert np.max(np.abs(out.axes - ref.axes)) < 1e-13
+
+
+def test_convert_matches_the_scan_on_random_symmetric_lists():
+    rng = np.random.default_rng(1606)
+    compared = 0
+    while compared < 200:
+        s = sm.sequence_from_phases("r", np.pi, _symmetric_phases(rng, lattice=False))
+        ref, delta = reference_convert_m2_to_m4(s)
+        if min(delta % np.pi, np.pi - delta % np.pi) <= 1e-9:
+            continue   # the pi-lattice tie, checked below
+        assert np.max(np.abs(pf.convert_m2_to_m4(s).axes - ref.axes)) < 1e-13
+        compared += 1
+
+
+def test_convert_on_the_lattice_meets_the_contract_up_to_a_pi_turn():
+    rng = np.random.default_rng(6)
+    flipped = 0
+    for _ in range(150):
+        phases = _symmetric_phases(rng, lattice=True)
+        s = sm.sequence_from_phases("lattice", np.pi, phases)
+        ref, _ = reference_convert_m2_to_m4(s)
+        out = pf.convert_m2_to_m4(s)
+        _assert_conversion_contract(ref, len(phases))
+        _assert_conversion_contract(out, len(phases))
+        if np.max(np.abs(out.axes - ref.axes)) >= 1e-13:
+            assert np.max(np.abs(out.axes - rc.rotate_about_z(ref.axes, np.pi))) < 1e-13
+            flipped += 1
+    assert flipped > 0   # the scan's rounding-dependent pick does occur here
+
+
+def test_convert_lattice_tie_takes_the_zero_turn():
+    s = sm.sequence_from_phases("tie", np.pi, np.array([0.5, 0.5, 0.0, 0.5, 0.5]) * np.pi)
+    out = pf.convert_m2_to_m4(s)
+    want = np.array([0, 1, 1, 1, 1, 3, 3, 3, 3, 0]) * np.pi / 2
+    assert np.max(np.abs(np.angle(np.exp(1j * (out.phases - want))))) < 1e-12
+    ref, delta = reference_convert_m2_to_m4(s)
+    assert abs(delta - np.pi) < 1e-9   # the scan took the pi turn
+    assert np.max(np.abs(out.axes - rc.rotate_about_z(ref.axes, np.pi))) < 1e-13
 
 
 def test_convert_rejects_wrong_inputs():

@@ -713,6 +713,40 @@ def test_json_input_equals_element_built_reference():
             assert lazy.axis.tobytes() == eager.axis.tobytes()
 
 
+def _ref_to_degrees_dict(d):
+    """The document with its degrees converted to radians, element by
+    element, as the CLI rebuilt it for ``--deg``."""
+    els = []
+    for ed in sm.json_elements(d):
+        e = {"beta": np.radians(ed["beta"])}
+        if "axis" in ed:
+            e["axis"] = ed["axis"]
+        else:
+            e["phase"] = np.radians(ed["phase"])
+            if "latitude" in ed:
+                e["latitude"] = np.radians(ed["latitude"])
+        els.append(e)
+    out = {"name": d.get("name", "unnamed"), "elements": els}
+    if "cycle_order" in d:
+        out["cycle_order"] = d["cycle_order"]
+    return out
+
+
+def test_json_input_in_degrees_equals_the_converted_document():
+    rng = np.random.default_rng(134)
+    docs = [MIXED_DOC, {"name": "m4", "cycle_order": 4, "elements": [
+        {"beta": 90, "phase": 10}, {"beta": 90.0, "axis": [0.3, 0.1, 0.2]},
+        {"beta": 90, "phase": 200.0, "latitude": 30}]}]
+    for n in range(1, 9):
+        docs.append({"elements": [
+            {"beta": float(b), "phase": float(p), "latitude": float(t)} if rng.random() < 0.5
+            else {"beta": float(b), "axis": rng.normal(size=3).tolist()}
+            for b, p, t in zip(rng.uniform(1.0, 360.0, n), rng.uniform(-720, 720, n),
+                               rng.uniform(-90, 90, n))]})
+    for doc in docs:
+        _same(sm.from_json_dict(doc, deg=True), sm.from_json_dict(_ref_to_degrees_dict(doc)))
+
+
 def test_vectorized_axis_from_phase_equals_scalar_kernel():
     rng = np.random.default_rng(133)
     lists = [(s.phases, s._given_latitudes) for s in map(catalog.named, _catalog_specs())
