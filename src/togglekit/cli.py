@@ -86,7 +86,8 @@ def _build_parser() -> _Parser:
     pc.add_argument("--dd", action="store_true", help="delay-interleaved entries")
 
     for cmd, hlp in (("dual", "toggling image of a sequence"),
-                     ("convert24", "convert a symmetric pi-inverter to pi/2 steps")):
+                     ("convert24", "convert a symmetric pi-inverter to pi/2 steps (balanced "
+                                   "only for a broadband input, which is not checked)")):
         pp = sub.add_parser(cmd, help=hlp)
         pp.add_argument("seq")
         pp.add_argument("--deg", action="store_true")

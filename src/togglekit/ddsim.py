@@ -49,7 +49,12 @@ class DDSequence:
 
 def kick_times(dd: DDSequence) -> np.ndarray:
     """Time of each pulse: t_j = sum of delays up to and including slot j."""
-    return np.cumsum(dd.delays[:-1])
+    with np.errstate(over="ignore"):   # an overflowing sum is inf; the check says so
+        t = np.cumsum(dd.delays[:-1])
+    if not np.isfinite(t).all():
+        raise ValueError(f"the delays before the last pulse must sum to a finite time, "
+                         f"got {t[-1]}")
+    return t
 
 
 def udd(n: int) -> DDSequence:

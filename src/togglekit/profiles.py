@@ -133,6 +133,11 @@ def convert_m2_to_m4(s: RotationSequence) -> RotationSequence:
     length into a balanced 2n-element pi/2 sequence with net rotation
     (pi)_x.
 
+    The output is balanced only when the input is broadband, and that is
+    not checked: an odd, symmetric, equatorial pi inverter that is not
+    broadband (``nb1_tpg``, say) converts to a (pi)_x sequence whose toggled
+    axes are not balanced.
+
     Pipeline: turn the input about z so its net lies on +/-x; riffle to
     pi/2 steps; rotate the toggled axes about x by pi/2 and cyclically
     permute them by half the length; reconstruct through the inverse

@@ -12,10 +12,16 @@ R(beta, f_0) ... R(beta, f_{n-1}), and balance is a partial sum.  A
 level-synchronous walk therefore tracks states (vertex product up to
 sign, partial sum), merges equal states level by level, prunes partial
 sums that the remaining steps cannot cancel and keeps the states from
-which an accepting end state is reachable.  Expanding the live
-transitions in vertex order lists the candidate tuples in odometer order;
-the float balance test, the reverse transform and the target test then
-decide on the candidates alone, exactly as they would on every tuple.
+which an accepting end state is reachable.  A step is linear in the row
+[q, s, 1], q times the vertex rotation and s plus its balance part, so one
+matmul steps every state by every vertex.  Expanding the live transitions in
+vertex order lists the candidate tuples in odometer order; the float
+balance test, the reverse transform and the target test then decide on
+the candidates alone, exactly as they would on every tuple.
+
+Deduplication keys each result once: one z-turn for 'global_z', and for
+the octahedral group only the rotations that give the smallest image of
+the first axis.
 """
 
 from __future__ import annotations
@@ -152,43 +158,74 @@ def _unique_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order[starts], inverse
 
 
-def _state_keys(quats: np.ndarray, sums: np.ndarray) -> np.ndarray:
-    """Integer keys (N, 4 + d) of states: the quaternion with its sign fixed
-    by the first nonzero rounded component, then the partial sum."""
-    qk = np.rint(quats * _KEY_SCALE).astype(np.int64)
+def _state_keys(states: np.ndarray) -> np.ndarray:
+    """Integer keys (N, 4 + d) of state rows [q, s]: the components rounded
+    to 1e-9, the quaternion's sign fixed by its first nonzero rounded
+    component."""
+    keys = np.rint(states * _KEY_SCALE).astype(np.int64)
+    qk = keys[:, :4]
     lead = qk[np.arange(len(qk)), (qk != 0).argmax(axis=1)]
     qk[lead < 0] *= -1
-    return np.concatenate([qk, np.rint(sums * _KEY_SCALE).astype(np.int64)], axis=1)
+    return keys
+
+
+def _step_matrix(spec: SearchSpec) -> np.ndarray:
+    """The (5 + d, k (5 + d)) matrix that steps a state row [q, s, 1] by
+    every vertex at once: block j holds the right-multiplication matrix of
+    vertex j's rotation (q @ M_j == q * step_j), the identity on the partial
+    sum s and the vertex's balance part on the homogeneous row."""
+    verts = spec.axis_set.vertices
+    k = len(verts)
+    steps = rotcore.quat_from_axis_angle(verts, np.full(k, spec.beta))
+    part = verts if spec.balance_mode == "full" else verts[:, 2:]
+    d = part.shape[1]
+    step = np.zeros((5 + d, k, 5 + d))
+    step[:4, :, :4] = rotcore.quat_mul(np.eye(4)[:, None, :], steps[None, :, :])
+    step[4:4 + d, :, 4:4 + d] = np.eye(d)[:, None, :]
+    step[4 + d, :, 4:4 + d] = part
+    step[4 + d, :, 4 + d] = 1.0
+    return step.reshape(5 + d, k * (5 + d))
 
 
 def _walk(spec: SearchSpec) -> np.ndarray:
     """Vertex-index tuples (C, n), in odometer order, whose vertex product
     and partial sum pass the target and balance tests within WALK_TOL: a
-    superset of the tuples the float tests accept."""
-    verts = spec.axis_set.vertices
-    k, n = len(verts), spec.n
-    steps = rotcore.quat_from_axis_angle(verts, np.full(k, spec.beta))
-    part = verts if spec.balance_mode == "full" else verts[:, 2:]
+    superset of the tuples the float tests accept.
+
+    States are rows [q, s, 1], and each level is one matmul by
+    ``_step_matrix``, state-major and vertex-minor.  The partial sums are
+    exact additions, as in a plain sum: every other product is by 0 or 1.
+    The quaternions may differ from ``quat_mul``'s in their last bits, far
+    below the 1e-9 on which states merge.  The last level runs the target
+    test only on the rows whose sum is within WALK_TOL of balance."""
+    k, n = len(spec.axis_set), spec.n
+    step = _step_matrix(spec)
+    width = step.shape[0]
+    part = step[-1].reshape(k, width)[:, 4:-1]         # each vertex's balance part
     reach = float(np.linalg.norm(part, axis=1).max())
-    quats, sums = rotcore.quat_identity((1,)), np.zeros((1, part.shape[1]))
+    states = np.zeros((1, width))
+    states[0, [0, -1]] = 1.0
     tables = []          # per level below n: (states, k) next state, len(next) if pruned
     for level in range(1, n + 1):
-        rows = len(quats) * k
+        rows = len(states) * k
         _check_level(level, rows)
-        q = rotcore.quat_mul(quats[:, None, :], steps[None, :, :]).reshape(rows, 4)
-        s = (sums[:, None, :] + part[None, :, :]).reshape(rows, -1)
-        dist = np.linalg.norm(s, axis=1)
+        stepped = (states @ step).reshape(rows, width)
+        sums = stepped[:, 4:-1]
+        dist = np.sqrt(np.einsum("ij,ij->i", sums, sums))
         if level == n:
-            accept = (dist < WALK_TOL) & _target_mask(spec, q, WALK_TOL)
+            accept = dist < WALK_TOL
+            near = np.flatnonzero(accept)
+            accept[near] = _target_mask(spec, stepped[near, :4], WALK_TOL)
             break
         keep = np.flatnonzero(dist <= (n - level) * reach + WALK_TOL)
         if keep.size == 0:
             return np.empty((0, n), dtype=np.intp)
-        first, inverse = _unique_rows(_state_keys(q[keep], s[keep]))
+        kept = stepped[keep]
+        first, inverse = _unique_rows(_state_keys(kept[:, :-1]))
         table = np.full(rows, len(first))
         table[keep] = inverse
         tables.append(table.reshape(-1, k))
-        quats, sums = q[keep[first]], s[keep[first]]
+        states = kept[first]
     # backward reachability: live transitions of every level
     edges = [accept.reshape(-1, k)]
     for table in reversed(tables):
@@ -257,8 +294,9 @@ def _octahedral_rotations() -> list[np.ndarray]:
 
 
 _OCTAHEDRAL = _octahedral_rotations()
-# each rotation as a signed permutation: (v @ g.T)[..., i] == v[..., perm[i]] * signs[i]
-_SIGNED_PERMUTATIONS = [(np.abs(g).argmax(axis=1), g.sum(axis=1)) for g in _OCTAHEDRAL]
+# each rotation as a signed permutation: (v @ g.T)[..., i] == v[..., _PERMS[g, i]] * _SIGNS[g, i]
+_PERMS = np.array([np.abs(g).argmax(axis=1) for g in _OCTAHEDRAL])
+_SIGNS = np.array([g.sum(axis=1) for g in _OCTAHEDRAL])
 
 
 def _rounded(axes: np.ndarray) -> np.ndarray:
@@ -282,12 +320,25 @@ def _lex_min(best: np.ndarray, cand: np.ndarray) -> np.ndarray:
 def _octahedral_keys(axes: np.ndarray) -> np.ndarray:
     """The smallest rounded image of each axis list under _OCTAHEDRAL.  The
     axes are rounded once: a signed permutation moves and negates components
-    exactly, and rounding commutes with both."""
+    exactly, and rounding commutes with both.
+
+    The smallest image of a list starts with the smallest image of its first
+    axis.  The rotations giving that are a coset of the first axis's
+    stabilizer, at most 4 of the 24, so the 24 images of the first axis are
+    narrowed column by column and only the rotations left are applied to
+    the whole list."""
     rounded = np.round(axes, 9)
+    firsts = rounded[:, 0, _PERMS] * _SIGNS                       # (N, 24, 3)
+    least = np.ones(firsts.shape[:2], dtype=bool)
+    for c in range(3):
+        column = np.where(least, firsts[..., c], np.inf)
+        least &= column == column.min(axis=1, keepdims=True)
+    width = int(least.sum(axis=1).max(initial=0))
+    slots = np.argsort(~least, axis=1, kind="stable")[:, :width]  # the coset's rotations first
     best = np.full((len(axes), axes.shape[1] * 3), np.inf)
-    for perm, signs in _SIGNED_PERMUTATIONS:
-        image = rounded[..., perm]
-        image *= signs
+    for g in slots.T:
+        image = np.take_along_axis(rounded, _PERMS[g][:, None, :], axis=2)
+        image *= _SIGNS[g][:, None, :]
         image += 0.0
         best = _lex_min(best, image.reshape(best.shape))
     return best
@@ -298,9 +349,12 @@ def _canonical_keys(axes: np.ndarray, symmetry: str) -> np.ndarray:
     mark equivalent lists.
 
     'none' rounds the axes; 'axis_set_rotations' takes the lexicographically
-    smallest rounded image under the octahedral group; 'global_z' the
-    smallest over the z-rotations that zero the phase of some equatorial
-    element, or the octahedral key for lists with no equatorial element.
+    smallest rounded image under the octahedral group; 'global_z' turns each
+    list about z by minus the phase of its first equatorial element, and
+    takes the octahedral key for lists with no equatorial element.  A z-turn
+    keeps z components, so it keeps which element is the first equatorial
+    one: two lists get one key when a z-turn maps one onto the other, up to
+    the 9-decimal rounding.
     """
     axes = np.asarray(axes, dtype=float)
     if symmetry == "none":
@@ -308,14 +362,13 @@ def _canonical_keys(axes: np.ndarray, symmetry: str) -> np.ndarray:
     if symmetry == "axis_set_rotations":
         return _octahedral_keys(axes)
     equatorial = np.abs(axes[..., 2]) <= 1e-9                     # (N, n)
-    keys = np.full((len(axes), axes.shape[1] * 3), np.inf)
-    deltas = -np.arctan2(axes[..., 1], axes[..., 0])
-    for j in range(axes.shape[1]):
-        rows = np.flatnonzero(equatorial[:, j])
-        if rows.size:
-            turned = rotcore.rotate_about_z(axes[rows], deltas[rows, j, None])
-            keys[rows] = _lex_min(keys[rows], _rounded(turned))
-    rest = np.flatnonzero(~equatorial.any(axis=1))
+    keys = np.empty((len(axes), axes.shape[1] * 3))
+    turned = equatorial.any(axis=1)
+    rows, rest = np.flatnonzero(turned), np.flatnonzero(~turned)
+    if rows.size:
+        lead = axes[rows, equatorial[rows].argmax(axis=1)]       # first equatorial element
+        turns = -np.arctan2(lead[:, 1], lead[:, 0])
+        keys[rows] = _rounded(rotcore.rotate_about_z(axes[rows], turns[:, None]))
     if rest.size:
         keys[rest] = _octahedral_keys(axes[rest])
     return keys
@@ -328,6 +381,12 @@ def dedupe(results: list[RotationSequence], symmetry: str = "global_z") -> list[
     of all axes about z (non-equatorial-only sets fall back to the axis-set
     rotation group); 'axis_set_rotations' uses the rotation group of the
     octahedron; 'none' deduplicates exact duplicates only.
+
+    The results are grouped by length, and each group is one stack of
+    canonical keys (``_canonical_keys``: one z-turn per list for 'global_z',
+    images over a stabilizer coset for the octahedral group) whose classes
+    ``_unique_rows`` finds.  Only the partition into classes decides what is
+    kept.
     """
     if symmetry not in ("global_z", "axis_set_rotations", "none"):
         raise ValueError(f"unknown symmetry {symmetry!r}")

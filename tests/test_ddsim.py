@@ -211,6 +211,23 @@ def test_centroid_map_needs_a_total_only_for_its_defaults(delays):
     assert np.isfinite(cm.values).all()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("call", [
+    ddsim.kick_times,
+    lambda dd: ddsim.centroid_map(dd, omega_grid=[1.0], amp=1.0),
+    lambda dd: ddsim.static_field_dressed(dd, 1.0),
+    lambda dd: ddsim.osc_field_dressed(dd, 1.0, 1.0),
+], ids=["kick_times", "centroid_map", "static_field_dressed", "osc_field_dressed"])
+def test_overflowing_kick_times_end_in_one_line(call):
+    dd = ddsim.DDSequence(sm.sequence_from_phases("pix2", np.pi, [0.0, 0.0]),
+                          np.array([1e308, 1e308, 0.0]))
+    with pytest.raises(ValueError, match="must sum to a finite time, got inf") as info:
+        call(dd)
+    assert "\n" not in str(info.value)
+    # kick times just below the float range still go through
+    call(ddsim.DDSequence(dd.pulses, np.array([1e308, 7e307, 0.0])))
+
+
 def test_map_csv_bytes_equal_per_value_formatting():
     """One %-format call per row writes what f"{x:.17g}" per value wrote,
     signed zeros and non-finite cells included."""

@@ -206,6 +206,18 @@ def test_convert_bprime5():
     assert av.symmetry_class(out) == "antisymmetric"
 
 
+@pytest.mark.parametrize("name, balanced", [
+    ("bprime(3)", True), ("bprime(7)", True), ("bprime(15)", True), ("tycko", True), ("u5", True),
+    ("nb1_tpg", False),     # symmetric and odd but not broadband: converts, unbalanced
+])
+def test_convert_balances_broadband_inputs_only(name, balanced):
+    out = pf.convert_m2_to_m4(catalog.named(name))
+    dev = rc.rotation_angle_between(sm.net_propagator(out), rc.from_axis_angle(rc.E_X, np.pi))
+    assert dev < 1e-8
+    norm = np.linalg.norm(av.centroid(tg.toggling_map(out).axes))
+    assert norm < 1e-12 if balanced else abs(norm - 0.375) < 1e-12
+
+
 @pytest.mark.parametrize("make", [
     catalog.tycko,                                          # net at 60 deg
     catalog.u5,                                             # net at -30 deg

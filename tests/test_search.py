@@ -199,6 +199,51 @@ def _odometer_reference(spec):
             for j, a in enumerate(axes[_target_mask_reference(spec, nets)])]
 
 
+def _walk_reference(spec):
+    """The walk before the affine step: quaternions stepped by quat_mul and
+    partial sums by a broadcast add, kept as separate arrays, and the target
+    test on every row of the last level."""
+    verts = spec.axis_set.vertices
+    k, n = len(verts), spec.n
+    steps = rc.quat_from_axis_angle(verts, np.full(k, spec.beta))
+    part = verts if spec.balance_mode == "full" else verts[:, 2:]
+    reach = float(np.linalg.norm(part, axis=1).max())
+    quats, sums = rc.quat_identity((1,)), np.zeros((1, part.shape[1]))
+    tables = []
+    for level in range(1, n + 1):
+        rows = len(quats) * k
+        se._check_level(level, rows)
+        q = rc.quat_mul(quats[:, None, :], steps[None, :, :]).reshape(rows, 4)
+        s = (sums[:, None, :] + part[None, :, :]).reshape(rows, -1)
+        dist = np.linalg.norm(s, axis=1)
+        if level == n:
+            accept = (dist < se.WALK_TOL) & se._target_mask(spec, q, se.WALK_TOL)
+            break
+        keep = np.flatnonzero(dist <= (n - level) * reach + se.WALK_TOL)
+        if keep.size == 0:
+            return np.empty((0, n), dtype=np.intp)
+        qk = np.rint(q[keep] * se._KEY_SCALE).astype(np.int64)
+        lead = qk[np.arange(len(qk)), (qk != 0).argmax(axis=1)]
+        qk[lead < 0] *= -1
+        keys = np.concatenate([qk, np.rint(s[keep] * se._KEY_SCALE).astype(np.int64)], axis=1)
+        first, inverse = se._unique_rows(keys)
+        table = np.full(rows, len(first))
+        table[keep] = inverse
+        tables.append(table.reshape(-1, k))
+        quats, sums = q[keep[first]], s[keep[first]]
+    edges = [accept.reshape(-1, k)]
+    for table in reversed(tables):
+        alive = np.append(edges[0].any(axis=1), False)
+        edges.insert(0, alive[table])
+    paths, digits = np.zeros(1, dtype=np.intp), np.empty((1, 0), dtype=np.intp)
+    for level, live in enumerate(edges):
+        r, c = np.nonzero(live[paths])
+        digits = np.column_stack([digits[r], c])
+        if level < n - 1:
+            paths = tables[level][paths[r], c]
+    return digits
+
+
 def _target_mask_reference(spec, net_quats, tol=se.NET_MATCH_TOL):
     """The target test before it ran on quat_angle_between: its own log map
     for a Rotation, and the action on the basis vectors for axis cycling."""
@@ -308,10 +353,57 @@ def test_walk_matches_odometer_reference(set_name, m):
         for target in (rc.Rotation(net), "equatorial_pi", "axis_cycling"):
             for balance in ("full", "z_only"):
                 spec = se.SearchSpec(axis_set, n, m, target, balance)
+                assert np.array_equal(se._walk(spec), _walk_reference(spec))
                 got = se.enumerate_balanced(spec)
                 _assert_same_results(got, _odometer_reference(spec))
                 found += len(got)
     assert found > 0
+
+
+@pytest.mark.parametrize("set_name, n, m, target, found", [
+    ("octahedron", 8, 4, "equatorial_pi", 3904),
+    # pi/2 turns about tetrahedral axes generate no finite group: no states
+    # merge, and no tuple reaches the target
+    ("tetrahedron", 8, 4, "equatorial_pi", 0),
+    ("cube", 6, 3, "axis_cycling", 360),
+])
+def test_walk_matches_the_quat_mul_walk(monkeypatch, set_name, n, m, target, found):
+    spec = se.SearchSpec(se.BUILTIN_AXIS_SETS[set_name](), n, m, target)
+    got, want = se._walk(spec), _walk_reference(spec)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert len(se.enumerate_balanced(spec)) == found
+    # the states each level merges: equal keys, so equal tables
+    seen, group = [], se._unique_rows
+    monkeypatch.setattr(se, "_unique_rows", lambda keys: seen.append(keys) or group(keys))
+    se._walk(spec)
+    half = len(seen)
+    _walk_reference(spec)
+    assert half == len(seen) - half == n - 1
+    for a, b in zip(seen[:half], seen[half:]):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("set_name", sorted(se.BUILTIN_AXIS_SETS))
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("balance", ["full", "z_only"])
+def test_step_matrix_is_quat_mul_and_an_exact_sum(set_name, m, balance):
+    rng = np.random.default_rng(m)
+    spec = se.SearchSpec(se.BUILTIN_AXIS_SETS[set_name](), 3, m, "equatorial_pi", balance)
+    verts, k = spec.axis_set.vertices, len(spec.axis_set)
+    part = verts if balance == "full" else verts[:, 2:]
+    step = se._step_matrix(spec)
+    width = 5 + part.shape[1]
+    assert step.shape == (width, k * width)
+    states = np.ones((500, width))
+    states[:, :4] = rc.quat_normalize(rng.normal(size=(500, 4)))
+    states[:, 4:-1] = rng.normal(size=(500, part.shape[1])) * 10.0 ** rng.integers(-3, 3, (500, 1))
+    stepped = (states @ step).reshape(500, k, width)
+    steps = rc.quat_from_axis_angle(verts, np.full(k, spec.beta))
+    want = rc.quat_mul(states[:, None, :4], steps[None, :, :])
+    assert np.max(np.abs(stepped[..., :4] - want)) < 4e-16
+    sums = states[:, None, 4:-1] + part[None, :, :]
+    assert np.array_equal(stepped[..., 4:-1], sums)
+    assert np.all(stepped[..., -1] == 1.0)
 
 
 def test_reversed_vertex_product_is_the_net():
@@ -428,7 +520,45 @@ def test_octahedral_keys_match_the_matmul_images():
     # down to components halfway between two rounded values
     stacks.append(rc.unit_vectors(rng.normal(size=(2000, 5, 3))))
     stacks.append((rng.integers(-10 ** 9, 10 ** 9, size=(500, 4, 3)) + 0.5) / 1e9)
+    # first axes with large stabilizers: on 4-, 3- and 2-fold axes, or with
+    # zero components; the rest drawn from the same axes and off the lattice
+    special = rc.unit_vectors(np.concatenate([
+        np.eye(3), -np.eye(3),
+        np.array(list(itertools.product([-1.0, 1.0], repeat=3))),
+        [[1, 1, 0], [0, -1, 1], [-1, 0, -1], [1, -1, 0]],
+        [[0.6, 0.0, 0.8], [0.0, -0.8, 0.6], [-0.28, 0.96, 0.0], [0.0, 0.0, -1.0]]]))
+    for n in (1, 2, 5):
+        lists = special[rng.integers(len(special), size=(600, n))]
+        lists[200:400, 1:] = rc.unit_vectors(rng.normal(size=(200, n - 1, 3)))
+        stacks.append(lists)
+    stacks.append(special[:, None, :])
     for axes in stacks:
         got, want = se._octahedral_keys(axes.copy()), _octahedral_keys_reference(axes.copy())
         assert got.tobytes() == want.tobytes()
-    assert sum(len(a) for a in stacks) > 2500
+    assert sum(len(a) for a in stacks) > 4000
+    # every stabilizer size of the octahedral group is hit by some first axis
+    firsts = np.round(np.concatenate([a[:, 0] for a in stacks]), 9)
+    fixing = [np.all(firsts[:, perm] * signs == firsts, axis=1) for perm, signs in
+              zip(se._PERMS, se._SIGNS)]
+    assert set(np.sum(fixing, axis=0).tolist()) == {1, 2, 3, 4}
+
+
+def test_global_z_partition_matches_every_equatorial_turn():
+    # one turn, by the first equatorial element's phase, against the least
+    # key over the turns of every equatorial element
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 3, 6):
+        axes = rng.normal(size=(500, n, 3))
+        axes[rng.random((500, n)) < 0.4, 2] = 0.0
+        axes = rc.unit_vectors(axes)
+        turned = rc.rotate_about_z(axes, rng.uniform(0, 2 * np.pi, size=(500, 1)))
+        stack = np.concatenate([axes, turned, axes[:50]])
+        got = se._unique_rows(se._canonical_keys(stack, "global_z"))[1]
+        ids = {}
+        want = np.array([ids.setdefault(_z_canonical(a), len(ids)) for a in stack])
+        pairs = set(zip(got.tolist(), want.tolist()))
+        assert len(pairs) == len(set(got.tolist())) == len(ids)
+        # each list merges with its turned copy when it has an equatorial element
+        equatorial = np.any(np.abs(axes[..., 2]) <= 1e-9, axis=1)
+        assert np.array_equal(got[:500] == got[500:1000], equatorial)
+        assert 0 < equatorial.sum() < 500
