@@ -72,11 +72,18 @@ def udd(n: int) -> DDSequence:
 def _field_phases(t: np.ndarray, omegas, amp: float) -> np.ndarray:
     """Phase shift theta = (amp/omega) sin(omega t) that a field
     amp*cos(omega t) gives a pulse at time t, and amp*t where omega = 0.
-    ``omegas`` broadcast against ``t``."""
+    ``omegas`` broadcast against ``t``.  A phase that overflows ends in one
+    ValueError."""
     omegas = np.asarray(omegas, dtype=float)
     static = omegas == 0.0
     w = np.where(static, 1.0, omegas)   # no division by zero on the static rows
-    return np.where(static, amp * t, (amp / w) * np.sin(w * t))
+    with np.errstate(over="ignore", invalid="ignore"):   # both branches run on every row
+        thetas = np.where(static, amp * t, (amp / w) * np.sin(w * t))
+    finite = np.isfinite(thetas)
+    if not finite.all():
+        raise ValueError(f"field phases must be finite, got {thetas[~finite].flat[0]} "
+                         f"at amp {amp:g}")
+    return thetas
 
 
 def _dress(dd: DDSequence, thetas: np.ndarray, trailing: float, tag: str) -> DDSequence:

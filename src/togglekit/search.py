@@ -19,9 +19,12 @@ vertex order lists the candidate tuples in odometer order; the float
 balance test, the reverse transform and the target test then decide on
 the candidates alone, exactly as they would on every tuple.
 
-Deduplication keys each result once: one z-turn for 'global_z', and for
-the octahedral group only the rotations that give the smallest image of
-the first axis.
+Results are one ``seqmodel.SequenceStack``: the unit axes of every result
+in one array, from which a ``RotationSequence`` is built only when a row is
+read.  Deduplication keys each result once: one z-turn for 'global_z', and
+for the octahedral group only the rotations that give the smallest image of
+the first axis.  It keeps a sub-stack of a stack, so a search and its
+dedupe build no sequence at all.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import numpy as np
 
 from . import rotcore
 from .rotcore import Rotation
-from .seqmodel import RotationSequence, positive_int, sequences_from_arrays
+from .seqmodel import RotationSequence, SequenceStack, _sequence_stack, positive_int
 from .toggling import inverse_toggle_axes
 
 STATE_GUARD = 1 << 20    # candidate rows (states x vertices, or tuples) one level may allocate
@@ -247,11 +250,15 @@ def _walk(spec: SearchSpec) -> np.ndarray:
     return digits
 
 
-def enumerate_balanced(spec: SearchSpec) -> list[RotationSequence]:
+def enumerate_balanced(spec: SearchSpec) -> SequenceStack:
     """All length-n tuples from the axis set whose balance holds in the
     toggled frame and whose reverse transform hits the target propagator.
 
-    Results are raw (undeduplicated) sequences in odometer order.
+    Results are raw (undeduplicated) sequences in odometer order, named
+    ``{axis set}-{m}-{index}``, as one ``SequenceStack``: their unit axes
+    are one array, and a ``RotationSequence`` is built only when a row is
+    read (``stack[i]``, or all rows in one batch by iteration).  No result
+    is an empty stack.
     """
     tuples = spec.axis_set.vertices[_walk(spec)]          # (C, n, 3)
     sums = tuples.sum(axis=1)
@@ -259,17 +266,12 @@ def enumerate_balanced(spec: SearchSpec) -> list[RotationSequence]:
         keep = np.linalg.norm(sums, axis=1) < spec.n * BALANCE_SUM_TOL
     else:
         keep = np.abs(sums[:, 2]) < spec.n * BALANCE_SUM_TOL
-    tuples = tuples[keep]
-    if tuples.size == 0:
-        return []
-    axes, nets = inverse_toggle_axes(tuples, spec.beta)
-    axes = axes[_target_mask(spec, nets)]
-    prefix = f"{spec.axis_set.name}-{spec.m}-"
-    return sequences_from_arrays([f"{prefix}{j}" for j in range(len(axes))], spec.beta, axes,
-                                 spec.m)
+    axes, nets = inverse_toggle_axes(tuples[keep], spec.beta)
+    return _sequence_stack(f"{spec.axis_set.name}-{spec.m}-", spec.beta,
+                           axes[_target_mask(spec, nets)], spec.m)
 
 
-def nonequatorial_search(spec: SearchSpec) -> list[RotationSequence]:
+def nonequatorial_search(spec: SearchSpec) -> SequenceStack:
     """Axis-cycling searches over sets reaching off the equator."""
     if spec.target != "axis_cycling":
         raise ValueError("nonequatorial_search expects the axis_cycling target")
@@ -374,7 +376,13 @@ def _canonical_keys(axes: np.ndarray, symmetry: str) -> np.ndarray:
     return keys
 
 
-def dedupe(results: list[RotationSequence], symmetry: str = "global_z") -> list[RotationSequence]:
+def _classes(axes: np.ndarray, symmetry: str) -> np.ndarray:
+    """The row of each class's first member in a stack of axis lists (N, n, 3)."""
+    return _unique_rows(_canonical_keys(axes, symmetry))[0]
+
+
+def dedupe(results: SequenceStack | list[RotationSequence], symmetry: str = "global_z"
+           ) -> SequenceStack | list[RotationSequence]:
     """One representative per equivalence class, the first in input order.
 
     symmetry 'global_z' identifies sequences differing by a rigid rotation
@@ -382,20 +390,23 @@ def dedupe(results: list[RotationSequence], symmetry: str = "global_z") -> list[
     rotation group); 'axis_set_rotations' uses the rotation group of the
     octahedron; 'none' deduplicates exact duplicates only.
 
-    The results are grouped by length, and each group is one stack of
-    canonical keys (``_canonical_keys``: one z-turn per list for 'global_z',
-    images over a stabilizer coset for the octahedral group) whose classes
-    ``_unique_rows`` finds.  Only the partition into classes decides what is
-    kept.
+    Each length is one stack of canonical keys (``_canonical_keys``: one
+    z-turn per list for 'global_z', images over a stabilizer coset for the
+    octahedral group) whose classes ``_unique_rows`` finds.  Only the
+    partition into classes decides what is kept.  The kept rows come back
+    in input order and in the input's kind: a ``SequenceStack`` gives a
+    sub-stack on the same axes, so no sequence is built; a list (grouped by
+    length) gives a list of the same objects.
     """
     if symmetry not in ("global_z", "axis_set_rotations", "none"):
         raise ValueError(f"unknown symmetry {symmetry!r}")
+    if isinstance(results, SequenceStack):
+        return results[np.sort(_classes(results.axes, symmetry))]
     by_length: dict[int, list[int]] = {}
     for i, seq in enumerate(results):
         by_length.setdefault(len(seq), []).append(i)
     keep = []
     for idx in by_length.values():
-        keys = _canonical_keys(np.array([results[i].axes for i in idx]), symmetry)
-        first = _unique_rows(keys)[0]
+        first = _classes(np.array([results[i].axes for i in idx]), symmetry)
         keep.extend(np.asarray(idx)[first].tolist())
     return [results[i] for i in sorted(keep)]

@@ -53,7 +53,10 @@ def positive_int(name: str, value) -> int:
 
 
 def _checked_cycle_order(m, betas: list[float]) -> int | None:
-    """The cycle order as an int (or None), raising unless every flip angle is 2*pi/m."""
+    """The cycle order as an int (or None), raising unless every flip angle
+    is positive and finite, and 2*pi/m if m is given."""
+    if not all(0.0 < b < math.inf for b in betas):   # NaN fails too
+        raise ValueError("flip angle must be positive and finite; reverse via the axis")
     if m is None:
         return None
     m = positive_int("cycle order", m)
@@ -167,10 +170,8 @@ def _sequences(names, betas, axes, cycle_order=None, phases=None, latitudes=None
     if len(names) != len(axes):
         raise ValueError(f"{len(names)} names for {len(axes)} sequences")
     given = np.asarray(betas, dtype=float)
-    values = given.ravel().tolist()   # broadcasting repeats these, so they are checked once
-    if not all(0.0 < b < math.inf for b in values):   # NaN fails too
-        raise ValueError("flip angle must be positive and finite; reverse via the axis")
-    m = _checked_cycle_order(cycle_order, values)
+    # broadcasting repeats these values, so they are checked once
+    m = _checked_cycle_order(cycle_order, given.ravel().tolist())
     shape = axes.shape[:2]
     betas = _filled(shape, given)
     none = _read_only(np.full(shape[1], math.nan))   # one row shared by every sequence
@@ -191,6 +192,70 @@ def sequences_from_arrays(names, betas, axes, cycle_order: int | None = None
     """One sequence per row of an (N, n, 3) axis stack, checked in one pass
     and normalized in one call; ``betas`` broadcasts to (N, n)."""
     return _sequences(names, betas, axes, cycle_order)
+
+
+class SequenceStack:
+    """Sequences of one length, one flip angle and one cycle order, held as a
+    read-only stack of unit axes: a list-like result that builds no
+    ``RotationSequence`` until a row is read.
+
+    Each row keeps its index in the stack it was first made as, and is named
+    ``f"{prefix}{index}"``.  ``stack[i]`` builds row i; iteration builds every
+    row in one ``_sequences`` call; a slice or an index array gives a
+    sub-stack on the same axes array and builds nothing.  Rows are built on
+    every read, not cached.  Stacks are made by ``_sequence_stack`` only.
+    """
+
+    __slots__ = ("_prefix", "_beta", "_m", "_axes", "_rows")
+
+    def __init__(self, *args, **kwargs):
+        raise TypeError("SequenceStack has no public constructor")
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __repr__(self) -> str:
+        return (f"SequenceStack(prefix={self._prefix!r}, rows={len(self)}, "
+                f"n={self._axes.shape[1]}, cycle_order={self._m!r})")
+
+    @property
+    def axes(self) -> np.ndarray:
+        """The rows' unit axes (N, n, 3), a copy."""
+        return self._axes[self._rows]
+
+    def _built(self, rows: np.ndarray) -> list[RotationSequence]:
+        return _sequences([f"{self._prefix}{i}" for i in rows.tolist()], self._beta,
+                          self._axes[rows], self._m, unit=True)
+
+    def __iter__(self):
+        return iter(self._built(self._rows))
+
+    def __getitem__(self, key):
+        if isinstance(key, numbers.Integral):
+            n, i = len(self), int(key)
+            if not -n <= i < n:
+                raise IndexError(f"row {i} out of range for a stack of {n}")
+            return self._built(self._rows[i % n, None])[0]
+        rows = self._rows[key]
+        if rows.ndim != 1:
+            raise IndexError("a stack takes an integer, a slice or a 1-d index array")
+        return _new_stack(self._prefix, self._beta, self._m, self._axes, rows)
+
+
+def _new_stack(prefix, beta, m, axes, rows) -> SequenceStack:
+    stack = SequenceStack.__new__(SequenceStack)
+    stack._prefix, stack._beta, stack._m, stack._axes, stack._rows = prefix, beta, m, axes, rows
+    return stack
+
+
+def _sequence_stack(prefix: str, beta: float, axes, cycle_order: int | None = None
+                    ) -> SequenceStack:
+    """The stack of an (N, n, 3) axis stack with flip angle ``beta``: the
+    axes normalized in one call, as ``_sequences`` normalizes them, and the
+    flip angle and cycle order checked once."""
+    m = _checked_cycle_order(cycle_order, [beta])
+    axes = rotcore.unit_vectors(axes)
+    return _new_stack(prefix, beta, m, axes, np.arange(len(axes)))
 
 
 def _take(s: RotationSequence, index, name: str, cycle_order) -> RotationSequence:

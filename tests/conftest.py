@@ -27,3 +27,19 @@ def built_elements(monkeypatch):
     monkeypatch.setattr(original, "__post_init__", counted_post_init)
     monkeypatch.setattr(sm, "PulseElement", Counted)
     return built
+
+
+@pytest.fixture
+def built_sequences(monkeypatch):
+    """Every ``RotationSequence`` built while the test runs, keyed by id:
+    ``seqmodel._sequences``, their one constructor, runs ``__post_init__``
+    once for each."""
+    built = {}
+    post_init = sm.RotationSequence.__post_init__
+
+    def counted_post_init(seq):
+        built[id(seq)] = seq
+        post_init(seq)
+
+    monkeypatch.setattr(sm.RotationSequence, "__post_init__", counted_post_init)
+    return built

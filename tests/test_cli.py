@@ -241,6 +241,9 @@ AXIS_SHAPES = {"axis-len2": [1, 0], "axis-len4": [1, 0, 0, 0], "axis-nested": [[
                  "delays must total a finite value", id="kappa-subnormal-total"),
     pytest.param(["ddmap", "xy4", "--tau", "1e-307"], None, "omega grid must be finite",
                  id="ddmap-overflowing-default-omegas"),
+    pytest.param(["ddmap", "xy4", "--amp", "1e308"], None,
+                 "field phases must be finite, got inf at amp 1e+308",
+                 id="ddmap-overflowing-field-phases"),
     *[pytest.param(argv, {"pulses": {"elements": [{"beta": np.pi, "phase": 0.0}] * 2},
                           "delays": delays}, says, id=f"{argv[0]}-{tag}-total")
       for tag, delays in (("zero", [0.0, 0.0, 0.0]), ("overflowing", [1e308, 1e308, 0.0]))

@@ -239,3 +239,19 @@ def test_map_csv_bytes_equal_per_value_formatting():
         lines.append(f"{w:.17g}," + ",".join(f"{v:.17g}" for v in row))
     assert ddsim.map_to_csv(cm) == "\n".join(lines) + "\n"
     assert "\n-0,nan,-inf,inf\n1e-300,-0," in ddsim.map_to_csv(cm)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("call, got", [
+    (lambda dd: ddsim.centroid_map(dd, amp=1e308), "inf"),
+    (lambda dd: ddsim.centroid_map(dd, omega_grid=[0.0], amp=1e308), "inf"),
+    (lambda dd: ddsim.static_field_dressed(dd, 1e308), "inf"),
+    (lambda dd: ddsim.osc_field_dressed(dd, 1e-310, 1.0), "inf"),
+    (lambda dd: ddsim.osc_field_dressed(dd, 1e308, 1e300), "nan"),
+], ids=["centroid_map", "centroid_map-static", "static_field_dressed",
+        "osc_field_dressed-amp-over-omega", "osc_field_dressed-omega-t"])
+def test_overflowing_field_phases_end_in_one_line(call, got):
+    with pytest.raises(ValueError, match=f"^field phases must be finite, got {got} at amp ") \
+            as info:
+        call(catalog.named_dd("xy4"))
+    assert "\n" not in str(info.value)

@@ -170,6 +170,69 @@ def test_search_and_dedupe_build_no_pulse_elements(built_elements):
     assert len(built_elements) == 7
 
 
+def test_stack_reads_like_a_list_of_its_rows(built_sequences):
+    stack = se.enumerate_balanced(se.SearchSpec(se.octahedron(), 6, 4, "equatorial_pi"))
+    n = len(stack)
+    assert isinstance(stack, sm.SequenceStack) and n == 80 and len(built_sequences) == 0
+    subs = [stack[2:60:7], stack[::-3], stack[np.array([5, 0, 5, 79])],
+            stack[np.arange(n) % 3 == 1], stack[10:][::-2][4:9], stack[[]]]
+    assert len(built_sequences) == 0
+    assert all(isinstance(sub, sm.SequenceStack) and sub._axes is stack._axes for sub in subs)
+    rows = list(stack)
+    assert len(built_sequences) == n
+    for i in (0, 1, 37, n - 1, -1, -n):
+        _assert_same_results([stack[i]], [rows[i]])
+    _assert_same_results(rows, [stack[i] for i in range(n)])
+    assert [s.name for s in rows] == [f"octahedron-4-{i}" for i in range(n)]
+    picks = [range(2, 60, 7), range(n - 1, -1, -3), [5, 0, 5, 79], range(1, n, 3),
+             list(range(10, n))[::-2][4:9], []]
+    for sub, pick in zip(subs, picks):
+        assert len(sub) == len(pick)
+        _assert_same_results(sub, [rows[i] for i in pick])
+        _assert_same_results([sub[j] for j in range(-len(sub), 0)], [rows[i] for i in pick])
+        assert sub.axes.tobytes() == b"".join(rows[i].axes.tobytes() for i in pick)
+    for i in (n, -n - 1, 10 ** 9):
+        with pytest.raises(IndexError, match="out of range"):
+            stack[i]
+    with pytest.raises(IndexError):
+        stack[np.zeros((2, 2), dtype=np.intp)]
+    with pytest.raises(TypeError, match="no public constructor"):
+        sm.SequenceStack()
+
+
+def test_empty_search_is_an_empty_stack(built_sequences):
+    empty = se.enumerate_balanced(se.SearchSpec(se.octahedron(), 3, 4, "equatorial_pi"))
+    assert isinstance(empty, sm.SequenceStack) and len(empty) == 0 and not empty
+    assert list(empty) == [] and empty.axes.shape == (0, 3, 3) and len(empty[:]) == 0
+    for symmetry in ("global_z", "axis_set_rotations", "none"):
+        unique = se.dedupe(empty, symmetry)
+        assert isinstance(unique, sm.SequenceStack) and len(unique) == 0
+    with pytest.raises(IndexError):
+        empty[0]
+    assert len(built_sequences) == 0
+
+
+@pytest.mark.parametrize("symmetry", ["global_z", "axis_set_rotations", "none"])
+def test_dedupe_of_a_stack_equals_dedupe_of_its_rows(symmetry):
+    rng = np.random.default_rng(17)
+    for spec in (se.SearchSpec(se.octahedron(), 6, 4, "equatorial_pi"),
+                 se.SearchSpec(se.cube(), 6, 3, "axis_cycling"),
+                 se.SearchSpec(se.octahedron(), 5, 4, "equatorial_pi", "z_only")):
+        stack = se.enumerate_balanced(spec)
+        # a shuffled sub-stack with repeats: the first of each class in its order
+        for results in (stack, stack[rng.integers(len(stack), size=2 * len(stack))]):
+            got = se.dedupe(results, symmetry)
+            assert isinstance(got, sm.SequenceStack) and 0 < len(got) <= len(results)
+            _assert_same_results(got, se.dedupe(list(results), symmetry))
+
+
+def test_search_and_dedupe_build_no_sequences(built_sequences):
+    raw = se.enumerate_balanced(se.SearchSpec(se.octahedron(), 8, 4, "equatorial_pi"))
+    unique = se.dedupe(raw)
+    assert len(raw) == 3904 and len(unique) == 976 and len(built_sequences) == 0
+    assert unique[0].name == "octahedron-4-0" and len(built_sequences) == 1
+
+
 # ---------------------------------------------------------------------------
 # reference: the k^n odometer and the per-sequence dedupe the walk replaced
 # ---------------------------------------------------------------------------
@@ -438,9 +501,14 @@ def test_dedupe_matches_per_sequence_reference(symmetry):
     turned = [sm.global_phase_shift(s, float(rng.uniform(0, 2 * np.pi))) for s in mixed[:40]]
     no_equatorial = se.enumerate_balanced(se.SearchSpec(se.cube(), 6, 3, "axis_cycling"))
     assert not any(np.any(np.abs(s.axes[:, 2]) <= 1e-9) for s in no_equatorial)
-    for results in (mixed, shuffled + turned, no_equatorial, []):
+    assert isinstance(no_equatorial, sm.SequenceStack)
+    for results in (mixed, shuffled + turned, []):
         got, want = se.dedupe(results, symmetry), _dedupe_reference(results, symmetry)
         assert len(got) == len(want) and all(a is b for a, b in zip(got, want))
+    # a stack's rows are built on every read, so they are equal, not identical
+    got = se.dedupe(no_equatorial, symmetry)
+    assert isinstance(got, sm.SequenceStack)
+    _assert_same_results(got, _dedupe_reference(no_equatorial, symmetry))
     assert len({len(s) for s in mixed}) == 4
 
 

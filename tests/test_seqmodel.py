@@ -88,6 +88,36 @@ def test_sequences_from_arrays_match_element_built_sequences():
         assert (s.axes.tobytes(), s.betas.tobytes()) == (want.axes.tobytes(), want.betas.tobytes())
 
 
+def test_stack_rows_match_sequences_from_arrays(built_sequences):
+    rng = np.random.default_rng(84)
+    for n in (1, 4, 9):
+        _, axes = _stack(rng, 30, n)
+        m = int(rng.integers(1, 7))
+        want = sm.sequences_from_arrays([f"p-{j}" for j in range(30)], 2 * np.pi / m, axes, m)
+        built_sequences.clear()
+        stack = sm._sequence_stack("p-", 2 * np.pi / m, axes, m)
+        assert len(built_sequences) == 0 and not stack._axes.flags.writeable
+        for got in (list(stack), [stack[j] for j in range(30)]):
+            for s, w in zip(got, want, strict=True):
+                assert (s.name, s.cycle_order, len(s)) == (w.name, w.cycle_order, n)
+                assert s.axes.tobytes() == w.axes.tobytes()
+                assert s.betas.tobytes() == w.betas.tobytes()
+                assert np.isnan(s._given_phases).all() and np.isnan(s._given_latitudes).all()
+                assert not (s.axes.flags.writeable or s.betas.flags.writeable)
+        assert len(built_sequences) == 60
+
+
+@pytest.mark.parametrize("beta, m, says", [
+    (np.nan, None, "flip angle"),
+    (0.0, None, "flip angle"),
+    (np.pi, 3, "cycle order 3 requires"),
+    (np.pi, 2.0, "cycle order must be an integer"),
+])
+def test_sequence_stack_checks_beta_and_cycle_order(beta, m, says):
+    with pytest.raises(ValueError, match=says):
+        sm._sequence_stack("p-", beta, np.ones((2, 3, 3)), m)
+
+
 def test_derived_elements_equal_eager_ones():
     rng = np.random.default_rng(82)
     betas, axes = _stack(rng, 20, 6)
