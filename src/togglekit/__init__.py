@@ -18,8 +18,7 @@ from .profiles import (ProfileSample, convert_m2_to_m4, glide_reflection_check,
                        q_profile, rotation_error, rotation_errors, trajectory)
 from .rotcore import (Rotation, axis_from_phase, compose, from_axis_angle, inverse,
                       rotate, to_axis_angle, unit_vector, unit_vectors)
-from .search import (AxisSet, SearchSpec, dedupe, enumerate_balanced,
-                     nonequatorial_search)
+from .search import AxisSet, SearchSpec, dedupe, enumerate_balanced
 from .seqmodel import (PulseElement, RotationSequence, cyclic_permute,
                        global_phase_shift, nest, net_propagator, phase_scale,
                        prefix_propagator, reverse, riffle, sequence_from_axes,
@@ -27,7 +26,7 @@ from .seqmodel import (PulseElement, RotationSequence, cyclic_permute,
 from .toggling import (TogglingFrameSet, closed_form_toggling, cyclicity_order,
                        detuning_frame, finite_difference_duality_check,
                        half_band_check, inverse_phase_map, inverse_toggling_map,
-                       phase_map, toggled_frame, toggling_map, toggling_map_iter)
+                       phase_map, toggling_map, toggling_map_iter)
 from .virtualmas import mas_kappa_sweep, suppression_order_slopes
 
 __version__ = "0.1.0"
@@ -42,10 +41,10 @@ __all__ = [
     "glide_reflection_check", "global_phase_shift", "half_band_check", "inverse",
     "inverse_phase_map", "inverse_toggling_map", "is_balanced", "kappa",
     "kick_times", "mas_kappa_sweep", "named", "named_dd", "nest", "net_propagator",
-    "nonequatorial_search", "numeric_error_expansion", "osc_field_dressed",
-    "phase_map", "phase_scale", "prefix_propagator", "q_profile", "reverse",
+    "numeric_error_expansion", "osc_field_dressed", "phase_map", "phase_scale",
+    "prefix_propagator", "q_profile", "reverse",
     "riffle", "rotate", "rotation_error", "rotation_errors", "sequence_from_axes",
     "sequence_from_phases", "sequences_equal", "sequences_from_arrays", "static_field_dressed",
-    "suppression_order_slopes", "symmetry_class", "to_axis_angle", "toggled_frame", "toggling_map",
+    "suppression_order_slopes", "symmetry_class", "to_axis_angle", "toggling_map",
     "toggling_map_iter", "trajectory", "udd", "unit_vector", "unit_vectors", "wigner_d",
 ]

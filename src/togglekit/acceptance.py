@@ -238,7 +238,7 @@ def criterion_9() -> CriterionResult:
     keys = {_derome_quotient_key(s.axes) for s in rf}
     unique = len(keys) == 1 and keys == {_derome_quotient_key(derome.axes)}
 
-    res_c = search.nonequatorial_search(search.SearchSpec(octa, 6, 4, "axis_cycling"))
+    res_c = search.enumerate_balanced(search.SearchSpec(octa, 6, 4, "axis_cycling"))
     got_p46 = any(seqmodel.sequences_equal(s, catalog.p46()) for s in res_c)
     got_p46p = any(seqmodel.sequences_equal(s, catalog.p46_prime()) for s in res_c)
 

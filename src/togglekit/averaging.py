@@ -23,7 +23,7 @@ from numpy.polynomial import chebyshev as _cheb
 
 from . import rotcore
 from .rotcore import Rotation
-from .seqmodel import (RotationSequence, _scaled_angles, _sweep_angles, _sweep_grid,
+from .seqmodel import (RotationSequence, _half_sweep, _scaled_angles, _sweep_grid, _sweep_nets,
                        prefix_quaternions)
 
 BALANCE_TOL = 1e-9
@@ -130,7 +130,8 @@ def _error_expansions(axes, betas, beta_primes, eps_grid=None,
     beta' per row (N,).  Returns the power-series coefficients (N, degree+1, 3)
     of each row's residual rotation vector in eps, row k the eps^k term.
 
-    All N sweeps run in one chain; one Chebyshev fit in eps/h (h the grid's
+    All N sweeps run in one closed-form ``_sweep_nets`` call, each row at
+    its first flip angle; one Chebyshev fit in eps/h (h the grid's
     half width) covers every column, and one constant Chebyshev-to-power
     matrix, with order k divided by h^k, converts it.  Raises naming the
     first row whose fit residual or constant term exceeds ``fit_tol``.
@@ -143,11 +144,10 @@ def _error_expansions(axes, betas, beta_primes, eps_grid=None,
     h = float(np.max(np.abs(grid)))
     if h == 0.0:
         raise ValueError("eps grid needs a nonzero point")
-    betas = np.asarray(betas, dtype=float)
+    beta0 = np.asarray(betas, dtype=float)[:, :1]
     sweeps = _sweep_grid(np.asarray(beta_primes, dtype=float)[:, None]
                          + np.concatenate([[0.0], grid]), "flip angle beta'")
-    angles = _sweep_angles(sweeps / betas[:, :1], betas)
-    nets = prefix_quaternions(np.asarray(axes, dtype=float)[:, None], angles)[..., -1, :]
+    nets = _sweep_nets(axes, _half_sweep(sweeps, beta0))
     errors = rotcore.quat_normalize(rotcore.quat_mul(rotcore.quat_conj(nets[:, :1]), nets[:, 1:]))
     vs = rotcore.quat_to_rotation_vector(errors).transpose(1, 0, 2)   # (G, N, 3)
     columns = vs.reshape(grid.size, -1)

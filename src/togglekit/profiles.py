@@ -5,7 +5,8 @@ conversion of symmetric pi-inverters into balanced pi/2 sequences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,12 +20,20 @@ DEFAULT_GRID = np.linspace(0.0, 2.0 * np.pi, 721)   # half-degree steps
 DEFAULT_GRID.flags.writeable = False
 
 
-@dataclass(frozen=True)
-class ProfileSample:
+class ProfileSample(NamedTuple):
+    """One point of an inversion profile: the realized flip angle, q there,
+    the final probe vector, and the unit quaternion of the net U(beta'),
+    read as a ``Rotation`` through ``net_rotation``."""
+
     beta_prime: float
     q: float
     final_vector: np.ndarray
-    net_rotation: Rotation
+    net_quaternion: np.ndarray
+
+    @property
+    def net_rotation(self) -> Rotation:
+        """U(beta'), built on each read around the stored unit quaternion."""
+        return rotcore._as_rotation(self.net_quaternion)
 
 
 def q_values(s: RotationSequence, e_xi, grid) -> np.ndarray:
@@ -38,8 +47,8 @@ def q_profile(s: RotationSequence, e_xi, grid=None) -> list[ProfileSample]:
     q(0) = 1 always; nominal inverters also reach q(beta'=pi) = -1.
     """
     grid, quats, finals, qs = _profile_arrays(s, e_xi, grid)
-    return list(map(ProfileSample, grid.tolist(), qs.tolist(), finals,
-                    rotcore.rotations(quats)))
+    rows = zip(grid.tolist(), qs.tolist(), finals, rotcore.unit_quaternions(quats))
+    return list(map(tuple.__new__, repeat(ProfileSample), rows))   # _make without its length check
 
 
 def _profile_arrays(s: RotationSequence, e_xi, grid):

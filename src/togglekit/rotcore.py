@@ -251,15 +251,17 @@ class Rotation:
 IDENTITY = Rotation(np.array([1.0, 0.0, 0.0, 0.0]))
 
 
+def _as_rotation(q: np.ndarray) -> Rotation:
+    """The ``Rotation`` on a row that ``unit_quaternions`` returned, as it is."""
+    r = Rotation.__new__(Rotation)
+    object.__setattr__(r, "q", q)
+    return r
+
+
 def rotations(q) -> list[Rotation]:
     """One ``Rotation`` per quaternion of an (N, 4) stack, normalized and
     checked in one call by ``unit_quaternions``."""
-    out = []
-    for row in unit_quaternions(q):
-        r = Rotation.__new__(Rotation)
-        object.__setattr__(r, "q", row)
-        out.append(r)
-    return out
+    return list(map(_as_rotation, unit_quaternions(q)))
 
 
 def from_axis_angle(e, beta: float) -> Rotation:

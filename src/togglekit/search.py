@@ -271,13 +271,6 @@ def enumerate_balanced(spec: SearchSpec) -> SequenceStack:
                            axes[_target_mask(spec, nets)], spec.m)
 
 
-def nonequatorial_search(spec: SearchSpec) -> SequenceStack:
-    """Axis-cycling searches over sets reaching off the equator."""
-    if spec.target != "axis_cycling":
-        raise ValueError("nonequatorial_search expects the axis_cycling target")
-    return enumerate_balanced(spec)
-
-
 # ---------------------------------------------------------------------------
 # deduplication
 # ---------------------------------------------------------------------------

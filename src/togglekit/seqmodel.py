@@ -328,18 +328,81 @@ def net_propagator(s: RotationSequence, scale: float = 1.0) -> Rotation:
 
 def net_quaternions(s: RotationSequence, beta_primes) -> np.ndarray:
     """Net propagator quaternions (len(beta_primes), 4) of a uniform-angle
-    sequence over a sweep of realized flip angles, in one kernel call."""
-    scales = np.asarray(beta_primes, dtype=float) / s.uniform_beta()
-    return prefix_quaternions(s.axes, _sweep_angles(scales, s.betas))[:, -1, :]
+    sequence over a sweep of realized flip angles, in one ``_sweep_nets``
+    call.
+
+    Every element is swept at the common angle beta_0 = ``s.uniform_beta()``,
+    at half angle 0.5 * (beta'/beta_0) * beta_0.  The nets agree with the
+    propagator chain ``prefix_quaternions`` within 1e-13 per component for
+    n <= 80.  Angles that differ from beta_0 within BETA_MATCH_TOL move each
+    net by at most n * |beta'/beta_0| * BETA_MATCH_TOL / 2 from the chain on
+    the elements' own angles.
+    """
+    return _sweep_nets(s.axes, _half_sweep(beta_primes, s.uniform_beta()))
 
 
-def _sweep_angles(scales: np.ndarray, betas: np.ndarray) -> np.ndarray:
-    """Flip angles of sequences ``betas`` (..., n) over sweeps of scales
-    (..., G): (..., G, n), or one (..., G, 1) column when every sequence's
-    angles are exactly equal, so the chain's cos and sin run once per scale."""
-    if np.all(betas == betas[..., :1]):
-        betas = betas[..., :1]
-    return scales[..., None] * betas[..., None, :]
+def _half_sweep(beta_primes, beta0) -> np.ndarray:
+    """Half flip angles 0.5 * (beta'/beta_0) * beta_0 of a sweep (the
+    chain's scaled angle, halved), broadcast, checked by ``_sweep_grid``: a
+    value that is not finite, or that overflows, ends in its ValueError."""
+    with np.errstate(over="ignore"):
+        half = 0.5 * (np.asarray(beta_primes, dtype=float) / beta0) * beta0
+    return _sweep_grid(half, "scaled flip angles")
+
+
+def _step_matrices() -> tuple[np.ndarray, np.ndarray]:
+    """Row form C @ [M | P] of a sweep step's two factors M = (1 + iL)/2 and
+    P = (1 - iL)/2, L the matrix of left multiplication by the pure step
+    axis (0, f): the real part (4, 8), and the imaginary part as a linear
+    map (3, 32) from f."""
+    basis = np.eye(4)
+    left = rotcore.quat_mul(basis[1:, None], basis[None]).transpose(0, 2, 1)   # (0, e_k) q
+    return (0.5 * np.hstack([basis, basis]),
+            0.5 * np.concatenate([left, -left], axis=-1).reshape(3, 32))
+
+
+_STEP_REAL, _STEP_IMAG = _step_matrices()
+
+
+def _sweep_nets(axes, half_angles) -> np.ndarray:
+    """Net quaternions (..., G, 4) of uniform-angle sequences with unit axes
+    (..., n, 3) over half flip angles theta (..., G), the leading axes
+    broadcast, in closed form.
+
+    The step cos(theta) + sin(theta) F_i is (1 - iF_i)/2 e^{i theta} +
+    (1 + iF_i)/2 e^{-i theta}, so the net is the trigonometric polynomial
+    sum_{j=-n..n} C_j e^{ij theta} with C_j in C^4: C_-j = conj(C_j), only
+    j = n mod 2 terms are nonzero, and sum |C_j|^2 = 1 (Parseval).  The
+    coefficients take n small steps C'_j = (1 - iF) C_{j-1}/2 +
+    (1 + iF) C_{j+1}/2 over the stack; the grid then takes one cos and one
+    sin of j theta for the J = ceil((n + 1)/2) terms j >= 0, one einsum and
+    one normalization.  A point's bits depend on its angle only, not on the
+    grid around it.
+    """
+    axes = np.asarray(axes, dtype=float)
+    lead, n = axes.shape[:-2], axes.shape[-2]
+    steps = np.empty(axes.shape[:-1] + (4, 8), dtype=complex)
+    steps.real = _STEP_REAL
+    steps.imag = (axes @ _STEP_IMAG).reshape(steps.shape)
+    coeffs = np.zeros(lead + (n + 1, 4), dtype=complex)   # after i steps, row k is C_{2k-i}
+    coeffs[..., 0, 0] = 1.0
+    for i in range(n):
+        terms = coeffs[..., :i + 1, :] @ steps[..., i, :, :]
+        coeffs[..., :i + 1, :] = terms[..., 4:]
+        coeffs[..., 1:i + 2, :] += terms[..., :4]
+    js = np.arange(n % 2, n + 1, 2)   # the last rows
+    # U = C_0 + sum_{j>0} 2 Re(C_j e^{ij theta}) = sum_j Re(c_j) cos(j theta) - Im(c_j) sin(j theta)
+    c = coeffs[..., -js.size:, :] * np.where(js > 0, 2.0, 1.0)[:, None]
+    real = np.concatenate([c.real, -c.imag], axis=-2)
+    angles = np.asarray(half_angles, dtype=float)[..., None] * js
+    trig = np.empty(angles.shape[:-1] + (2 * js.size,))
+    np.cos(angles, out=trig[..., :js.size])
+    np.sin(angles, out=trig[..., js.size:])
+    nets = np.einsum("...gk,...kc->...gc", trig, real)
+    out = np.empty(nets.shape)
+    out[..., 0], out[..., 1], out[..., 2], out[..., 3] = _unit4(
+        nets[..., 0], nets[..., 1], nets[..., 2], nets[..., 3])
+    return out
 
 
 def _sweep_grid(values, what: str = "grid") -> np.ndarray:

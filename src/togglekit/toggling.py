@@ -84,17 +84,6 @@ def toggling_map(s: RotationSequence) -> RotationSequence:
     return s.with_axes(toggle_axes(s.axes, s.betas), name=f"{s.name}^(1)")
 
 
-def toggled_frame(s: RotationSequence, depth: int = 1) -> TogglingFrameSet:
-    """The axis vectors of ``s`` at the given toggling-frame depth.
-
-    The first vector equals the first source axis at every depth, because
-    nothing precedes the first element.
-    """
-    return TogglingFrameSet(depth=depth,
-                            vectors=toggling_map_iter(s, depth).axes,
-                            source=s)
-
-
 def toggling_map_iter(s: RotationSequence, m: int) -> RotationSequence:
     """m-fold application of the toggling map (m = 0 returns the input)."""
     if m < 0:

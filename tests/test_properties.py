@@ -1,5 +1,6 @@
 """Invariants of the paper on seeded random inputs: the m = 2 duality of
-odd equatorial pi-sequences, its glide reflection, and the phase map."""
+odd equatorial pi-sequences, its glide reflection, the phase map, and the
+net of the reversed toggled sequence."""
 
 import numpy as np
 import pytest
@@ -45,3 +46,18 @@ def test_phase_map_matches_toggle_axes(seed):
     mapped = tg.phase_map(phis)
     want = np.stack([np.cos(mapped), np.sin(mapped), np.zeros_like(mapped)], axis=-1)
     assert np.max(np.abs(tg.toggle_axes(s.axes, s.betas) - want)) < 1e-9
+
+
+def test_reversed_toggled_sequence_has_the_same_net():
+    # U_n = R(b_{n-1}, e_{n-1}) ... R(b_0, e_0) = R(b_0, f_0) ... R(b_{n-1}, f_{n-1})
+    # over the toggled axes f_i, which is the net of reverse(toggling_map(s)),
+    # for any flip angles; equal as unit quaternions, not only up to sign
+    worst = 0.0
+    for seed in range(500):
+        rng = np.random.default_rng([94, seed])
+        n = int(rng.integers(1, 13))
+        s = sm.sequence_from_axes("r", rng.uniform(0.05, 2 * np.pi, n), rng.normal(size=(n, 3)))
+        r = sm.reverse(tg.toggling_map(s))
+        assert np.array_equal(r.betas, s.betas[::-1])
+        worst = max(worst, float(np.max(np.abs(sm.net_propagator(r).q - sm.net_propagator(s).q))))
+    assert worst < 1e-9

@@ -90,14 +90,9 @@ def test_octahedron_search_finds_derome():
 
 
 def test_axis_cycling_search_finds_p46_variants():
-    res = se.nonequatorial_search(se.SearchSpec(se.octahedron(), 6, 4, "axis_cycling"))
+    res = se.enumerate_balanced(se.SearchSpec(se.octahedron(), 6, 4, "axis_cycling"))
     assert any(sm.sequences_equal(s, catalog.p46()) for s in res)
     assert any(sm.sequences_equal(s, catalog.p46_prime()) for s in res)
-
-
-def test_nonequatorial_search_needs_axis_cycling_target():
-    with pytest.raises(ValueError):
-        se.nonequatorial_search(se.SearchSpec(se.octahedron(), 6, 4, "equatorial_pi"))
 
 
 def test_results_satisfy_contract():

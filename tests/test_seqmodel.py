@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -344,18 +345,111 @@ def reference_net_quaternions(s, beta_primes):
         axes, scales[:, None] * s.betas[None, :])[:, -1, :]
 
 
-def test_net_quaternions_bit_identical_to_broadcast_trig():
+SWEEP_TOL = 1e-13   # per component, against the chain and the 40-digit product
+
+
+def test_net_quaternions_agree_with_broadcast_trig_chain():
+    # the closed-form sweep against the chain it replaced, on the 721-point grid
     rng = np.random.default_rng(75)
     grid = np.linspace(0.0, 2 * np.pi, 721)
     for n in (1, 2, 8, 13):
         beta = float(rng.uniform(0.1, 2 * np.pi))
         s = sm.sequence_from_axes("r", beta, _unit_rows(rng, (n,)))
-        # angles within BETA_MATCH_TOL but not exactly equal take the (G, n) path
+        # angles within BETA_MATCH_TOL but not exactly equal: the chain takes
+        # each element's own angle, the sweep the first one, which moves the
+        # net by at most n |beta'/beta| max|beta_i - beta| / 2
         betas = beta + rng.uniform(-1e-13, 1e-13, n) * (np.arange(n) > 0)
         near = sm.sequences_from_arrays(["near"], betas[None], s.axes[None])[0]
-        for seq in (s, near):
-            want = reference_net_quaternions(seq, grid)
-            assert sm.net_quaternions(seq, grid).tobytes() == want.tobytes()
+        moved = n * np.max(grid / beta) * np.max(np.abs(betas - beta)) / 2.0
+        for seq, tol in ((s, SWEEP_TOL), (near, SWEEP_TOL + moved)):
+            got = sm.net_quaternions(seq, grid)
+            assert got.shape == (721, 4) and got.flags.c_contiguous
+            assert np.max(np.abs(got - reference_net_quaternions(seq, grid))) <= tol
+
+
+def mp_net_quaternions(axes, half_angles):
+    """Nets of a uniform-angle sequence as 40-digit products of the steps
+    (cos theta, sin theta e_i), rounded to float."""
+    import mpmath
+    with mpmath.workdps(40):
+        out = []
+        for theta in half_angles.tolist():
+            c, sn = mpmath.cos(theta), mpmath.sin(theta)
+            w, x, y, z = mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(0), mpmath.mpf(0)
+            for ex, ey, ez in axes.tolist():
+                bx, by, bz = sn * ex, sn * ey, sn * ez
+                w, x, y, z = (c * w - (bx * x + by * y + bz * z),
+                              c * x + w * bx + (by * z - bz * y),
+                              c * y + w * by + (bz * x - bx * z),
+                              c * z + w * bz + (bx * y - by * x))
+            out.append([float(v) for v in (w, x, y, z)])
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 13, 40, 80])
+@pytest.mark.parametrize("beta", [np.pi, 2 * np.pi / 3, np.pi / 2, 2 * np.pi / 5, 1.2345],
+                         ids=["m2", "m3", "m4", "m5", "generic"])
+def test_sweep_nets_agree_with_the_chain_and_a_40_digit_product(n, beta):
+    rng = np.random.default_rng([76, n, round(1e4 * beta)])
+    axes = _unit_rows(rng, (n,))
+    beta_primes = np.concatenate([[0.0, beta, -beta, 2 * np.pi, 3 * np.pi + 0.1, -7.5],
+                                  rng.uniform(-3 * np.pi, 4 * np.pi, 40)])
+    s = sm.sequence_from_axes("r", beta, axes)
+    got = sm.net_quaternions(s, beta_primes)
+    chain = sm.prefix_quaternions(axes, np.multiply.outer(beta_primes / beta, s.betas))[:, -1]
+    assert np.max(np.abs(got - chain)) <= SWEEP_TOL
+    picks = np.r_[0:6, 6:beta_primes.size:4]   # the six set points and every 4th random one
+    exact = mp_net_quaternions(axes, 0.5 * (beta_primes[picks] / beta) * beta)
+    assert np.max(np.abs(got[picks] - exact)) <= SWEEP_TOL
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 40])
+def test_sweep_nets_of_a_stack_equal_per_row_and_per_point_calls(n):
+    rng = np.random.default_rng([77, n])
+    axes = _unit_rows(rng, (6, n))
+    half = rng.uniform(-2 * np.pi, 2 * np.pi, (6, 29))
+    stacked = sm._sweep_nets(axes, half)
+    assert stacked.shape == (6, 29, 4)
+    for row in range(6):
+        assert sm._sweep_nets(axes[row], half[row]).tobytes() == stacked[row].tobytes()
+        for g in (0, 13, 28):
+            one = sm._sweep_nets(axes[row], half[row, g:g + 1])
+            assert one.tobytes() == stacked[row, g:g + 1].tobytes()
+    # one sequence over several grids broadcasts against the grids' leading axis
+    assert sm._sweep_nets(axes[0], half).tobytes() == np.stack(
+        [sm._sweep_nets(axes[0], h) for h in half]).tobytes()
+
+
+def test_sweep_at_the_first_angle_stays_within_the_match_bound():
+    # elements whose angles differ from beta_0 by up to BETA_MATCH_TOL are
+    # swept at beta_0: each net moves by at most n |beta'/beta_0| tol / 2
+    rng = np.random.default_rng(78)
+    grid = np.linspace(-2 * np.pi, 4 * np.pi, 97)
+    for n in (2, 5, 13, 40):
+        beta = float(rng.uniform(0.5, 2 * np.pi))
+        betas = beta + 0.999 * sm.BETA_MATCH_TOL * rng.choice([-1.0, 1.0], n) * (np.arange(n) > 0)
+        s = sm.sequences_from_arrays(["near"], betas[None], _unit_rows(rng, (1, n)))[0]
+        assert s.uniform_beta() == beta
+        own = sm.prefix_quaternions(s.axes, np.multiply.outer(grid / beta, betas))[:, -1]
+        dev = np.max(np.abs(sm.net_quaternions(s, grid) - own), axis=-1)
+        bound = n * np.abs(grid / beta) * sm.BETA_MATCH_TOL / 2.0
+        assert np.all(dev <= bound + SWEEP_TOL)
+        assert dev.max() > 1e-14   # the deviation is real, not rounding
+
+
+@pytest.mark.parametrize("grid, says", [
+    ([0.5, np.nan], "scaled flip angles must be finite, got nan"),
+    ([np.inf], "scaled flip angles must be finite, got inf"),
+    ([1.0, -np.inf], "scaled flip angles must be finite, got -inf"),
+    ([1e308], "scaled flip angles must be finite, got inf"),   # beta'/beta overflows
+    ([], "scaled flip angles must be nonempty"),
+], ids=["nan", "inf", "-inf", "overflow", "empty"])
+def test_net_quaternions_reject_non_finite_grids_with_one_line(grid, says):
+    s = sm.sequence_from_axes("r", 0.5, _unit_rows(np.random.default_rng(79), (3,)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=f"^{re.escape(says)}$"):
+            sm.net_quaternions(s, grid)
 
 
 def test_reverse():
