@@ -187,9 +187,8 @@ def criterion_8() -> CriterionResult:
     worst_rel = 0.0
     for n in sorted({len(s) for s in seqs}):   # one oracle call per length
         group = [s for s in seqs if len(s) == n]
-        betas = np.array([s.betas for s in group])
-        powers = averaging._error_expansions(np.array([s.axes for s in group]), betas,
-                                             betas[:, 0])
+        beta0 = np.array([s.betas[0] for s in group])
+        powers = averaging._error_expansions(np.array([s.axes for s in group]), beta0, beta0)
         for s, power in zip(group, powers):
             alg = averaging.average_orders(toggling.toggle_axes(s.axes, s.betas))
             for a, b in zip((alg.order1, alg.order2, alg.order3), power[1:4]):

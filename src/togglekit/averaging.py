@@ -103,8 +103,8 @@ def numeric_error_expansion(s: RotationSequence, beta_prime: float | None = None
     if the fit residual or the constant term exceeds ``fit_tol``.
     """
     beta = s.uniform_beta()
-    power = _error_expansions(s.axes[None], s.betas[None],
-                              [beta if beta_prime is None else beta_prime], eps_grid, fit_tol)[0]
+    power = _error_expansions(s.axes[None], [beta], [beta if beta_prime is None else beta_prime],
+                              eps_grid, fit_tol)[0]
     return AverageRotationOrders(power[1], power[2], power[3])
 
 
@@ -123,15 +123,15 @@ _CHEB_DEGREE = 14
 _CHEB_TO_POWER = _cheb_to_power(_CHEB_DEGREE)
 
 
-def _error_expansions(axes, betas, beta_primes, eps_grid=None,
+def _error_expansions(axes, beta0, beta_primes, eps_grid=None,
                       fit_tol: float = 1e-8) -> np.ndarray:
     """``numeric_error_expansion`` over a stack of same-length uniform-angle
-    sequences: axes (N, n, 3), flip angles (N, n) and a realized flip angle
-    beta' per row (N,).  Returns the power-series coefficients (N, degree+1, 3)
+    sequences: axes (N, n, 3), the common flip angle beta_0 per row (N,)
+    and a realized flip angle beta' per row (N,).  Returns the power-series coefficients (N, degree+1, 3)
     of each row's residual rotation vector in eps, row k the eps^k term.
 
     All N sweeps run in one closed-form ``_sweep_nets`` call, each row at
-    its first flip angle; one Chebyshev fit in eps/h (h the grid's
+    its beta_0; one Chebyshev fit in eps/h (h the grid's
     half width) covers every column, and one constant Chebyshev-to-power
     matrix, with order k divided by h^k, converts it.  Raises naming the
     first row whose fit residual or constant term exceeds ``fit_tol``.
@@ -144,10 +144,9 @@ def _error_expansions(axes, betas, beta_primes, eps_grid=None,
     h = float(np.max(np.abs(grid)))
     if h == 0.0:
         raise ValueError("eps grid needs a nonzero point")
-    beta0 = np.asarray(betas, dtype=float)[:, :1]
     sweeps = _sweep_grid(np.asarray(beta_primes, dtype=float)[:, None]
                          + np.concatenate([[0.0], grid]), "flip angle beta'")
-    nets = _sweep_nets(axes, _half_sweep(sweeps, beta0))
+    nets = _sweep_nets(axes, _half_sweep(sweeps, np.asarray(beta0, dtype=float)[:, None]))
     errors = rotcore.quat_normalize(rotcore.quat_mul(rotcore.quat_conj(nets[:, :1]), nets[:, 1:]))
     vs = rotcore.quat_to_rotation_vector(errors).transpose(1, 0, 2)   # (G, N, 3)
     columns = vs.reshape(grid.size, -1)
@@ -292,7 +291,7 @@ def _kappa_matrices(dd, lam: int, scales) -> np.ndarray:
         raise ValueError(f"delays must total a finite value of at least {sys.float_info.min!r}, "
                          f"got {total!r}")
     pulses = dd.pulses
-    angles = _scaled_angles(scales, pulses.betas)
+    angles = _scaled_angles(np.asarray(scales, dtype=float)[..., None], pulses.betas)
     prefixes = prefix_quaternions(pulses.axes, angles)
     used = delays > 0.0
     d = wigner_matrices(lam, rotcore.quat_conj(prefixes[..., used, :]))   # D(U_j^-1)

@@ -6,7 +6,7 @@ conversion of symmetric pi-inverters into balanced pi/2 sequences.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import NamedTuple
+from operator import itemgetter
 
 import numpy as np
 
@@ -20,20 +20,36 @@ DEFAULT_GRID = np.linspace(0.0, 2.0 * np.pi, 721)   # half-degree steps
 DEFAULT_GRID.flags.writeable = False
 
 
-class ProfileSample(NamedTuple):
+class ProfileSample(tuple):
     """One point of an inversion profile: the realized flip angle, q there,
-    the final probe vector, and the unit quaternion of the net U(beta'),
-    read as a ``Rotation`` through ``net_rotation``."""
+    the final probe vector, and the net U(beta') as a ``Rotation``.  The
+    sample stores the net's unit quaternion and builds the ``Rotation`` on
+    each read of ``net_rotation``."""
 
-    beta_prime: float
-    q: float
-    final_vector: np.ndarray
-    net_quaternion: np.ndarray
+    __slots__ = ()
+
+    def __new__(cls, beta_prime: float, q: float, final_vector: np.ndarray,
+                net_rotation: Rotation):
+        return tuple.__new__(cls, (beta_prime, q, final_vector, net_rotation.q))
+
+    beta_prime = property(itemgetter(0), doc="The realized flip angle beta'.")
+    q = property(itemgetter(1), doc="q(beta') = e_xi . (U(beta') e_xi).")
+    final_vector = property(itemgetter(2), doc="The probe vector U(beta') e_xi.")
 
     @property
     def net_rotation(self) -> Rotation:
-        """U(beta'), built on each read around the stored unit quaternion."""
-        return rotcore._as_rotation(self.net_quaternion)
+        """U(beta'), built around the stored unit quaternion."""
+        return rotcore._as_rotation(self[3])
+
+    def __repr__(self) -> str:
+        return (f"ProfileSample(beta_prime={self.beta_prime!r}, q={self.q!r}, "
+                f"final_vector={self.final_vector!r}, net_rotation={self.net_rotation!r})")
+
+    @classmethod
+    def _sweep(cls, beta_primes, qs, finals, unit_quats) -> list[ProfileSample]:
+        """Samples over a sweep, each storing its row of ``unit_quaternions``
+        as the constructor stores a ``Rotation``'s quaternion."""
+        return list(map(tuple.__new__, repeat(cls), zip(beta_primes, qs, finals, unit_quats)))
 
 
 def q_values(s: RotationSequence, e_xi, grid) -> np.ndarray:
@@ -47,8 +63,7 @@ def q_profile(s: RotationSequence, e_xi, grid=None) -> list[ProfileSample]:
     q(0) = 1 always; nominal inverters also reach q(beta'=pi) = -1.
     """
     grid, quats, finals, qs = _profile_arrays(s, e_xi, grid)
-    rows = zip(grid.tolist(), qs.tolist(), finals, rotcore.unit_quaternions(quats))
-    return list(map(tuple.__new__, repeat(ProfileSample), rows))   # _make without its length check
+    return ProfileSample._sweep(grid.tolist(), qs.tolist(), finals, rotcore.unit_quaternions(quats))
 
 
 def _profile_arrays(s: RotationSequence, e_xi, grid):

@@ -342,12 +342,11 @@ def net_quaternions(s: RotationSequence, beta_primes) -> np.ndarray:
 
 
 def _half_sweep(beta_primes, beta0) -> np.ndarray:
-    """Half flip angles 0.5 * (beta'/beta_0) * beta_0 of a sweep (the
-    chain's scaled angle, halved), broadcast, checked by ``_sweep_grid``: a
-    value that is not finite, or that overflows, ends in its ValueError."""
-    with np.errstate(over="ignore"):
-        half = 0.5 * (np.asarray(beta_primes, dtype=float) / beta0) * beta0
-    return _sweep_grid(half, "scaled flip angles")
+    """Half flip angles 0.5 * (beta'/beta_0) * beta_0 of a sweep, at least
+    1-d: the chain's scaled angle from ``_scaled_angles``, halved."""
+    with np.errstate(over="ignore"):   # an overflowed scale is reported as inf below
+        scales = np.asarray(beta_primes, dtype=float) / beta0
+    return 0.5 * np.atleast_1d(_scaled_angles(scales, beta0))
 
 
 def _step_matrices() -> tuple[np.ndarray, np.ndarray]:
@@ -417,12 +416,12 @@ def _sweep_grid(values, what: str = "grid") -> np.ndarray:
     return grid
 
 
-def _scaled_angles(scales, betas: np.ndarray) -> np.ndarray:
-    """Flip angles ``betas`` (n,) times each flip-angle scale, shape
-    np.shape(scales) + (n,), checked by ``_sweep_grid``: a scale that is not
+def _scaled_angles(scales, betas) -> np.ndarray:
+    """Flip angles ``betas`` times flip-angle scales, the two broadcast
+    against each other, checked by ``_sweep_grid``: a scale that is not
     finite, or that overflows a product, ends in its ValueError."""
     with np.errstate(over="ignore"):
-        angles = np.multiply.outer(scales, betas)
+        angles = np.multiply(scales, betas)
     return _sweep_grid(angles, "scaled flip angles")
 
 

@@ -215,8 +215,8 @@ def test_oracle_kernel_matches_per_sequence_loop_on_criterion_8():
     seqs = criterion_8_sequences()
     for n in range(2, 7):
         group = [s for s in seqs if len(s) == n]
-        betas = np.array([s.betas for s in group])
-        powers = av._error_expansions(np.array([s.axes for s in group]), betas, betas[:, 0])
+        beta0 = np.array([s.betas[0] for s in group])
+        powers = av._error_expansions(np.array([s.axes for s in group]), beta0, beta0)
         assert powers.shape == (len(group), 15, 3)
         for s, power in zip(group, powers):
             want = reference_cheb2poly_expansion(s, s.betas[0])
@@ -235,11 +235,11 @@ def test_oracle_kernel_names_the_failed_row():
     # count, linear in eps until its angle passes pi, where the vector wraps
     signs = np.array([1.0, -1.0, 1.0, -1.0, 1.0])[:, None]
     axes = np.stack([signs * rc.E_X, np.tile(rc.E_X, (5, 1)), signs * rc.E_Y])
-    betas = np.full((3, 5), np.pi)
+    beta0 = np.full(3, np.pi)
     grid = av.default_eps_grid(3.0)   # |eps| < pi, but 5 |eps| wraps
     with pytest.raises(ValueError, match=r"^error expansion fit failed for row 1 \(residual"):
-        av._error_expansions(axes, betas, betas[:, 0], grid)
-    good = av._error_expansions(axes[[0, 2]], betas[:2], betas[:2, 0], grid)
+        av._error_expansions(axes, beta0, beta0, grid)
+    good = av._error_expansions(axes[[0, 2]], beta0[:2], beta0[:2], grid)
     assert np.max(np.abs(good[:, 1] - np.array([rc.E_X, rc.E_Y]))) < 1e-12
 
 

@@ -455,6 +455,8 @@ def test_q_values_do_not_depend_on_the_grid_size():
         full = pf.q_values(s, probe, pf.DEFAULT_GRID)
         for i, bp in enumerate(pf.DEFAULT_GRID.tolist()):
             assert pf.q_values(s, probe, [bp]).tobytes() == full[i:i + 1].tobytes()
+        # a scalar grid is a sweep of one point
+        assert pf.q_values(s, probe, np.pi).tobytes() == pf.q_values(s, probe, [np.pi]).tobytes()
 
 
 def test_q_profile_rotations_equal_per_point_constructors():
@@ -465,6 +467,17 @@ def test_q_profile_rotations_equal_per_point_constructors():
     assert [p.beta_prime for p in samples] == grid.tolist()
     assert all(p.net_rotation.q.tobytes() == rc.Rotation(qq).q.tobytes()
                for p, qq in zip(samples, quats))
+
+
+def test_profile_sample_is_built_from_a_rotation():
+    # the constructor takes the net as a Rotation, as q_profile's samples give it back
+    p = pf.q_profile(catalog.f1(), rc.E_Z, [1.0])[0]
+    rebuilt = pf.ProfileSample(p.beta_prime, p.q, p.final_vector, p.net_rotation)
+    assert rebuilt.net_rotation.q.tobytes() == p.net_rotation.q.tobytes()
+    assert (rebuilt.beta_prime, rebuilt.q, rebuilt.final_vector) == (1.0, p.q, p.final_vector)
+    assert repr(rebuilt) == repr(p) and repr(p).startswith("ProfileSample(beta_prime=1.0, q=")
+    with pytest.raises(AttributeError):
+        p.q = 0.0
 
 
 ERROR_DEG_TOL = 1e-12   # swept residual angles against per-point chains, in degrees
@@ -483,6 +496,7 @@ def test_rotation_errors_match_scalar_errors():
         assert np.max(np.abs(got - want)) <= ERROR_DEG_TOL
         assert [pf.rotation_error(s, bp, target) for bp in bps] == got.tolist()
         assert want[-1] == 0.0 and got[-1] == 0.0
+        assert pf.rotation_errors(s, bps[0], target).tolist() == got[:1].tolist()   # scalar grid
 
 
 @pytest.mark.parametrize("call, says", [

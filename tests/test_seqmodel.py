@@ -4,6 +4,7 @@ import json
 import math
 import re
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -367,16 +368,30 @@ def test_net_quaternions_agree_with_broadcast_trig_chain():
             assert np.max(np.abs(got - reference_net_quaternions(seq, grid))) <= tol
 
 
-def mp_net_quaternions(axes, half_angles):
-    """Nets of a uniform-angle sequence as 40-digit products of the steps
-    (cos theta, sin theta e_i), rounded to float."""
-    import mpmath
-    with mpmath.workdps(40):
+def _decimal_cos_sin(theta: float) -> tuple[Decimal, Decimal]:
+    """cos and sin of a float in the current decimal context, by their
+    Taylor series; |theta| < 7 cancels fewer than 3 digits."""
+    assert abs(theta) < 7
+    x = Decimal(theta)   # exact
+    sums, term, k = [Decimal(0), Decimal(0)], Decimal(1), 0   # term = x^k / k!
+    while abs(term) > Decimal(10) ** -60:
+        sums[k % 2] += term if k % 4 < 2 else -term
+        k += 1
+        term = term * x / k
+    return sums[0], sums[1]
+
+
+def exact_net_quaternions(axes, half_angles):
+    """Nets of a uniform-angle sequence as products of the steps
+    (cos theta, sin theta e_i) in 50-digit decimal arithmetic, rounded to
+    float: a reference at least 40 digits deep."""
+    with localcontext(prec=50):
+        steps = [[Decimal(v) for v in row] for row in axes.tolist()]   # exact
         out = []
         for theta in half_angles.tolist():
-            c, sn = mpmath.cos(theta), mpmath.sin(theta)
-            w, x, y, z = mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(0), mpmath.mpf(0)
-            for ex, ey, ez in axes.tolist():
+            c, sn = _decimal_cos_sin(theta)
+            w, x, y, z = Decimal(1), Decimal(0), Decimal(0), Decimal(0)
+            for ex, ey, ez in steps:
                 bx, by, bz = sn * ex, sn * ey, sn * ez
                 w, x, y, z = (c * w - (bx * x + by * y + bz * z),
                               c * x + w * bx + (by * z - bz * y),
@@ -396,10 +411,11 @@ def test_sweep_nets_agree_with_the_chain_and_a_40_digit_product(n, beta):
                                   rng.uniform(-3 * np.pi, 4 * np.pi, 40)])
     s = sm.sequence_from_axes("r", beta, axes)
     got = sm.net_quaternions(s, beta_primes)
+    assert sm.net_quaternions(s, beta_primes[1]).tobytes() == got[1:2].tobytes()   # scalar grid
     chain = sm.prefix_quaternions(axes, np.multiply.outer(beta_primes / beta, s.betas))[:, -1]
     assert np.max(np.abs(got - chain)) <= SWEEP_TOL
     picks = np.r_[0:6, 6:beta_primes.size:4]   # the six set points and every 4th random one
-    exact = mp_net_quaternions(axes, 0.5 * (beta_primes[picks] / beta) * beta)
+    exact = exact_net_quaternions(axes, 0.5 * (beta_primes[picks] / beta) * beta)
     assert np.max(np.abs(got[picks] - exact)) <= SWEEP_TOL
 
 
