@@ -19,7 +19,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import chebyshev as _cheb
 
 from . import rotcore
 from .rotcore import Rotation
@@ -54,38 +53,34 @@ class AverageRotationOrders:
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:   # row-wise, the bits of np.cross
-    return np.stack(rotcore._cross3(*a.T, *b.T), axis=-1)
+    return np.stack(rotcore._cross3(a[..., 0], a[..., 1], a[..., 2],
+                                    b[..., 0], b[..., 1], b[..., 2]), axis=-1)
+
+
+def _exclusive_cumsum(v: np.ndarray) -> np.ndarray:
+    """Sums of the rows before each row, along axis -2."""
+    out = np.zeros_like(v)
+    out[..., 1:, :] = np.cumsum(v[..., :-1, :], axis=-2)
+    return out
 
 
 def average_orders(vectors) -> AverageRotationOrders:
-    """Leading average-rotation orders for error kicks about ``vectors``.
+    """Leading average-rotation orders for error kicks about ``vectors``
+    (..., n, 3); each order is (..., 3), and an (n, 3) call is a batch of one.
 
-    Orders 2 and 3 carry the nested cross-product sums of the discrete
-    Magnus expansion, evaluated with prefix/suffix cumulative sums.
+    The Baker-Campbell-Hausdorff step V_j+1 = log(exp(x e_j) exp(V_j)),
+    applied one pulse at a time from V_0 = 0: with S_j and O_j the sums of
+    e_i and of e_i x S_i / 2 over i < j, pulse j adds e_j to order 1,
+    e_j x S_j / 2 to order 2 and e_j x O_j / 2 + (e_j - S_j) x (e_j x S_j) / 12
+    to order 3.
     """
     e = np.asarray(vectors, dtype=float)
-    if e.ndim != 2 or e.shape[1] != 3:
-        raise ValueError("expected an (n, 3) array of vectors")
-    n = len(e)
-    order1 = e.sum(axis=0)
-
-    prefix = np.zeros_like(e)                     # S_j = sum_{i<j} e_i
-    prefix[1:] = np.cumsum(e, axis=0)[:-1]
-    suffix = np.zeros_like(e)                     # T_j = sum_{k>j} e_k
-    suffix[:-1] = np.cumsum(e[::-1], axis=0)[-2::-1]
-
-    cross_ps = _cross(e, prefix)                  # e_j x S_j
-    order2 = 0.5 * cross_ps.sum(axis=0)
-
-    w = np.zeros_like(e)                          # W_k = sum_{j<k} e_j x S_j
-    w[1:] = np.cumsum(cross_ps, axis=0)[:-1]
-    cross_es = _cross(e, suffix)                  # e_j x T_j
-    triple_a = _cross(e, w).sum(axis=0)           # e_k x (e_j x e_i)
-    triple_b = _cross(prefix, cross_es).sum(axis=0)   # e_i x (e_j x e_k)
-    pair_a = _cross(e, cross_ps).sum(axis=0)      # e_k x (e_k x e_i)
-    pair_b = _cross(e, cross_es).sum(axis=0)      # e_i x (e_i x e_k)
-    order3 = (triple_a + triple_b) / 6.0 + (pair_a + pair_b) / 12.0
-    return AverageRotationOrders(order1, order2, order3)
+    if e.ndim < 2 or e.shape[-1] != 3:
+        raise ValueError("expected an (..., n, 3) array of vectors")
+    s = _exclusive_cumsum(e)
+    es = _cross(e, s)                             # O_j = W_j / 2, W the sums of e_i x S_i
+    order3 = (0.25 * _cross(e, _exclusive_cumsum(es)) + _cross(e - s, es) / 12.0).sum(axis=-2)
+    return AverageRotationOrders(e.sum(axis=-2), 0.5 * es.sum(axis=-2), order3)
 
 
 def default_eps_grid(half_width: float = 0.2, points: int = 33) -> np.ndarray:
@@ -94,17 +89,17 @@ def default_eps_grid(half_width: float = 0.2, points: int = 33) -> np.ndarray:
 
 
 def numeric_error_expansion(s: RotationSequence, beta_prime: float | None = None,
-                            eps_grid=None, fit_tol: float = 1e-8) -> AverageRotationOrders:
+                            eps_grid=None) -> AverageRotationOrders:
     """Oracle for average_orders: expand the residual rotation vector of
     U(beta')^-1 U(beta'+eps) in eps by polynomial fit and return the cubic
     coefficients; a batch of one of ``_error_expansions``.
 
     The grid must be symmetric about zero with at least 5 points.  Raises
-    if the fit residual or the constant term exceeds ``fit_tol``.
+    if the fit residual or the constant term exceeds ``FIT_TOL``.
     """
     beta = s.uniform_beta()
     power = _error_expansions(s.axes[None], [beta], [beta if beta_prime is None else beta_prime],
-                              eps_grid, fit_tol)[0]
+                              eps_grid)[0]
     return AverageRotationOrders(power[1], power[2], power[3])
 
 
@@ -121,20 +116,21 @@ def _cheb_to_power(degree: int) -> np.ndarray:
 
 _CHEB_DEGREE = 14
 _CHEB_TO_POWER = _cheb_to_power(_CHEB_DEGREE)
+FIT_TOL = 1e-8   # bound on the oracle's fit residual and constant term
 
 
-def _error_expansions(axes, beta0, beta_primes, eps_grid=None,
-                      fit_tol: float = 1e-8) -> np.ndarray:
+def _error_expansions(axes, beta0, beta_primes, eps_grid=None) -> np.ndarray:
     """``numeric_error_expansion`` over a stack of same-length uniform-angle
     sequences: axes (N, n, 3), the common flip angle beta_0 per row (N,)
     and a realized flip angle beta' per row (N,).  Returns the power-series coefficients (N, degree+1, 3)
     of each row's residual rotation vector in eps, row k the eps^k term.
 
     All N sweeps run in one closed-form ``_sweep_nets`` call, each row at
-    its beta_0; one Chebyshev fit in eps/h (h the grid's
-    half width) covers every column, and one constant Chebyshev-to-power
-    matrix, with order k divided by h^k, converts it.  Raises naming the
-    first row whose fit residual or constant term exceeds ``fit_tol``.
+    its beta_0; one least-squares solve on the Chebyshev Vandermonde
+    T_j(t) = cos(j arccos t), t = eps/h (h the grid's half width), fits every
+    column, and one constant Chebyshev-to-power matrix, with order k divided
+    by h^k, converts it.  Raises naming the first row whose fit residual or
+    constant term exceeds ``FIT_TOL``.
     """
     grid = default_eps_grid() if eps_grid is None else _sweep_grid(eps_grid, "eps grid")
     if grid.size < 5:
@@ -151,13 +147,13 @@ def _error_expansions(axes, beta0, beta_primes, eps_grid=None,
     vs = rotcore.quat_to_rotation_vector(errors).transpose(1, 0, 2)   # (G, N, 3)
     columns = vs.reshape(grid.size, -1)
     degree = min(_CHEB_DEGREE, grid.size - 1)
-    t = grid / h
-    coeffs = _cheb.chebfit(t, columns, degree)
-    resid = np.abs(_cheb.chebvander(t, degree) @ coeffs - columns).reshape(vs.shape).max(axis=(0, 2))
+    vander = np.cos(np.arccos(grid / h)[:, None] * np.arange(degree + 1))
+    coeffs = np.linalg.lstsq(vander, columns, rcond=None)[0]
+    resid = np.abs(vander @ coeffs - columns).reshape(vs.shape).max(axis=(0, 2))
     power = (_CHEB_TO_POWER[:degree + 1, :degree + 1] @ coeffs).reshape((degree + 1,) + vs.shape[1:])
     power = power.transpose(1, 0, 2) / (h ** np.arange(degree + 1))[:, None]
     constant = np.abs(power[:, 0]).max(axis=-1)
-    failed = np.flatnonzero(~((resid <= fit_tol) & (constant <= fit_tol)))   # NaN fails too
+    failed = np.flatnonzero(~((resid <= FIT_TOL) & (constant <= FIT_TOL)))   # NaN fails too
     if failed.size:
         r = failed[0]
         raise ValueError(f"error expansion fit failed for row {r} (residual {resid[r]:.3g}, "

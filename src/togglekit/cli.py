@@ -60,8 +60,7 @@ def _finite_float(text: str) -> float:
 
 def _resolve_sequence(spec: str, deg: bool = False) -> seqmodel.RotationSequence:
     if spec.startswith("@"):
-        with open(spec[1:], encoding="utf-8") as fh:
-            return seqmodel.from_json_dict(json.load(fh), deg)
+        return seqmodel.load_sequence(spec[1:], deg)
     return catalog.named(spec)
 
 

@@ -529,15 +529,22 @@ def scale_betas(s: RotationSequence, scale: float) -> RotationSequence:
 #   [{"beta": num, "phase": num, "latitude": num?} | {"beta": num, "axis": [x,y,z]}]}
 # ---------------------------------------------------------------------------
 
+def _json_phase(phase: float) -> float:
+    """``phase`` reduced to [0, 2pi).  A tiny negative phase reduces to
+    2pi itself in float arithmetic; that result is written as 0."""
+    reduced = phase % (2.0 * np.pi)
+    return 0.0 if reduced == 2.0 * np.pi else reduced
+
+
 def to_json_dict(s: RotationSequence) -> dict:
     elements = []
     for beta, axis, phase, given, lat in zip(
             s.betas.tolist(), s.axes.tolist(), s.phases.tolist(),
             s._given_phases.tolist(), s._given_latitudes.tolist()):
         if abs(axis[2]) < 1e-12:
-            d = {"beta": beta, "phase": phase % (2.0 * np.pi)}
+            d = {"beta": beta, "phase": _json_phase(phase)}
         elif not (math.isnan(given) or math.isnan(lat)):
-            d = {"beta": beta, "phase": given % (2.0 * np.pi), "latitude": lat}
+            d = {"beta": beta, "phase": _json_phase(given), "latitude": lat}
         else:
             d = {"beta": beta, "axis": axis}
         elements.append(d)
@@ -599,12 +606,7 @@ def from_json_dict(d: dict, deg: bool = False) -> RotationSequence:
                       d.get("cycle_order"), phases[None], lats[None])[0]
 
 
-def load_sequence(path: str) -> RotationSequence:
+def load_sequence(path: str, deg: bool = False) -> RotationSequence:
+    """The sequence in a JSON file; ``deg`` as in ``from_json_dict``."""
     with open(path, encoding="utf-8") as fh:
-        return from_json_dict(json.load(fh))
-
-
-def save_sequence(s: RotationSequence, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(to_json_dict(s), fh, indent=2)
-        fh.write("\n")
+        return from_json_dict(json.load(fh), deg)

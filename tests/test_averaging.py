@@ -57,7 +57,9 @@ def test_average_orders_against_brute_force():
 
 
 def _average_orders_reference(e):
-    """average_orders with its cross products taken by np.cross."""
+    """average_orders as the hand-written discrete Magnus sums it was before
+    the per-pulse BCH step, with prefix and suffix sums and the cross products
+    taken by np.cross."""
     prefix = np.zeros_like(e)
     prefix[1:] = np.cumsum(e, axis=0)[:-1]
     suffix = np.zeros_like(e)
@@ -73,13 +75,33 @@ def _average_orders_reference(e):
     return e.sum(axis=0), order2, order3
 
 
-def test_average_orders_bit_identical_to_np_cross_form():
+def test_average_orders_agrees_with_np_cross_form():
+    # orders 1 and 2 keep the reference's bits; order 3 sums other terms
     rng = np.random.default_rng(44)
     for n in [*range(1, 20), 33, 100]:
         e = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
         got = av.average_orders(e)
-        for have, want in zip((got.order1, got.order2, got.order3), _average_orders_reference(e)):
-            assert have.tobytes() == want.tobytes()
+        order1, order2, order3 = _average_orders_reference(e)
+        assert got.order1.tobytes() == order1.tobytes()
+        assert got.order2.tobytes() == order2.tobytes()
+        assert np.max(np.abs(got.order3 - order3)) <= 1e-14 * max(1.0, np.max(np.abs(order3)))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 13])
+def test_average_orders_stack_rows_equal_single_calls(n):
+    stack = np.random.default_rng(47).normal(size=(3, 4, n, 3))
+    got = av.average_orders(stack)
+    for idx in np.ndindex(3, 4):
+        one = av.average_orders(stack[idx])
+        for have, want in zip((got.order1, got.order2, got.order3),
+                              (one.order1, one.order2, one.order3)):
+            assert have[idx].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(3,), (4, 2), (2, 4, 4)], ids=str)
+def test_average_orders_rejects_non_vector_rows(shape):
+    with pytest.raises(ValueError, match="expected an"):
+        av.average_orders(np.zeros(shape))
 
 
 def test_symmetric_set_kills_order2():

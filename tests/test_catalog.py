@@ -171,6 +171,19 @@ def test_list_names():
     assert "udd(n)" in catalog.list_names(dd=True)
 
 
+FAMILY_SPECS = ["nprime(3)", "nprime(5)", "nprime(7)", "nprime(5,2)", "bprime(3)", "bprime(5)",
+                "bprime(7)", "bprime(5,2)", "nest_bn(3,3)", "nest_nb(3,3)", "nest_bn(3,5)",
+                "nest_nb(5,3)"]
+
+
+@pytest.mark.parametrize("spec", [n for n in catalog.list_names() if "(" not in n] + FAMILY_SPECS)
+def test_json_phases_lie_in_zero_to_two_pi(spec):
+    s = catalog.named(spec)
+    for seq in (s, tg.toggling_map(s)):
+        phases = [e["phase"] for e in sm.to_json_dict(seq)["elements"] if "phase" in e]
+        assert all(0.0 <= p < 2.0 * np.pi for p in phases), phases
+
+
 def test_dd_xy4_structure():
     dd = catalog.named_dd("xy4", tau=2.0)
     assert np.allclose(dd.delays, [1.0, 2.0, 2.0, 2.0, 1.0])

@@ -2,17 +2,21 @@
 ``data/cli_golden.json`` byte for byte.  ``convert24`` is compared by
 tokens, its numbers within 1e-12, because its final z-rotation angle is a
 computed root.  The flip-angle sweep pins are also checked against the
-propagator chain they were first recorded with."""
+propagator chain they were first recorded with, the average-order pins
+against the hand-written Magnus sums, and the pins that once printed a
+phase of 2pi against the bare phase reduction."""
 
 import hashlib
 import json
 import pathlib
 import re
 
+import numpy as np
 import pytest
 
+from test_averaging import _average_orders_reference
 from test_seqmodel import reference_net_quaternions
-from togglekit import cli, profiles
+from togglekit import averaging, cli, profiles, seqmodel
 
 GOLDEN = json.loads((pathlib.Path(__file__).parent / "data" / "cli_golden.json")
                     .read_text(encoding="utf-8"))
@@ -27,6 +31,23 @@ CHAIN_SHA256 = {
     "glide f1 nb1_tpg": "640c183c48a20aa46197afa2a24d55695efbe48d097553eb589c8bc5b3063720",
     "glide bprime(5) nprime(5)": "bc205a06cdbc70bb74c9029f850020dad9436db9b820f07302d2a483640c3ea5",
 }
+ORDERS_TOL = 1e-15
+# stdout of the orders commands with average_orders as the hand-written sums, as first recorded
+HAND_SUM_SHA256 = {
+    "orders p34": "a92d62df6e84d00fce7c674b67fc81ba01a6c57fe51dcdaa0233e54bd2782a39",
+    "orders f1 --beta-scale 1.1": "a10351dfbd170a28dc8e56d127347366dc65610321fdba281157febd778198e9",
+    "orders @deg5 --deg": "a4532ab14cac5954fdc196019ee5cc2d126cfdceea8fb72cf434ae61220ddcd7",
+}
+# stdout with phases reduced by a bare x % 2pi, which gives 2pi for a tiny negative x
+BARE_MOD_SHA256 = {
+    "toggle f1 --m 2": "78efcab7d69f5eb62e19f76260deb8b64f1f6e8672684433d16f1e16fc566b8e",
+    "search --axes octahedron --n 4 --m 4 --target equatorial-pi --balance z":
+        "8b487a83882a8d99e62965ccfba4b5433efeed04f5bb679be8f7bf5255d6f680",
+    "search --axes octahedron --n 6 --m 4 --target equatorial-pi --dedupe global_z":
+        "e1f877c25f54f7341559f9f738b6acc6b38b3adf7fb189d8f1d5e87f7f99b861",
+    "search --axes octahedron --n 3 --m 2 --target equatorial-pi --balance z --dedupe none":
+        "998f7a1b17617911a0565b69c0dfce2e259f00af0557bd20cacc264e066ce7b3",
+}
 
 
 def _tokens(text: str) -> tuple[list[str], list[float]]:
@@ -34,19 +55,28 @@ def _tokens(text: str) -> tuple[list[str], list[float]]:
     return NUMBER.split(text), [float(x) for x in NUMBER.findall(text)]
 
 
-@pytest.mark.parametrize("record", GOLDEN["commands"], ids=lambda r: " ".join(r["argv"]))
-def test_cli_output_matches_golden(record, tmp_path, capsys):
-    argv = []
-    for arg in record["argv"]:
+def _stdout(argv: list[str], tmp_path, capsys) -> str:
+    """stdout of ``cli.main``, each '@name' argument written from the golden files."""
+    args = []
+    for arg in argv:
         if arg.startswith("@"):
             path = tmp_path / f"{arg[1:]}.json"
             path.write_text(json.dumps(GOLDEN["files"][arg[1:]]), encoding="utf-8")
             arg = f"@{path}"
-        argv.append(arg)
-    assert cli.main(argv) == 0
-    out = capsys.readouterr().out
+        args.append(arg)
+    assert cli.main(args) == 0
+    return capsys.readouterr().out
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("record", GOLDEN["commands"], ids=lambda r: " ".join(r["argv"]))
+def test_cli_output_matches_golden(record, tmp_path, capsys):
+    out = _stdout(record["argv"], tmp_path, capsys)
     if "stdout" not in record:
-        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == record["sha256"]
+        assert _sha256(out) == record["sha256"]
         return
     _assert_agree(out, record["stdout"], CONVERT_TOL)
 
@@ -62,12 +92,31 @@ def _assert_agree(text: str, want: str, tol: float) -> None:
 
 
 @pytest.mark.parametrize("command", sorted(CHAIN_SHA256))
-def test_sweep_pins_agree_with_the_chain(command, capsys, monkeypatch):
-    argv = command.split()
-    assert cli.main(argv) == 0
-    out = capsys.readouterr().out
+def test_sweep_pins_agree_with_the_chain(command, tmp_path, capsys, monkeypatch):
+    out = _stdout(command.split(), tmp_path, capsys)
     monkeypatch.setattr(profiles, "net_quaternions", reference_net_quaternions)
-    assert cli.main(argv) == 0
-    chain = capsys.readouterr().out
-    assert hashlib.sha256(chain.encode("utf-8")).hexdigest() == CHAIN_SHA256[command]
+    chain = _stdout(command.split(), tmp_path, capsys)
+    assert _sha256(chain) == CHAIN_SHA256[command]
     _assert_agree(out, chain, SWEEP_TOL)
+
+
+@pytest.mark.parametrize("command", sorted(HAND_SUM_SHA256))
+def test_orders_pins_agree_with_the_hand_written_sums(command, tmp_path, capsys, monkeypatch):
+    out = _stdout(command.split(), tmp_path, capsys)
+    monkeypatch.setattr(averaging, "average_orders", lambda e: averaging.AverageRotationOrders(
+        *_average_orders_reference(np.asarray(e, dtype=float))))
+    sums = _stdout(command.split(), tmp_path, capsys)
+    assert _sha256(sums) == HAND_SUM_SHA256[command]
+    _assert_agree(out, sums, ORDERS_TOL)
+
+
+@pytest.mark.parametrize("command", sorted(BARE_MOD_SHA256))
+def test_phase_pins_differ_from_the_bare_reduction_only_at_two_pi(command, tmp_path, capsys,
+                                                                   monkeypatch):
+    out = _stdout(command.split(), tmp_path, capsys)
+    monkeypatch.setattr(seqmodel, "_json_phase", lambda phase: phase % (2.0 * np.pi))
+    bare = _stdout(command.split(), tmp_path, capsys)
+    assert _sha256(bare) == BARE_MOD_SHA256[command]
+    two_pi = '"phase": 6.283185307179586'
+    assert two_pi in bare and two_pi not in out
+    assert bare.replace(two_pi, '"phase": 0.0') == out

@@ -1,6 +1,7 @@
 """Invariants of the paper on seeded random inputs: the m = 2 duality of
-odd equatorial pi-sequences, its glide reflection, the phase map, and the
-net of the reversed toggled sequence."""
+odd equatorial pi-sequences, its glide reflection, the phase map, the
+net of the reversed toggled sequence, and the inverse toggling map as the
+forward map conjugated by axis negation."""
 
 import numpy as np
 import pytest
@@ -61,3 +62,36 @@ def test_reversed_toggled_sequence_has_the_same_net():
         assert np.array_equal(r.betas, s.betas[::-1])
         worst = max(worst, float(np.max(np.abs(sm.net_propagator(r).q - sm.net_propagator(s).q))))
     assert worst < 1e-9
+
+
+def test_inverse_toggle_is_the_forward_map_conjugated_by_negation():
+    # e = T^-1(f) has e_i = U_i f_i with U_i = R(b_0, f_0) ... R(b_{i-1}, f_{i-1}),
+    # the inverse of the i-th prefix of -f, so T^-1(f) = -T(-f) for any flip
+    # angles and the net U_n is the conjugate of the last prefix of -f
+    worst_axes = worst_net = 0.0
+    for seed in range(300):
+        rng = np.random.default_rng([95, seed])
+        n = int(rng.integers(1, 13))
+        lead = () if seed % 3 else (4,)
+        f = rc.unit_vectors(rng.normal(size=lead + (n, 3)))
+        betas = rng.uniform(0.05, 2 * np.pi, lead + (n,))
+        axes, net = tg.inverse_toggle_axes(f, betas)
+        worst_axes = max(worst_axes, float(np.max(np.abs(axes + tg.toggle_axes(-f, betas)))))
+        last = sm.prefix_quaternions(-f, betas)[..., -1, :]
+        worst_net = max(worst_net, float(np.max(np.abs(net - rc.quat_conj(last)))))
+    assert worst_axes < 1e-13
+    assert worst_net < 1e-13
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_m_minus_one_toggles_are_the_negation_conjugate(m):
+    # T^m = 1 at beta = 2 pi / m, so T^(m-1) = T^-1 = -T(-.); at m = 2 this
+    # says T commutes with negation
+    rng = np.random.default_rng([96, m])
+    for n in range(1, 13):
+        e = rc.unit_vectors(rng.normal(size=(8, n, 3)))
+        betas = np.full(n, 2 * np.pi / m)
+        iterated = e
+        for _ in range(m - 1):
+            iterated = tg.toggle_axes(iterated, betas)
+        assert np.max(np.abs(iterated + tg.toggle_axes(-e, betas))) < 1e-13
