@@ -25,8 +25,8 @@ from .seqmodel import (PulseElement, RotationSequence, cyclic_permute,
                        sequence_from_phases, sequences_equal, sequences_from_arrays)
 from .toggling import (TogglingFrameSet, closed_form_toggling, cyclicity_order,
                        detuning_frame, finite_difference_duality_check,
-                       half_band_check, inverse_phase_map, inverse_toggling_map,
-                       phase_map, toggling_map, toggling_map_iter)
+                       half_band_check, inverse_toggling_map, phase_map,
+                       toggling_map, toggling_map_iter)
 from .virtualmas import mas_kappa_sweep, suppression_order_slopes
 
 __version__ = "0.1.0"
@@ -39,7 +39,7 @@ __all__ = [
     "cyclic_permute", "cyclicity_order", "dedupe", "detuning_frame",
     "enumerate_balanced", "finite_difference_duality_check", "from_axis_angle",
     "glide_reflection_check", "global_phase_shift", "half_band_check", "inverse",
-    "inverse_phase_map", "inverse_toggling_map", "is_balanced", "kappa",
+    "inverse_toggling_map", "is_balanced", "kappa",
     "kick_times", "mas_kappa_sweep", "named", "named_dd", "nest", "net_propagator",
     "numeric_error_expansion", "osc_field_dressed", "phase_map", "phase_scale",
     "prefix_propagator", "q_profile", "reverse",

@@ -310,14 +310,14 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 1
+    except BrokenPipeError:
+        return 0
+    except (OSError, json.JSONDecodeError) as exc:   # a JSONDecodeError is a ValueError too
+        sys.stderr.write(f"i/o error: {exc}\n")
+        return 3
     except (KeyError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except BrokenPipeError:
-        return 0
-    except (OSError, json.JSONDecodeError) as exc:
-        sys.stderr.write(f"i/o error: {exc}\n")
-        return 3
 
 
 if __name__ == "__main__":

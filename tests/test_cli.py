@@ -267,6 +267,16 @@ def test_bad_input_exits_1_with_one_line(capsys, tmp_path, argv, doc, says):
     assert says in err
 
 
+@pytest.mark.parametrize("argv", [["cycle", "@in"], ["kappa", "@in", "--lambda", "1"]],
+                         ids=["sequence-file", "dd-file"])
+def test_malformed_json_exits_3_with_one_line(capsys, tmp_path, argv):
+    path = tmp_path / "in.json"
+    path.write_text("{not json")
+    code, out, err = run(capsys, *[f"@{path}" if a == "@in" else a for a in argv])
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and err.startswith("i/o error: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("element, says", [
     ({"beta": "180", "phase": 0.0}, "beta must be a JSON number, got '180'"),
     ({"beta": 180.0, "phase": True}, "phase must be a JSON number, got True"),

@@ -3,7 +3,8 @@
 tokens, its numbers within 1e-12, because its final z-rotation angle is a
 computed root.  The flip-angle sweep pins are also checked against the
 propagator chain they were first recorded with, the average-order pins
-against the hand-written Magnus sums, and the pins that once printed a
+against the hand-written Magnus sums, the search pins against the inverse
+toggle that rebuilt the axes forward, and the pins that once printed a
 phase of 2pi against the bare phase reduction."""
 
 import hashlib
@@ -16,7 +17,8 @@ import pytest
 
 from test_averaging import _average_orders_reference
 from test_seqmodel import reference_net_quaternions
-from togglekit import averaging, cli, profiles, seqmodel
+from test_toggling import reference_inverse_toggle_axes
+from togglekit import averaging, cli, profiles, search, seqmodel
 
 GOLDEN = json.loads((pathlib.Path(__file__).parent / "data" / "cli_golden.json")
                     .read_text(encoding="utf-8"))
@@ -38,7 +40,25 @@ HAND_SUM_SHA256 = {
     "orders f1 --beta-scale 1.1": "a10351dfbd170a28dc8e56d127347366dc65610321fdba281157febd778198e9",
     "orders @deg5 --deg": "a4532ab14cac5954fdc196019ee5cc2d126cfdceea8fb72cf434ae61220ddcd7",
 }
-# stdout with phases reduced by a bare x % 2pi, which gives 2pi for a tiny negative x
+INVERSE_TOL = 1e-15
+# stdout of the search commands with the inverse toggle rebuilding the axes
+# forward, e_i = U_i f_i, as first recorded
+FORWARD_INVERSE_SHA256 = {
+    "search --axes tetrahedron --n 4 --m 3 --target 1,1,1:2.0943951023931953":
+        "e71a014305e9b07a3115bcabab9bf2a267ed73012f132313d36e36b7af79edb3",
+    "search --axes octahedron --n 4 --m 4 --target equatorial-pi --balance z":
+        "fe5d52f3de0b3f5af6eef1d4b1c9823a751550057ddbaaca1774128a895d307b",
+    "search --axes octahedron --n 6 --m 4 --target equatorial-pi --dedupe global_z":
+        "d0d7f5c109c7b8e600875f8005e3f9e9c733a53e712b8eddbb434d0420a8c466",
+    "search --axes cube --n 4 --m 3 --target axis-cycling":
+        "2b186daef19a2b80ae1cf993bdb8ccae59a0785f6b5af2408fc9f6a777c82bd4",
+    "search --axes tetrahedron --n 4 --m 3 --target axis-cycling --balance z "
+    "--dedupe axis_set_rotations":
+        "3e3c74c31154556b6f14cea0a5b59449405d1823d3f72208aaa83bdbe018ed26",
+}
+# stdout with phases reduced by a bare x % 2pi, which gives 2pi for a tiny
+# negative x, and the search's inverse toggle as the forward reconstruction
+# (on -T(-f) no phase of the n = 4 octahedron pin reduces to 2pi)
 BARE_MOD_SHA256 = {
     "toggle f1 --m 2": "78efcab7d69f5eb62e19f76260deb8b64f1f6e8672684433d16f1e16fc566b8e",
     "search --axes octahedron --n 4 --m 4 --target equatorial-pi --balance z":
@@ -110,9 +130,19 @@ def test_orders_pins_agree_with_the_hand_written_sums(command, tmp_path, capsys,
     _assert_agree(out, sums, ORDERS_TOL)
 
 
+@pytest.mark.parametrize("command", sorted(FORWARD_INVERSE_SHA256))
+def test_search_pins_agree_with_the_forward_inverse(command, tmp_path, capsys, monkeypatch):
+    out = _stdout(command.split(), tmp_path, capsys)
+    monkeypatch.setattr(search, "inverse_toggle_axes", reference_inverse_toggle_axes)
+    forward = _stdout(command.split(), tmp_path, capsys)
+    assert _sha256(forward) == FORWARD_INVERSE_SHA256[command]
+    _assert_agree(out, forward, INVERSE_TOL)
+
+
 @pytest.mark.parametrize("command", sorted(BARE_MOD_SHA256))
 def test_phase_pins_differ_from_the_bare_reduction_only_at_two_pi(command, tmp_path, capsys,
                                                                    monkeypatch):
+    monkeypatch.setattr(search, "inverse_toggle_axes", reference_inverse_toggle_axes)
     out = _stdout(command.split(), tmp_path, capsys)
     monkeypatch.setattr(seqmodel, "_json_phase", lambda phase: phase % (2.0 * np.pi))
     bare = _stdout(command.split(), tmp_path, capsys)

@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
+from test_toggling import reference_inverse_toggle_axes
 from togglekit import catalog, cli, profiles as pf, rotcore as rc, search as se, seqmodel as sm, \
     toggling as tg
 
@@ -559,19 +560,41 @@ def _digest(results, names=False):
     return h.hexdigest()
 
 
+LARGEST_SPEC = se.SearchSpec(se.octahedron(), 8, 4, "equatorial_pi")
+
+
 def test_largest_walk_and_dedupe_pinned():
-    # octahedron n = 8, m = 4, equatorial pi, recorded before the lexsort
-    # grouping and the signed-permutation images replaced np.unique and matmul
-    raw = se.enumerate_balanced(se.SearchSpec(se.octahedron(), 8, 4, "equatorial_pi"))
+    # octahedron n = 8, m = 4, equatorial pi, re-recorded when the inverse
+    # toggle became the forward chain on negated axes
+    raw = se.enumerate_balanced(LARGEST_SPEC)
     assert len(raw) == 3904
-    assert _digest(raw) == "8727a0c77fb182dca806b6fe088b6e5fd9ac327b454b6e5a60f33ea28d6c62e6"
+    assert _digest(raw) == "cce6e0eb6f37828a0edff0a18e5c35658cca49d97c3d11883576bbb0806e9df2"
     for symmetry, count, digest in (
-            ("global_z", 976, "024591aa686baa548e76bfe094a71071c33ac0f9cc6494e26b1c8470c45ab633"),
+            ("global_z", 976, "e84b7d3202846e1b93fa92f7beb923d0c50534fd56b402506fc4159363fec689"),
             ("axis_set_rotations", 244,
-             "670e2d4b5c7a304684b39cbae60e4d6f59ff523e925188d48d7d2b2411a98f94"),
-            ("none", 3904, "70b92a5b1c9f2d8f0f67ed91cabfa68009f4509573f74bc3447987c92320e8d6")):
+             "582e8804a071792f77158d88f6413b03a3df6110a48684b16b238a8770f2970b"),
+            ("none", 3904, "3c60a73a03af45ce1c51d8c8bdcda91794aa69643b4bfcb637e8e9f9804f0d65")):
         unique = se.dedupe(raw, symmetry)
         assert len(unique) == count and _digest(unique, names=True) == digest
+
+
+def test_largest_walk_and_dedupe_agree_with_the_forward_reconstruction(monkeypatch):
+    # the pins above as they stood while the inverse toggle rebuilt the axes
+    # forward, e_i = U_i f_i; worst axis change 1.1e-15
+    raw = se.enumerate_balanced(LARGEST_SPEC)
+    monkeypatch.setattr(se, "inverse_toggle_axes", reference_inverse_toggle_axes)
+    old = se.enumerate_balanced(LARGEST_SPEC)
+    assert _digest(old) == "8727a0c77fb182dca806b6fe088b6e5fd9ac327b454b6e5a60f33ea28d6c62e6"
+    assert np.array_equal(raw._rows, old._rows)
+    assert np.max(np.abs(raw.axes - old.axes)) <= 2e-15
+    for symmetry, digest in (
+            ("global_z", "024591aa686baa548e76bfe094a71071c33ac0f9cc6494e26b1c8470c45ab633"),
+            ("axis_set_rotations",
+             "670e2d4b5c7a304684b39cbae60e4d6f59ff523e925188d48d7d2b2411a98f94"),
+            ("none", "70b92a5b1c9f2d8f0f67ed91cabfa68009f4509573f74bc3447987c92320e8d6")):
+        unique, old_unique = se.dedupe(raw, symmetry), se.dedupe(old, symmetry)
+        assert _digest(old_unique, names=True) == digest
+        assert np.array_equal(unique._rows, old_unique._rows)
 
 
 def test_octahedral_keys_match_the_matmul_images():
