@@ -14,6 +14,7 @@ so order1 is the plain vector sum of the axes (n times the centroid).
 
 from __future__ import annotations
 
+import functools
 import numbers
 import sys
 from dataclasses import dataclass
@@ -209,6 +210,25 @@ def spherical_basis_matrix() -> np.ndarray:
     ])
 
 
+@functools.lru_cache(maxsize=None)
+def _wigner_terms(two: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The term table of rank two/2, read-only: the exponents (4, T) of
+    (u00, u01, u10, u11) and the coefficient (T,) of every (n, n', k) term,
+    ordered by cell (n, n'), then by k, and the index of each cell's first
+    term (``wigner_matrices`` says which terms there are)."""
+    i = np.arange(two + 1)
+    # every (n, n', k) whose four exponents are >= 0
+    n, n_p, k = np.nonzero((i <= i[:, None]) & (i <= i[:, None, None])
+                           & (i >= i[:, None] + i[:, None, None] - two))
+    exps = np.array([k - n - n_p + two, n_p - k, n - k, k])
+    fact = np.cumprod(np.maximum(i, 1.0))
+    coef = np.sqrt(fact[n] * fact[two - n] * fact[n_p] * fact[two - n_p]) / fact[exps].prod(0)
+    first = np.flatnonzero(np.minimum(exps[0], k) == 0)
+    for a in (exps, coef, first):
+        a.flags.writeable = False
+    return exps, coef, first
+
+
 def wigner_matrices(lam: int, quats) -> np.ndarray:
     """Wigner matrices <lam,mu| exp(-i beta J.e) |lam,mu'> (..., 2lam+1, 2lam+1)
     of unit quaternions (w, x, y, z) (..., 4), rows and columns by ascending mu.
@@ -217,21 +237,14 @@ def wigner_matrices(lam: int, quats) -> np.ndarray:
     matrix [[w + iz, y - ix], [-y - ix, w - iz]]: with n = lam + mu, n' = lam + mu'
     and l = k - n - n' + 2lam, D_{mu,mu'} is sqrt(n! (2lam-n)! n'! (2lam-n')!)
     times the sum over k of u00^l u01^(n'-k) u10^(n-k) u11^k / (l! (n'-k)! (n-k)! k!),
-    every exponent >= 0.
+    every exponent >= 0.  The term table is built once per rank.
     """
     two = 2 * _rank(lam)
-    i = np.arange(two + 1)
-    # every (n, n', k) whose four exponents are >= 0, ordered by cell (n, n'), then by k
-    n, n_p, k = np.nonzero((i <= i[:, None]) & (i <= i[:, None, None])
-                           & (i >= i[:, None] + i[:, None, None] - two))
-    exps = np.array([k - n - n_p + two, n_p - k, n - k, k])
-    fact = np.cumprod(np.maximum(i, 1.0))
-    coef = np.sqrt(fact[n] * fact[two - n] * fact[n_p] * fact[two - n_p]) / fact[exps].prod(0)
+    exps, coef, first = _wigner_terms(two)
     q = np.asarray(quats, dtype=float)
     powers = np.ones(q.shape[:-1] + (4, two + 1), dtype=complex)
     powers[..., 1:] = (q @ _CAYLEY_KLEIN)[..., None]
     terms = coef * np.cumprod(powers, axis=-1)[..., np.arange(4)[:, None], exps].prod(-2)
-    first = np.flatnonzero(np.minimum(exps[0], k) == 0)   # each cell's first term
     return np.add.reduceat(terms, first, axis=-1).reshape(q.shape[:-1] + (two + 1, two + 1))
 
 

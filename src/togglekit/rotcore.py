@@ -84,14 +84,15 @@ def _mul4(aw, ax, ay, az, bw, bx, by, bz):
             (aw * bz + bw * az) + (ax * by - ay * bx))
 
 
-def _unit4(w, x, y, z):
-    """Components divided by their norm, summed in np.linalg.norm's order."""
-    n = np.sqrt(((w * w + x * x) + y * y) + z * z)
+def _unit4(w, x, y, z, sqrt=np.sqrt):
+    """Components divided by their norm, summed in np.linalg.norm's order;
+    ``sqrt`` = math.sqrt keeps Python-float components Python floats."""
+    n = sqrt(((w * w + x * x) + y * y) + z * z)
     return w / n, x / n, y / n, z / n
 
 
-def _unit3(x, y, z):
-    n = np.sqrt((x * x + y * y) + z * z)
+def _unit3(x, y, z, sqrt=np.sqrt):
+    n = sqrt((x * x + y * y) + z * z)
     return x / n, y / n, z / n
 
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import rotcore
 from .rotcore import Rotation
-from .seqmodel import RotationSequence, SequenceStack, _sequence_stack, positive_int
+from .seqmodel import RotationSequence, SequenceStack, _sequence_stack, integer_at_least
 from .toggling import inverse_toggle_axes
 
 STATE_GUARD = 1 << 20    # candidate rows (states x vertices, or tuples) one level may allocate
@@ -120,7 +120,7 @@ class SearchSpec:
 
     def __post_init__(self):
         for name in ("n", "m"):
-            object.__setattr__(self, name, positive_int(name, getattr(self, name)))
+            object.__setattr__(self, name, integer_at_least(name, getattr(self, name)))
         if self.balance_mode not in ("full", "z_only"):
             raise ValueError("balance_mode must be 'full' or 'z_only'")
         if not isinstance(self.target, Rotation) \

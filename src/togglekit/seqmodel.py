@@ -43,12 +43,13 @@ class PulseElement:
         object.__setattr__(self, "axis", rotcore.unit_vector(ax))
 
 
-def positive_int(name: str, value) -> int:
-    """``value`` as an int, raising unless it is an integer >= 1 (bools are not)."""
+def integer_at_least(name: str, value, least: int = 1) -> int:
+    """``value`` as an int, raising unless it is an integer >= ``least``,
+    1 (positive) or 0 (non-negative); bools are not integers here."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be positive, got {value}")
+    if value < least:
+        raise ValueError(f"{name} must be {'positive' if least else 'non-negative'}, got {value}")
     return int(value)
 
 
@@ -59,7 +60,7 @@ def _checked_cycle_order(m, betas: list[float]) -> int | None:
         raise ValueError("flip angle must be positive and finite; reverse via the axis")
     if m is None:
         return None
-    m = positive_int("cycle order", m)
+    m = integer_at_least("cycle order", m)
     want = 2.0 * np.pi / m
     for b in betas:
         if abs(b - want) >= BETA_MATCH_TOL:
@@ -144,22 +145,24 @@ class RotationSequence:
         return betas[0]
 
     def with_name(self, name: str) -> "RotationSequence":
-        return _take(self, slice(None), name, self.cycle_order)
+        return _take(self, slice(None), name)
 
     def with_axes(self, axes: np.ndarray, name: str | None = None) -> "RotationSequence":
         """Same angles, new axes (phase/latitude provenance dropped)."""
-        return sequences_from_arrays([name or self.name], self.betas[None],
-                                     np.asarray(axes, dtype=float)[None], self.cycle_order)[0]
+        return _sequences([name or self.name], self.betas[None],
+                          np.asarray(axes, dtype=float)[None], self.cycle_order, held=True)[0]
 
 
 def _sequences(names, betas, axes, cycle_order=None, phases=None, latitudes=None, *,
-               unit: bool = False, out=None) -> list[RotationSequence]:
+               unit: bool = False, held: bool = False, out=None) -> list[RotationSequence]:
     """The one constructor of sequences: one per row of an (N, n, 3) axis
     stack, checked in one pass.  ``betas`` and the provenance ``phases`` and
     ``latitudes`` (None: all NaN) broadcast to (N, n).  The axes are
     normalized in one call, unless ``unit`` says they are rows a sequence
-    stores: normalizing a unit row again moves its last bits.  ``out`` holds
-    the N objects to fill, by default new ones.
+    stores: normalizing a unit row again moves its last bits.  ``held`` says
+    the flip angles and cycle order are those of a sequence, checked when it
+    was built, so they are not checked again.  ``out`` holds the N objects
+    to fill, by default new ones.
     """
     axes = np.asarray(axes, dtype=float)
     if axes.ndim != 3 or axes.shape[2] != 3:
@@ -171,7 +174,7 @@ def _sequences(names, betas, axes, cycle_order=None, phases=None, latitudes=None
         raise ValueError(f"{len(names)} names for {len(axes)} sequences")
     given = np.asarray(betas, dtype=float)
     # broadcasting repeats these values, so they are checked once
-    m = _checked_cycle_order(cycle_order, given.ravel().tolist())
+    m = cycle_order if held else _checked_cycle_order(cycle_order, given.ravel().tolist())
     shape = axes.shape[:2]
     betas = _filled(shape, given)
     none = _read_only(np.full(shape[1], math.nan))   # one row shared by every sequence
@@ -225,7 +228,7 @@ class SequenceStack:
 
     def _built(self, rows: np.ndarray) -> list[RotationSequence]:
         return _sequences([f"{self._prefix}{i}" for i in rows.tolist()], self._beta,
-                          self._axes[rows], self._m, unit=True)
+                          self._axes[rows], self._m, unit=True, held=True)
 
     def __iter__(self):
         return iter(self._built(self._rows))
@@ -258,12 +261,12 @@ def _sequence_stack(prefix: str, beta: float, axes, cycle_order: int | None = No
     return _new_stack(prefix, beta, m, axes, np.arange(len(axes)))
 
 
-def _take(s: RotationSequence, index, name: str, cycle_order) -> RotationSequence:
-    """The elements of ``s`` at ``index``, its stored rows and provenance
-    reused as they are."""
-    return _sequences([name], s.betas[index][None], s.axes[index][None], cycle_order,
+def _take(s: RotationSequence, index, name: str) -> RotationSequence:
+    """The elements of ``s`` at ``index``, with its cycle order, its stored
+    rows and provenance reused as they are."""
+    return _sequences([name], s.betas[index][None], s.axes[index][None], s.cycle_order,
                       s._given_phases[index][None], s._given_latitudes[index][None],
-                      unit=True)[0]
+                      unit=True, held=True)[0]
 
 
 def infer_cycle_order(betas, m_max: int = 64) -> int | None:
@@ -431,31 +434,76 @@ def prefix_quaternions(axes: np.ndarray, angles: np.ndarray) -> np.ndarray:
     axes: (..., n, 3); angles: (..., n), the two broadcast against each
     other.  Returns (*lead, n+1, 4) with U_0 the identity and (*lead, n) the
     broadcast shape.  cos and sin run on the angles' own shape, and the
-    step components broadcast from there; the chain runs on the components
-    of their transposed view (n, *lead[::-1]), so an unbatched chain steps
-    on numpy scalars and a batched one on arrays, through the same code.
-    A batch of one steps on the unbatched view.
+    step components broadcast from there (``_steps``).
+
+    A stack steps on arrays, one element at a time.  A batch of one (a
+    broadcast shape whose leading axes hold one element) reads its steps
+    out once with ``tolist`` and steps on Python floats: on numpy scalars
+    each step costs about 40 scalar ufunc dispatches.  It calls the same
+    kernels with ``math.sqrt`` for ``np.sqrt``; float arithmetic and both
+    square roots are correctly rounded IEEE operations, so the result has
+    the bits of the same row in a stack.
     """
-    axes = np.asarray(axes, dtype=float)
+    return _chain(*_steps(np.asarray(axes, dtype=float), angles))
+
+
+def _steps(axes: np.ndarray, angles) -> tuple[np.ndarray, np.ndarray]:
+    """The chain's step quaternions (cos h_i, sin h_i e_i), h_i = beta_i / 2,
+    as cos h on the angles' own shape and the (*lead, n, 3) vector parts."""
     half = 0.5 * np.asarray(angles, dtype=float)
-    sin_axes = np.sin(half)[..., None] * axes    # step i is (cos_h, sin_h e_i)
+    return np.cos(half), np.sin(half)[..., None] * axes
+
+
+def _is_one(sin_axes: np.ndarray) -> bool:
+    """True if a chain's batch shape, read from its step vectors, holds one element."""
+    return math.prod(sin_axes.shape[:-2]) == 1
+
+
+def _chain(cos_h: np.ndarray, sin_axes: np.ndarray) -> np.ndarray:
+    """The prefixes (*lead, n+1, 4) of the steps from ``_steps``.
+
+    A stack runs on the components of the steps' transposed view
+    (n, *lead[::-1]), one array step per element; a batch of one runs
+    ``_one_prefixes``.
+    """
     shape = sin_axes.shape[:-1]
     lead, n = shape[:-1], shape[-1]
-    cos_h = np.cos(half)
-    if half.shape != shape:
+    if _is_one(sin_axes):
+        return np.array(_one_prefixes(cos_h, sin_axes)).reshape(lead + (n + 1, 4))
+    if cos_h.shape != shape:
         cos_h = np.broadcast_to(cos_h, shape)
-    if lead and math.prod(lead) == 1:
-        cos_h, sin_axes = cos_h.reshape(n), sin_axes.reshape(n, 3)
     sw = cos_h.T
     sx, sy, sz = sin_axes.T
-    out = np.empty(cos_h.shape[:-1] + (n + 1, 4))
+    out = np.empty(lead + (n + 1, 4))
     ow, ox, oy, oz = out.T
     w, x, y, z = 1.0, 0.0, 0.0, 0.0
     ow[0], ox[0], oy[0], oz[0] = w, x, y, z
     for i in range(n):
         w, x, y, z = _unit4(*_mul4(sw[i], sx[i], sy[i], sz[i], w, x, y, z))
         ow[i + 1], ox[i + 1], oy[i + 1], oz[i + 1] = w, x, y, z
-    return out.reshape(lead + (n + 1, 4))
+    return out
+
+
+def _one_steps(cos_h: np.ndarray, sin_axes: np.ndarray):
+    """The steps of a batch of one from ``_steps``, read out once with
+    ``tolist``: pairs (cos h_i, [x_i, y_i, z_i]) of Python floats."""
+    n = sin_axes.shape[-2]
+    cos = cos_h.ravel().tolist()
+    if len(cos) != n:   # one angle for every element
+        cos *= n
+    return zip(cos, sin_axes.reshape(n, 3).tolist())
+
+
+def _one_prefixes(cos_h: np.ndarray, sin_axes: np.ndarray) -> list[tuple]:
+    """U_0..U_n of a batch of one from ``_steps``, as (w, x, y, z) tuples of
+    Python floats: ``_mul4`` and ``_unit4`` on the floats of ``_one_steps``,
+    with ``math.sqrt``."""
+    w, x, y, z = 1.0, 0.0, 0.0, 0.0
+    out = [(w, x, y, z)]
+    for c, (sx, sy, sz) in _one_steps(cos_h, sin_axes):
+        w, x, y, z = _unit4(*_mul4(c, sx, sy, sz, w, x, y, z), sqrt=math.sqrt)
+        out.append((w, x, y, z))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -463,13 +511,13 @@ def prefix_quaternions(axes: np.ndarray, angles: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def reverse(s: RotationSequence) -> RotationSequence:
-    return _take(s, np.arange(len(s) - 1, -1, -1), f"rev({s.name})", s.cycle_order)
+    return _take(s, np.arange(len(s) - 1, -1, -1), f"rev({s.name})")
 
 
 def cyclic_permute(s: RotationSequence, shift: int) -> RotationSequence:
     """Move the first ``shift`` elements to the end (shift = 1 starts at index 1)."""
     n = len(s)
-    return _take(s, (np.arange(n) + shift % n) % n, f"cyc{shift}({s.name})", s.cycle_order)
+    return _take(s, (np.arange(n) + shift % n) % n, f"cyc{shift}({s.name})")
 
 
 def global_phase_shift(s: RotationSequence, dphi: float) -> RotationSequence:

@@ -27,8 +27,7 @@ def compensated_cycle(tau: float = 1.0) -> DDSequence:
     four-pulse block; delays sit only between blocks."""
     from .catalog import p34
     block = p34()
-    pulses = seqmodel._take(block, np.tile(np.arange(len(block)), 3), "vmas_compensated",
-                            block.cycle_order)
+    pulses = seqmodel._take(block, np.tile(np.arange(len(block)), 3), "vmas_compensated")
     delays = np.zeros(13)
     delays[0] = delays[4] = delays[8] = tau
     return DDSequence(pulses, delays)

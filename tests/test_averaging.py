@@ -331,6 +331,37 @@ def test_wigner_homomorphism_and_unitarity():
         assert np.allclose(d1 @ d1.conj().T, np.eye(2 * lam + 1), atol=1e-12)
 
 
+def reference_wigner_matrices(lam, quats):
+    """wigner_matrices as it ran before its term table was cached: the
+    table rebuilt on every call; kept as the reference."""
+    two = 2 * lam
+    i = np.arange(two + 1)
+    n, n_p, k = np.nonzero((i <= i[:, None]) & (i <= i[:, None, None])
+                           & (i >= i[:, None] + i[:, None, None] - two))
+    exps = np.array([k - n - n_p + two, n_p - k, n - k, k])
+    fact = np.cumprod(np.maximum(i, 1.0))
+    coef = np.sqrt(fact[n] * fact[two - n] * fact[n_p] * fact[two - n_p]) / fact[exps].prod(0)
+    q = np.asarray(quats, dtype=float)
+    powers = np.ones(q.shape[:-1] + (4, two + 1), dtype=complex)
+    powers[..., 1:] = (q @ av._CAYLEY_KLEIN)[..., None]
+    terms = coef * np.cumprod(powers, axis=-1)[..., np.arange(4)[:, None], exps].prod(-2)
+    first = np.flatnonzero(np.minimum(exps[0], k) == 0)
+    return np.add.reduceat(terms, first, axis=-1).reshape(q.shape[:-1] + (two + 1, two + 1))
+
+
+def test_wigner_term_table_is_built_once_and_keeps_the_bits():
+    rng = np.random.default_rng(48)
+    q = rng.normal(size=(3, 7, 4))
+    q /= np.linalg.norm(q, axis=-1, keepdims=True)
+    for lam in range(av.MAX_WIGNER_RANK + 1):
+        for quats in (q, q[0, 0]):
+            got = av.wigner_matrices(lam, quats)
+            assert got.tobytes() == reference_wigner_matrices(lam, quats).tobytes()
+        table = av._wigner_terms(2 * lam)
+        assert all(a is b for a, b in zip(table, av._wigner_terms(2 * lam)))
+        assert not any(a.flags.writeable for a in table)
+
+
 def test_wigner_unsupported_rank():
     for lam in (9, -1, True, 2.0):
         with pytest.raises(ValueError, match=r"rank must be an integer in 0\.\.8"):

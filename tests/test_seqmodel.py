@@ -481,6 +481,24 @@ def test_cyclic_permute():
     assert sm.sequences_equal(sm.cyclic_permute(s, 3), s)
 
 
+def test_held_flip_angles_are_not_checked_again(monkeypatch):
+    # reverse, cyclic_permute, with_name, with_axes and the virtual-MAS
+    # compensated cycle's _take reuse a built sequence's angles and cycle
+    # order; new axes are still normalized and counted
+    s = catalog.p34()
+    def refuse(*args):
+        raise AssertionError("flip angles checked again")
+    monkeypatch.setattr(sm, "_checked_cycle_order", refuse)
+    for t in (sm.reverse(s), sm.cyclic_permute(s, 1), s.with_name("q"), s.with_axes(2 * s.axes),
+              sm._take(s, np.tile(np.arange(4), 3), "vmas_compensated")):
+        assert t.cycle_order == s.cycle_order and np.array_equal(t.betas[:4], s.betas)
+    assert s.with_axes(2 * s.axes).axes.tobytes() == rc.unit_vectors(2 * s.axes).tobytes()
+    with pytest.raises(ValueError, match="at least one element"):
+        s.with_axes(np.empty((0, 3)))
+    with pytest.raises(ValueError, match="cannot normalize"):
+        s.with_axes(np.zeros((4, 3)))
+
+
 def test_global_phase_shift_f1_gives_nb1_dual_phases():
     shifted = sm.global_phase_shift(catalog.f1(), 4 * PHI)
     want = np.array([PHI, 3 * PHI, 4 * PHI, 5 * PHI, 7 * PHI])

@@ -1,5 +1,7 @@
 """Toggling map: base cases, cyclicity, closed form, inverse, phase maps."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -261,6 +263,75 @@ def test_inverse_toggle_nets_agree_with_a_50_digit_product(n, beta):
     _, nets = tg.inverse_toggle_axes(f, beta)
     exact = np.array([exact_net_quaternions(row[::-1], np.array([0.5 * beta]))[0] for row in f])
     assert np.max(np.abs(nets - exact)) <= EXACT_NET_TOL
+
+
+def _chain_outputs(axes, angles):
+    """prefix_quaternions, toggle_axes and inverse_toggle_axes (axes, net) of one input."""
+    return (sm.prefix_quaternions(axes, angles), tg.toggle_axes(axes, angles),
+            *tg.inverse_toggle_axes(axes, angles))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 40])
+def test_batch_of_one_equals_stack_rows(n):
+    # one sequence steps on Python floats, a stack on arrays: same bytes
+    rng = np.random.default_rng([41, n])
+    k = 3
+    stack = random_unit_vectors(rng, (5, n))
+    strided = np.swapaxes(np.swapaxes(stack, -1, -2).copy(), -1, -2)   # (3, n) storage
+    assert n < 2 or not strided[k].flags.c_contiguous
+    shared = rng.uniform(0.0, 2 * np.pi, 2 * n)[::2]                  # (n,), every other value
+    per_row = rng.uniform(-2 * np.pi, 2 * np.pi, (5, n))
+    for axes in (stack, strided):
+        for one_angles, stack_angles in ((2 * np.pi / 3, 2 * np.pi / 3), (shared, shared),
+                                         (per_row[k], per_row)):
+            one = _chain_outputs(axes[k], one_angles)
+            row = _chain_outputs(axes[k][None], np.asarray(one_angles)[None])
+            rows = _chain_outputs(axes, stack_angles)
+            assert [a.shape for a in one] == [(n + 1, 4), (n, 3), (n, 3), (4,)]
+            for got, as_one, as_rows in zip(one, row, rows):
+                assert got.flags.c_contiguous and as_one.shape == (1,) + got.shape
+                assert got.tobytes() == as_one[0].tobytes() == as_rows[k].tobytes()
+            if n == 0:
+                assert np.array_equal(one[0], [[1.0, 0.0, 0.0, 0.0]])
+                assert np.array_equal(one[3], [1.0, 0.0, 0.0, 0.0])
+
+
+def test_batch_of_one_broadcasts_one_axis_over_the_elements():
+    axis, angles = random_unit_vectors(np.random.default_rng(42), (1,)), np.linspace(0.5, 2.5, 6)
+    axes = np.repeat(axis, 6, axis=0)
+    for got, want in zip(_chain_outputs(axis, angles), _chain_outputs(axes, angles)):
+        assert got.tobytes() == want.tobytes()
+
+
+BAD_COUNTS = [
+    (tg.closed_form_toggling, 2.5), (tg.closed_form_toggling, True), (tg.closed_form_toggling, -1),
+    (tg.closed_form_toggling, 1e308), (tg.closed_form_toggling, 10 ** 308),
+    (tg.closed_form_toggling, 10 ** 400), (tg.closed_form_toggling, "2"),
+    (tg.toggling_map_iter, 2.0), (tg.toggling_map_iter, True), (tg.toggling_map_iter, -1),
+    (tg.toggling_map_iter, None),
+    (tg.cyclicity_order, 3.0), (tg.cyclicity_order, True), (tg.cyclicity_order, False),
+    (tg.cyclicity_order, 0), (tg.cyclicity_order, np.float64(4.0)),
+]
+
+
+def _count_id(fn, count):
+    big = isinstance(count, int) and count > 10 ** 6
+    return f"{fn.__name__}-{f'10**{len(str(count)) - 1}' if big else repr(count)}"
+
+
+@pytest.mark.parametrize("fn, count", BAD_COUNTS, ids=[_count_id(*row) for row in BAD_COUNTS])
+def test_bad_count_raises_one_value_error(fn, count):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="iteration count|m_max|scaled flip angles"):
+            fn(catalog.p34(), count)
+
+
+def test_integer_counts_of_any_integer_type():
+    s = catalog.p34()
+    assert tg.closed_form_toggling(s, np.int64(2)).name == "p34^(2)"
+    assert tg.toggling_map_iter(s, np.int32(1)).name == "p34^(1)"
+    assert tg.cyclicity_order(s, np.int64(8)) == s.cycle_order == 3
 
 
 def test_inverse_of_shifted_f1_is_nb1():
