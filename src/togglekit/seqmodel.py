@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rotcore
-from .rotcore import Rotation, _mul4, _unit4, axis_from_phase
+from .rotcore import Rotation, _apply3, _mul4, _unit3, _unit4, axis_from_phase
 
 EQUATORIAL_TOL = 1e-9
 BETA_MATCH_TOL = 1e-12
@@ -43,14 +43,37 @@ class PulseElement:
         object.__setattr__(self, "axis", rotcore.unit_vector(ax))
 
 
+def _shown(value) -> str:
+    """``value`` for an error message, bounded: an integer of more than 20
+    digits by its digit count (str() refuses ints beyond 4300 digits)."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        return repr(value)
+    v = abs(int(value))
+    if v < 10 ** 20:
+        return str(int(value))
+    digits = int(v.bit_length() * math.log10(2)) + 1   # off by at most one
+    digits += (v >= 10 ** digits) - (v < 10 ** (digits - 1))
+    return f"{'a negative' if value < 0 else 'an'} integer of {digits} digits"
+
+
 def integer_at_least(name: str, value, least: int = 1) -> int:
     """``value`` as an int, raising unless it is an integer >= ``least``,
     1 (positive) or 0 (non-negative); bools are not integers here."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {_shown(value)}")
     if value < least:
-        raise ValueError(f"{name} must be {'positive' if least else 'non-negative'}, got {value}")
+        raise ValueError(f"{name} must be {'positive' if least else 'non-negative'}, "
+                         f"got {_shown(value)}")
     return int(value)
+
+
+def _integer_valued(name: str, value) -> int:
+    """``value`` as an int, raising unless it is an integer or a float with
+    an integer value; bools are not integers here."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and (
+            isinstance(value, numbers.Integral) or (math.isfinite(value) and value == int(value))):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {_shown(value)}")
 
 
 def _checked_cycle_order(m, betas: list[float]) -> int | None:
@@ -320,8 +343,9 @@ def prefix_propagator(s: RotationSequence, i: int, scale: float = 1.0) -> Rotati
     i = 0 gives the identity; i = len(s) gives the net propagator U_n.
     ``scale`` is beta'/beta (1 = nominal).
     """
+    i = _integer_valued("prefix length", i)
     if not 0 <= i <= len(s):
-        raise ValueError(f"prefix length {i} out of range 0..{len(s)}")
+        raise ValueError(f"prefix length must be in 0..{len(s)}, got {_shown(i)}")
     return Rotation(prefix_quaternions(s.axes[:i], _scaled_angles(scale, s.betas)[:i])[-1])
 
 
@@ -433,77 +457,69 @@ def prefix_quaternions(axes: np.ndarray, angles: np.ndarray) -> np.ndarray:
 
     axes: (..., n, 3); angles: (..., n), the two broadcast against each
     other.  Returns (*lead, n+1, 4) with U_0 the identity and (*lead, n) the
-    broadcast shape.  cos and sin run on the angles' own shape, and the
-    step components broadcast from there (``_steps``).
-
-    A stack steps on arrays, one element at a time.  A batch of one (a
-    broadcast shape whose leading axes hold one element) reads its steps
-    out once with ``tolist`` and steps on Python floats: on numpy scalars
-    each step costs about 40 scalar ufunc dispatches.  It calls the same
-    kernels with ``math.sqrt`` for ``np.sqrt``; float arithmetic and both
-    square roots are correctly rounded IEEE operations, so the result has
-    the bits of the same row in a stack.
+    broadcast shape.  ``_propagate`` steps the chain and writes each prefix
+    straight into the result: on arrays for a stack, and on Python floats,
+    with the same bits, for a batch of one.
     """
-    return _chain(*_steps(np.asarray(axes, dtype=float), angles))
+    return _propagate(np.asarray(axes, dtype=float), angles)
 
 
-def _steps(axes: np.ndarray, angles) -> tuple[np.ndarray, np.ndarray]:
-    """The chain's step quaternions (cos h_i, sin h_i e_i), h_i = beta_i / 2,
-    as cos h on the angles' own shape and the (*lead, n, 3) vector parts."""
+def _propagate(axes: np.ndarray, angles, unrotated: np.ndarray | None = None
+               ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """The one stepping loop of the propagator chain U_0 = 1,
+    U_{i+1} = (cos h_i, sin h_i e_i) U_i with h_i = beta_i / 2, over axes
+    e (..., n, 3) and angles (..., n) broadcast to (*lead, n).
+
+    Returns the prefixes U_0..U_n (*lead, n+1, 4).  Given vectors
+    ``unrotated`` v (..., n, 3) that broadcast to the same shape, returns
+    instead conj(U_i) v_i (*lead, n, 3), each unrotated in the loop as the
+    chain reaches U_i, and U_n (*lead, 4): no prefix array is built.
+
+    cos and sin run on the angles' own shape, and the loop steps on the
+    components of each element.  For a stack these are arrays over the
+    transposed leading axes (n, *lead[::-1]).  A batch of one (leading axes
+    holding one element) reads them out once with ``tolist`` and steps on
+    Python floats with ``math.sqrt``: on numpy scalars each step costs
+    about 40 scalar ufunc dispatches.  Float arithmetic and both square
+    roots are correctly rounded IEEE operations, so a batch of one has the
+    bits of the same row in a stack.
+    """
     half = 0.5 * np.asarray(angles, dtype=float)
-    return np.cos(half), np.sin(half)[..., None] * axes
+    cos_h, sin_axes = np.cos(half), np.sin(half)[..., None] * axes
+    lead, n = sin_axes.shape[:-2], sin_axes.shape[-2]
+    one = math.prod(lead) == 1
+    batch, sqrt = ((), math.sqrt) if one else (lead, np.sqrt)
 
+    def columns(a: np.ndarray, tail: tuple):
+        """``a`` broadcast to (*lead, n, *tail), as its components
+        (*tail[::-1], n, *batch[::-1]): Python floats for a batch of one."""
+        if a.shape != lead + (n,) + tail:
+            a = np.broadcast_to(a, lead + (n,) + tail)
+        if batch != lead:
+            a = a.reshape((n,) + tail)
+        return a.T.tolist() if one else a.T
 
-def _is_one(sin_axes: np.ndarray) -> bool:
-    """True if a chain's batch shape, read from its step vectors, holds one element."""
-    return math.prod(sin_axes.shape[:-2]) == 1
-
-
-def _chain(cos_h: np.ndarray, sin_axes: np.ndarray) -> np.ndarray:
-    """The prefixes (*lead, n+1, 4) of the steps from ``_steps``.
-
-    A stack runs on the components of the steps' transposed view
-    (n, *lead[::-1]), one array step per element; a batch of one runs
-    ``_one_prefixes``.
-    """
-    shape = sin_axes.shape[:-1]
-    lead, n = shape[:-1], shape[-1]
-    if _is_one(sin_axes):
-        return np.array(_one_prefixes(cos_h, sin_axes)).reshape(lead + (n + 1, 4))
-    if cos_h.shape != shape:
-        cos_h = np.broadcast_to(cos_h, shape)
-    sw = cos_h.T
-    sx, sy, sz = sin_axes.T
-    out = np.empty(lead + (n + 1, 4))
-    ow, ox, oy, oz = out.T
+    sw, (sx, sy, sz) = columns(cos_h, ()), columns(sin_axes, (3,))
+    if unrotated is None:
+        out = np.empty(batch + (n + 1, 4))
+        ow, ox, oy, oz = out.T
+        last = out[..., n, :]
+    else:
+        out, last = np.empty(batch + (n, 3)), np.empty(batch + (4,))
+        ex, ey, ez = out.T
+        vx, vy, vz = columns(unrotated, (3,))
     w, x, y, z = 1.0, 0.0, 0.0, 0.0
-    ow[0], ox[0], oy[0], oz[0] = w, x, y, z
     for i in range(n):
-        w, x, y, z = _unit4(*_mul4(sw[i], sx[i], sy[i], sz[i], w, x, y, z))
-        ow[i + 1], ox[i + 1], oy[i + 1], oz[i + 1] = w, x, y, z
-    return out
-
-
-def _one_steps(cos_h: np.ndarray, sin_axes: np.ndarray):
-    """The steps of a batch of one from ``_steps``, read out once with
-    ``tolist``: pairs (cos h_i, [x_i, y_i, z_i]) of Python floats."""
-    n = sin_axes.shape[-2]
-    cos = cos_h.ravel().tolist()
-    if len(cos) != n:   # one angle for every element
-        cos *= n
-    return zip(cos, sin_axes.reshape(n, 3).tolist())
-
-
-def _one_prefixes(cos_h: np.ndarray, sin_axes: np.ndarray) -> list[tuple]:
-    """U_0..U_n of a batch of one from ``_steps``, as (w, x, y, z) tuples of
-    Python floats: ``_mul4`` and ``_unit4`` on the floats of ``_one_steps``,
-    with ``math.sqrt``."""
-    w, x, y, z = 1.0, 0.0, 0.0, 0.0
-    out = [(w, x, y, z)]
-    for c, (sx, sy, sz) in _one_steps(cos_h, sin_axes):
-        w, x, y, z = _unit4(*_mul4(c, sx, sy, sz, w, x, y, z), sqrt=math.sqrt)
-        out.append((w, x, y, z))
-    return out
+        if unrotated is None:
+            ow[i], ox[i], oy[i], oz[i] = w, x, y, z
+        else:
+            ex[i], ey[i], ez[i] = _unit3(*_apply3(w, -x, -y, -z, vx[i], vy[i], vz[i]), sqrt=sqrt)
+        w, x, y, z = _unit4(*_mul4(sw[i], sx[i], sy[i], sz[i], w, x, y, z), sqrt=sqrt)
+    lt = last.T
+    lt[0], lt[1], lt[2], lt[3] = w, x, y, z
+    if batch != lead:
+        out, last = out.reshape(lead + out.shape), last.reshape(lead + (4,))
+    return out if unrotated is None else (out, last)
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +532,7 @@ def reverse(s: RotationSequence) -> RotationSequence:
 
 def cyclic_permute(s: RotationSequence, shift: int) -> RotationSequence:
     """Move the first ``shift`` elements to the end (shift = 1 starts at index 1)."""
-    n = len(s)
+    shift, n = _integer_valued("shift", shift), len(s)
     return _take(s, (np.arange(n) + shift % n) % n, f"cyc{shift}({s.name})")
 
 
@@ -531,10 +547,14 @@ def phase_scale(s: RotationSequence, k: int) -> RotationSequence:
     """Multiply every phase by integer ``k`` (equatorial sequences only)."""
     if not s.is_equatorial():
         raise ValueError("phase_scale requires an all-equatorial sequence")
-    if k != int(k):
-        raise ValueError("phase scale factor must be an integer")
-    return _phase_sequence(f"{s.name}*k{k}", s.betas, int(k) * s.phases,
-                           cycle_order=s.cycle_order)
+    factor = _integer_valued("phase scale factor", k)
+    if abs(factor) > sys.float_info.max:
+        raise ValueError(f"phase scale factor is beyond the float range, got {_shown(factor)}")
+    with np.errstate(over="ignore"):   # an infinite phase is refused below
+        phases = factor * s.phases
+    if not np.isfinite(phases).all():
+        raise ValueError(f"phase scale factor {k} takes a phase beyond the float range")
+    return _phase_sequence(f"{s.name}*k{k}", s.betas, phases, cycle_order=s.cycle_order)
 
 
 def nest(outer: RotationSequence, inner: RotationSequence) -> RotationSequence:

@@ -8,16 +8,14 @@ organizing fact behind everything in this package.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import rotcore
-from .rotcore import _apply3, _mul4, _unit3, _unit4, quat_conj
-from .seqmodel import (RotationSequence, _chain, _is_one, _one_steps, _scaled_angles, _steps,
-                       integer_at_least)
+from .rotcore import quat_conj
+from .seqmodel import RotationSequence, _propagate, _scaled_angles, integer_at_least
 
 CYCLE_TOL = 1e-9
 
@@ -31,38 +29,6 @@ class TogglingFrameSet:
     source: RotationSequence
 
 
-def _unrotate(p: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """conj(p) v p on (..., 4) quaternions and (..., 3) vectors, renormalized."""
-    out = np.empty(np.broadcast_shapes(p.shape[:-1], v.shape[:-1]) + (3,))
-    out[..., 0], out[..., 1], out[..., 2] = _unit3(*_apply3(
-        p[..., 0], -p[..., 1], -p[..., 2], -p[..., 3], v[..., 0], v[..., 1], v[..., 2]))
-    return out
-
-
-def _toggled(v: np.ndarray, angles, negate: bool) -> tuple[np.ndarray, np.ndarray]:
-    """conj(U_i) v_i for the prefixes U_i of v (of -v if ``negate``), and U_n.
-
-    A stack runs the array chain and then one ``_unrotate`` pass; a batch
-    of one unrotates each v_i in the loop that steps the chain on Python
-    floats (``toggle_axes`` says why).
-    """
-    cos_h, sin_axes = _steps(-v if negate else v, angles)
-    if not _is_one(sin_axes):
-        p = _chain(cos_h, sin_axes)
-        return _unrotate(p[..., :-1, :], v), p[..., -1, :]
-    shape = sin_axes.shape
-    if v.size != sin_axes.size:   # one axis broadcast over the elements
-        v = np.broadcast_to(v, shape)
-    sqrt = math.sqrt
-    w, x, y, z = 1.0, 0.0, 0.0, 0.0
-    rows = []
-    for (c, (sx, sy, sz)), (vx, vy, vz) in zip(_one_steps(cos_h, sin_axes),
-                                               v.reshape(-1, 3).tolist()):
-        rows.append(_unit3(*_apply3(w, -x, -y, -z, vx, vy, vz), sqrt=sqrt))
-        w, x, y, z = _unit4(*_mul4(c, sx, sy, sz, w, x, y, z), sqrt=sqrt)
-    return np.array(rows).reshape(shape), np.array((w, x, y, z)).reshape(shape[:-2] + (4,))
-
-
 def toggle_axes(axes: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """One toggling transformation on raw axis arrays.
 
@@ -70,17 +36,13 @@ def toggle_axes(axes: np.ndarray, angles: np.ndarray) -> np.ndarray:
     other.  Vectorized over leading axes; axis i maps to U_i^-1 axes_i with
     U_0 the identity.
 
-    A stack runs ``prefix_quaternions``' array chain, then unrotates every
-    axis in one batched pass.  A batch of one (one sequence, however many
-    unit leading axes) steps the chain on Python floats and unrotates axis
-    i by conj(U_i) in the same loop, so it builds no prefix array and runs
-    no second pass: on numpy scalars a step costs about 40 scalar ufunc
-    dispatches, and the batched pass about 45 array calls.  The floats go
-    through the same kernels, with ``math.sqrt`` for ``np.sqrt``; both are
-    correctly rounded IEEE square roots, so a batch of one has the bits of
-    the same row in a stack.
+    The loop of ``prefix_quaternions``' chain (``seqmodel._propagate``)
+    unrotates axis i by conj(U_i) as it reaches U_i, for a stack and a
+    batch of one alike, so no prefix array is built and no second pass
+    runs.
     """
-    return _toggled(np.asarray(axes, dtype=float), angles, False)[0]
+    axes = np.asarray(axes, dtype=float)
+    return _propagate(axes, angles, axes)[0]
 
 
 def inverse_toggle_axes(toggled: np.ndarray, angles) -> tuple[np.ndarray, np.ndarray]:
@@ -91,13 +53,15 @@ def inverse_toggle_axes(toggled: np.ndarray, angles) -> tuple[np.ndarray, np.nda
     Returns (..., n, 3) and (..., 4).  The inverse is the forward map
     conjugated by negation, T^-1(f) = -T(-f): with P_i the prefixes of -f,
     the axes are conj(P_i) f_i and the net is conj(P_n).  So both
-    directions run the one chain, as ``toggle_axes`` does, and the rounding
-    of recovered axes does not feed back into it.  Over random unit axes
-    with n <= 80, the nets stay within 1.4e-15 of a 50-digit product (a
-    forward reconstruction of e_i = U_i f_i reaches 3.4e-15), and
-    toggle_axes of the result is within 5.9e-15 of ``toggled``.
+    directions run the one chain, unrotating in its loop as ``toggle_axes``
+    does, and the rounding of recovered axes does not feed back into it.
+    Over random unit axes with n <= 80, the nets stay within 1.4e-15 of a
+    50-digit product (a forward reconstruction of e_i = U_i f_i reaches
+    3.4e-15), and toggle_axes of the result is within 5.9e-15 of
+    ``toggled``.
     """
-    axes, net = _toggled(np.asarray(toggled, dtype=float), angles, True)
+    f = np.asarray(toggled, dtype=float)
+    axes, net = _propagate(-f, angles, f)
     return axes, quat_conj(net)
 
 

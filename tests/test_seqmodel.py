@@ -519,6 +519,41 @@ def test_phase_scale_identity_and_error():
         sm.phase_scale(catalog.p46(), 2)
 
 
+HUGE = 10 ** 5000   # str() refuses ints beyond 4300 digits
+
+
+def _value_id(v):
+    """A test id for ``v``; str() refuses ints beyond 4300 digits, so a
+    large power of ten is named by its exponent."""
+    if callable(v):
+        return v.__name__
+    if isinstance(v, int) and abs(v) > 10 ** 6:
+        return f"{'-' if v < 0 else ''}10**{round(math.log10(abs(v)))}"
+    return repr(v)
+
+
+@pytest.mark.parametrize("fn, value, what", [
+    *[(sm.phase_scale, k, "phase scale factor")
+      for k in (math.inf, -math.inf, math.nan, 2.5, True, None, 10 ** 400, HUGE, 1e308)],
+    *[(sm.cyclic_permute, k, "shift") for k in (2.5, math.nan, math.inf, "1", None)],
+    *[(sm.prefix_propagator, k, "prefix length")
+      for k in (2.5, math.nan, math.inf, "1", -HUGE, 10 ** 30)],
+], ids=_value_id)
+def test_structural_integer_arguments_raise_one_value_error(fn, value, what):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=what):
+            fn(catalog.f1(), value)
+
+
+def test_structural_integer_arguments_take_integer_valued_floats():
+    s = catalog.f1()
+    assert sm.phase_scale(s, 2.0).name == "f1*k2.0"
+    assert sm.sequences_equal(sm.phase_scale(s, np.float64(2.0)), sm.phase_scale(s, 2))
+    assert sm.sequences_equal(sm.cyclic_permute(s, 2.0), sm.cyclic_permute(s, 2))
+    assert sm.prefix_propagator(s, 3.0).q.tobytes() == sm.prefix_propagator(s, 3).q.tobytes()
+
+
 def test_phase_scale_matches_family_scaling():
     assert sm.sequences_equal(sm.phase_scale(catalog.nprime(7), 3), catalog.nprime(7, 3))
 

@@ -1,12 +1,13 @@
 """Toggling map: base cases, cyclicity, closed form, inverse, phase maps."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from test_seqmodel import exact_net_quaternions
-from togglekit import catalog, rotcore as rc, seqmodel as sm, toggling as tg
+from test_seqmodel import _value_id, exact_net_quaternions
+from togglekit import catalog, rotcore as rc, search as se, seqmodel as sm, toggling as tg
 
 PHI = np.arccos(-0.25)
 
@@ -303,20 +304,49 @@ def test_batch_of_one_broadcasts_one_axis_over_the_elements():
         assert got.tobytes() == want.tobytes()
 
 
+def _octahedron_search_stack():
+    """The (3904, 8, 3) stack of toggled axes, and its flip angle, that the
+    octahedron n = 8, m = 4 equatorial-pi search hands to inverse_toggle_axes."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(se, "inverse_toggle_axes",
+                   lambda f, beta: seen.append((f, beta)) or tg.inverse_toggle_axes(f, beta))
+        se.enumerate_balanced(se.SearchSpec(se.octahedron(), 8, 4, "equatorial_pi"))
+    (f, beta), = seen
+    assert f.shape == (3904, 8, 3)
+    return f, beta
+
+
+# traced peak over the bytes returned; with one batched unrotation pass
+# after the chain, both toggling directions peaked at 7x
+@pytest.mark.parametrize("fn, bound", [(tg.toggle_axes, 4.0), (tg.inverse_toggle_axes, 4.0),
+                                       (sm.prefix_quaternions, 2.5)],
+                         ids=["toggle_axes", "inverse_toggle_axes", "prefix_quaternions"])
+def test_chain_peak_memory_on_the_octahedron_search_stack(fn, bound):
+    f, beta = _octahedron_search_stack()
+    fn(f, beta)
+    tracemalloc.start()
+    try:
+        out = fn(f, beta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * sum(a.nbytes for a in (out if isinstance(out, tuple) else (out,)))
+
+
 BAD_COUNTS = [
     (tg.closed_form_toggling, 2.5), (tg.closed_form_toggling, True), (tg.closed_form_toggling, -1),
     (tg.closed_form_toggling, 1e308), (tg.closed_form_toggling, 10 ** 308),
     (tg.closed_form_toggling, 10 ** 400), (tg.closed_form_toggling, "2"),
     (tg.toggling_map_iter, 2.0), (tg.toggling_map_iter, True), (tg.toggling_map_iter, -1),
-    (tg.toggling_map_iter, None),
+    (tg.toggling_map_iter, None), (tg.toggling_map_iter, -10 ** 5000),
     (tg.cyclicity_order, 3.0), (tg.cyclicity_order, True), (tg.cyclicity_order, False),
     (tg.cyclicity_order, 0), (tg.cyclicity_order, np.float64(4.0)),
 ]
 
 
 def _count_id(fn, count):
-    big = isinstance(count, int) and count > 10 ** 6
-    return f"{fn.__name__}-{f'10**{len(str(count)) - 1}' if big else repr(count)}"
+    return f"{fn.__name__}-{_value_id(count)}"
 
 
 @pytest.mark.parametrize("fn, count", BAD_COUNTS, ids=[_count_id(*row) for row in BAD_COUNTS])
