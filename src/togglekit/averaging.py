@@ -23,7 +23,7 @@ import numpy as np
 
 from . import rotcore
 from .rotcore import Rotation
-from .seqmodel import (RotationSequence, _half_sweep, _scaled_angles, _sweep_grid, _sweep_nets,
+from .seqmodel import (RotationSequence, _half_sweep, _scaled_angles, _sweep_coefficients,
                        prefix_quaternions)
 
 BALANCE_TOL = 1e-9
@@ -84,82 +84,38 @@ def average_orders(vectors) -> AverageRotationOrders:
     return AverageRotationOrders(e.sum(axis=-2), 0.5 * es.sum(axis=-2), order3)
 
 
-def default_eps_grid(half_width: float = 0.2, points: int = 33) -> np.ndarray:
-    """Chebyshev-extrema grid on [-h, h]; symmetric about zero."""
-    return half_width * np.cos(np.pi * np.arange(points) / (points - 1))
-
-
-def numeric_error_expansion(s: RotationSequence, beta_prime: float | None = None,
-                            eps_grid=None) -> AverageRotationOrders:
-    """Oracle for average_orders: expand the residual rotation vector of
-    U(beta')^-1 U(beta'+eps) in eps by polynomial fit and return the cubic
-    coefficients; a batch of one of ``_error_expansions``.
-
-    The grid must be symmetric about zero with at least 5 points.  Raises
-    if the fit residual or the constant term exceeds ``FIT_TOL``.
-    """
+def numeric_error_expansion(s: RotationSequence, beta_prime: float | None = None
+                            ) -> AverageRotationOrders:
+    """Oracle for average_orders, independent of its BCH step: the eps^1..3
+    coefficients of the residual rotation vector of U(beta')^-1 U(beta'+eps),
+    beta' = beta_0 by default; a batch of one of ``_error_series``."""
     beta = s.uniform_beta()
-    power = _error_expansions(s.axes[None], [beta], [beta if beta_prime is None else beta_prime],
-                              eps_grid)[0]
-    return AverageRotationOrders(power[1], power[2], power[3])
+    series = _error_series(s.axes[None], beta, [beta if beta_prime is None else beta_prime])[0]
+    return AverageRotationOrders(series[1], series[2], series[3])
 
 
-def _cheb_to_power(degree: int) -> np.ndarray:
-    """Square matrix whose entry [k, j] is the t^k coefficient of the
-    Chebyshev polynomial T_j(t), from T_j+1 = 2t T_j - T_j-1 (integers, exact)."""
-    m = np.zeros((degree + 1, degree + 1))
-    m[0, 0] = m[1, 1] = 1.0
-    for j in range(1, degree):
-        m[1:, j + 1] = 2.0 * m[:-1, j]
-        m[:, j + 1] -= m[:, j - 1]
-    return m
-
-
-_CHEB_DEGREE = 14
-_CHEB_TO_POWER = _cheb_to_power(_CHEB_DEGREE)
-FIT_TOL = 1e-8   # bound on the oracle's fit residual and constant term
-
-
-def _error_expansions(axes, beta0, beta_primes, eps_grid=None) -> np.ndarray:
+def _error_series(axes, beta0, beta_primes) -> np.ndarray:
     """``numeric_error_expansion`` over a stack of same-length uniform-angle
-    sequences: axes (N, n, 3), the common flip angle beta_0 per row (N,)
-    and a realized flip angle beta' per row (N,).  Returns the power-series coefficients (N, degree+1, 3)
-    of each row's residual rotation vector in eps, row k the eps^k term.
+    sequences: axes (N, n, 3), the common flip angle beta_0 and a realized
+    flip angle beta' per row (N,).  Returns the exact power-series
+    coefficients (N, 4, 3) of each row's residual rotation vector in eps,
+    row k the eps^k term (row 0 is zero).
 
-    All N sweeps run in one closed-form ``_sweep_nets`` call, each row at
-    its beta_0; one least-squares solve on the Chebyshev Vandermonde
-    T_j(t) = cos(j arccos t), t = eps/h (h the grid's half width), fits every
-    column, and one constant Chebyshev-to-power matrix, with order k divided
-    by h^k, converts it.  Raises naming the first row whose fit residual or
-    constant term exceeds ``FIT_TOL``.
+    The net is U(theta) = Re sum_j c_j e^{ij theta} at theta = (beta'+eps)/2
+    (``_sweep_coefficients``), so its eps^k coefficient is
+    U_k = Re sum_j c_j e^{ij beta'/2} (ij/2)^k / k!.  The residual
+    E = conj(U_0) U has vector part V = eps V_1 + eps^2 V_2 + eps^3 V_3 + ...,
+    and its rotation vector is V 2 arcsin(|V|)/|V| = V (2 + |V|^2/3 + ...):
+    orders 2 V_1, 2 V_2 and 2 V_3 + |V_1|^2 V_1 / 3.
     """
-    grid = default_eps_grid() if eps_grid is None else _sweep_grid(eps_grid, "eps grid")
-    if grid.size < 5:
-        raise ValueError("eps grid needs at least 5 points")
-    if np.max(np.abs(np.sort(grid) + np.sort(grid)[::-1])) > 1e-12:
-        raise ValueError("eps grid must be symmetric about zero")
-    h = float(np.max(np.abs(grid)))
-    if h == 0.0:
-        raise ValueError("eps grid needs a nonzero point")
-    sweeps = _sweep_grid(np.asarray(beta_primes, dtype=float)[:, None]
-                         + np.concatenate([[0.0], grid]), "flip angle beta'")
-    nets = _sweep_nets(axes, _half_sweep(sweeps, np.asarray(beta0, dtype=float)[:, None]))
-    errors = rotcore.quat_normalize(rotcore.quat_mul(rotcore.quat_conj(nets[:, :1]), nets[:, 1:]))
-    vs = rotcore.quat_to_rotation_vector(errors).transpose(1, 0, 2)   # (G, N, 3)
-    columns = vs.reshape(grid.size, -1)
-    degree = min(_CHEB_DEGREE, grid.size - 1)
-    vander = np.cos(np.arccos(grid / h)[:, None] * np.arange(degree + 1))
-    coeffs = np.linalg.lstsq(vander, columns, rcond=None)[0]
-    resid = np.abs(vander @ coeffs - columns).reshape(vs.shape).max(axis=(0, 2))
-    power = (_CHEB_TO_POWER[:degree + 1, :degree + 1] @ coeffs).reshape((degree + 1,) + vs.shape[1:])
-    power = power.transpose(1, 0, 2) / (h ** np.arange(degree + 1))[:, None]
-    constant = np.abs(power[:, 0]).max(axis=-1)
-    failed = np.flatnonzero(~((resid <= FIT_TOL) & (constant <= FIT_TOL)))   # NaN fails too
-    if failed.size:
-        r = failed[0]
-        raise ValueError(f"error expansion fit failed for row {r} (residual {resid[r]:.3g}, "
-                         f"constant {constant[r]:.3g})")
-    return power
+    c, js = _sweep_coefficients(axes)
+    theta = _half_sweep(beta_primes, np.asarray(beta0, dtype=float))
+    derivs = (0.5j * js) ** np.arange(4)[:, None] / np.array([[1.0], [1.0], [2.0], [6.0]])
+    u = np.einsum("nj,kj,njc->nkc", np.exp(1j * theta[:, None] * js), derivs, c).real
+    v = rotcore.quat_mul(rotcore.quat_conj(u[:, :1]), u)[..., 1:]    # (N, 4, 3)
+    series = 2.0 * v
+    series[:, 3] += np.sum(v[:, 1] ** 2, axis=-1, keepdims=True) * v[:, 1] / 3.0
+    return series
 
 
 # ---------------------------------------------------------------------------

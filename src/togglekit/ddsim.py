@@ -158,11 +158,6 @@ def default_beta_scale_grid(points: int = 21) -> np.ndarray:
     return np.linspace(0.0, 2.0, points)
 
 
-def toggled_centroid_norms(pulses: RotationSequence, beta_scales) -> np.ndarray:
-    """|centroid| of toggled axes for each flip-angle scale (vectorized)."""
-    return _centroid_norms(pulses.axes, pulses.betas, beta_scales)
-
-
 def _centroid_norms(axes: np.ndarray, betas: np.ndarray, beta_scales) -> np.ndarray:
     """|centroid| of the toggled axes of every axis list in ``axes``
     (..., n, 3) at every flip-angle scale: shape (..., S)."""

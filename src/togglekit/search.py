@@ -266,9 +266,11 @@ def enumerate_balanced(spec: SearchSpec) -> SequenceStack:
         keep = np.linalg.norm(sums, axis=1) < spec.n * BALANCE_SUM_TOL
     else:
         keep = np.abs(sums[:, 2]) < spec.n * BALANCE_SUM_TOL
-    axes, nets = inverse_toggle_axes(tuples[keep], spec.beta)
-    return _sequence_stack(f"{spec.axis_set.name}-{spec.m}-", spec.beta,
-                           axes[_target_mask(spec, nets)], spec.m)
+    axes = tuples[keep]
+    if len(axes):   # an empty stack skips the chain
+        axes, nets = inverse_toggle_axes(axes, spec.beta)
+        axes = axes[_target_mask(spec, nets)]
+    return _sequence_stack(f"{spec.axis_set.name}-{spec.m}-", spec.beta, axes, spec.m)
 
 
 # ---------------------------------------------------------------------------

@@ -390,6 +390,27 @@ def _step_matrices() -> tuple[np.ndarray, np.ndarray]:
 _STEP_REAL, _STEP_IMAG = _step_matrices()
 
 
+def _sweep_coefficients(axes) -> tuple[np.ndarray, np.ndarray]:
+    """The net of uniform-angle sequences with unit axes (..., n, 3) as
+    U(theta) = Re sum_j c_j e^{ij theta} over j >= 0: the coefficients
+    c_j = C_j (2 C_j for j > 0) (..., J, 4) and the frequencies j (J,),
+    J = ceil((n + 1)/2), all of parity n (``_sweep_nets`` says how)."""
+    axes = np.asarray(axes, dtype=float)
+    lead, n = axes.shape[:-2], axes.shape[-2]
+    steps = np.empty(axes.shape[:-1] + (4, 8), dtype=complex)
+    steps.real = _STEP_REAL
+    steps.imag = (axes @ _STEP_IMAG).reshape(steps.shape)
+    coeffs = np.zeros(lead + (n + 1, 4), dtype=complex)   # after i steps, row k is C_{2k-i}
+    coeffs[..., 0, 0] = 1.0
+    for i in range(n):
+        terms = coeffs[..., :i + 1, :] @ steps[..., i, :, :]
+        coeffs[..., :i + 1, :] = terms[..., 4:]
+        coeffs[..., 1:i + 2, :] += terms[..., :4]
+    js = np.arange(n % 2, n + 1, 2)   # the last rows
+    # U = C_0 + sum_{j>0} 2 Re(C_j e^{ij theta}) = sum_j Re(c_j) cos(j theta) - Im(c_j) sin(j theta)
+    return coeffs[..., -js.size:, :] * np.where(js > 0, 2.0, 1.0)[:, None], js
+
+
 def _sweep_nets(axes, half_angles) -> np.ndarray:
     """Net quaternions (..., G, 4) of uniform-angle sequences with unit axes
     (..., n, 3) over half flip angles theta (..., G), the leading axes
@@ -405,20 +426,7 @@ def _sweep_nets(axes, half_angles) -> np.ndarray:
     one normalization.  A point's bits depend on its angle only, not on the
     grid around it.
     """
-    axes = np.asarray(axes, dtype=float)
-    lead, n = axes.shape[:-2], axes.shape[-2]
-    steps = np.empty(axes.shape[:-1] + (4, 8), dtype=complex)
-    steps.real = _STEP_REAL
-    steps.imag = (axes @ _STEP_IMAG).reshape(steps.shape)
-    coeffs = np.zeros(lead + (n + 1, 4), dtype=complex)   # after i steps, row k is C_{2k-i}
-    coeffs[..., 0, 0] = 1.0
-    for i in range(n):
-        terms = coeffs[..., :i + 1, :] @ steps[..., i, :, :]
-        coeffs[..., :i + 1, :] = terms[..., 4:]
-        coeffs[..., 1:i + 2, :] += terms[..., :4]
-    js = np.arange(n % 2, n + 1, 2)   # the last rows
-    # U = C_0 + sum_{j>0} 2 Re(C_j e^{ij theta}) = sum_j Re(c_j) cos(j theta) - Im(c_j) sin(j theta)
-    c = coeffs[..., -js.size:, :] * np.where(js > 0, 2.0, 1.0)[:, None]
+    c, js = _sweep_coefficients(axes)
     real = np.concatenate([c.real, -c.imag], axis=-2)
     angles = np.asarray(half_angles, dtype=float)[..., None] * js
     trig = np.empty(angles.shape[:-1] + (2 * js.size,))
@@ -533,7 +541,7 @@ def reverse(s: RotationSequence) -> RotationSequence:
 def cyclic_permute(s: RotationSequence, shift: int) -> RotationSequence:
     """Move the first ``shift`` elements to the end (shift = 1 starts at index 1)."""
     shift, n = _integer_valued("shift", shift), len(s)
-    return _take(s, (np.arange(n) + shift % n) % n, f"cyc{shift}({s.name})")
+    return _take(s, (np.arange(n) + shift % n) % n, f"cyc{_shown(shift)}({s.name})")
 
 
 def global_phase_shift(s: RotationSequence, dphi: float) -> RotationSequence:

@@ -164,9 +164,9 @@ def test_numeric_expansion_matches_algebraic():
 
 
 def reference_numeric_error_expansion(s, beta_prime):
-    """The oracle as it ran before its eps grid became one kernel call: a
-    scalar propagator loop per grid point (the error_propagator list
-    comprehension), then the same Chebyshev fit.  Returns order1..3 as rows."""
+    """The oracle as a fit, before it became the exact eps-series: a scalar
+    propagator loop per grid point (the error_propagator list
+    comprehension), then a degree-14 Chebyshev fit.  Returns order1..3 as rows."""
     beta = s.uniform_beta()
 
     def net(scale):
@@ -183,7 +183,7 @@ def reference_numeric_error_expansion(s, beta_prime):
         e, angle = rc.to_axis_angle(r)
         return angle * e
 
-    grid = av.default_eps_grid()
+    grid = 0.2 * np.cos(np.pi * np.arange(33) / 32)   # Chebyshev extrema on [-0.2, 0.2]
     vs = np.array([rotation_vector(error_propagator(e)) for e in grid])
     coeffs = np.polynomial.chebyshev.chebfit(grid, vs, 14)
     power = np.zeros((15, 3))
@@ -205,10 +205,10 @@ def test_numeric_expansion_matches_scalar_loop():
 
 
 def reference_cheb2poly_expansion(s, beta_prime):
-    """numeric_error_expansion as it ran before the batched kernel: one sweep
-    per sequence, a Chebyshev fit in eps itself and cheb2poly per column.
-    Returns the power-series coefficients (15, 3)."""
-    grid = av.default_eps_grid()
+    """The oracle as a fit on the closed-form sweep: one sweep per sequence,
+    a Chebyshev fit in eps itself and cheb2poly per column.  Returns the
+    power-series coefficients (15, 3)."""
+    grid = 0.2 * np.cos(np.pi * np.arange(33) / 32)   # Chebyshev extrema on [-0.2, 0.2]
     nets = sm.net_quaternions(s, beta_prime + np.concatenate([[0.0], grid]))
     errors = rc.quat_normalize(rc.quat_mul(rc.quat_conj(nets[0]), nets[1:]))
     coeffs = np.polynomial.chebyshev.chebfit(grid, rc.quat_to_rotation_vector(errors), 14)
@@ -238,46 +238,43 @@ def test_oracle_kernel_matches_per_sequence_loop_on_criterion_8():
     for n in range(2, 7):
         group = [s for s in seqs if len(s) == n]
         beta0 = np.array([s.betas[0] for s in group])
-        powers = av._error_expansions(np.array([s.axes for s in group]), beta0, beta0)
-        assert powers.shape == (len(group), 15, 3)
-        for s, power in zip(group, powers):
+        series = av._error_series(np.array([s.axes for s in group]), beta0, beta0)
+        assert series.shape == (len(group), 4, 3)
+        for s, power in zip(group, series):
             want = reference_cheb2poly_expansion(s, s.betas[0])
             assert np.max(np.abs(power[0] - want[0])) < 1e-12
             assert np.max(np.abs(power[1:4] - want[1:4])) < 1e-10
 
 
-def test_chebyshev_to_power_matrix_equals_cheb2poly():
-    for j in range(15):
-        want = np.polynomial.chebyshev.cheb2poly([0] * j + [1])
-        assert np.array_equal(av._CHEB_TO_POWER[:, j], np.pad(want, (0, 14 - j)))
+@pytest.mark.parametrize("n", [20, 40, 80])
+def test_error_series_matches_average_orders_on_long_sequences(n):
+    rng = np.random.default_rng(n)
+    s = sm.sequence_from_axes("r", np.pi / 2, rng.normal(size=(n, 3)))
+    alg = av.average_orders(tg.toggle_axes(s.axes, s.betas))
+    num = av.numeric_error_expansion(s)
+    for a, b in ((alg.order1, num.order1), (alg.order2, num.order2), (alg.order3, num.order3)):
+        assert np.max(np.abs(a - b)) < 1e-13 * max(1.0, np.max(np.abs(a)))
 
 
-def test_oracle_kernel_names_the_failed_row():
-    # pulses about one axis: the residual rotation is eps times the signed axis
-    # count, linear in eps until its angle passes pi, where the vector wraps
+def test_error_series_p34_second_order_is_two_thirds():
+    orders = av.numeric_error_expansion(catalog.p34())
+    assert abs(np.linalg.norm(orders.order2) - 2.0 / 3.0) < 1e-15
+
+
+def test_error_series_of_single_axis_rows():
+    # pulses about one axis: the residual rotation is eps times the signed
+    # axis count, exactly linear in eps (a fit over |eps| < pi wrapped row 1)
     signs = np.array([1.0, -1.0, 1.0, -1.0, 1.0])[:, None]
     axes = np.stack([signs * rc.E_X, np.tile(rc.E_X, (5, 1)), signs * rc.E_Y])
     beta0 = np.full(3, np.pi)
-    grid = av.default_eps_grid(3.0)   # |eps| < pi, but 5 |eps| wraps
-    with pytest.raises(ValueError, match=r"^error expansion fit failed for row 1 \(residual"):
-        av._error_expansions(axes, beta0, beta0, grid)
-    good = av._error_expansions(axes[[0, 2]], beta0[:2], beta0[:2], grid)
-    assert np.max(np.abs(good[:, 1] - np.array([rc.E_X, rc.E_Y]))) < 1e-12
+    series = av._error_series(axes, beta0, beta0)
+    assert np.max(np.abs(series[:, 1] - np.array([rc.E_X, 5.0 * rc.E_X, rc.E_Y]))) < 1e-12
+    assert np.max(np.abs(series[:, 2:])) < 1e-12
 
 
-def test_numeric_expansion_grid_validation():
-    s = catalog.f1()
-    with pytest.raises(ValueError):
-        av.numeric_error_expansion(s, eps_grid=[1e-3, 2e-3, 3e-3, 4e-3, 5e-3])
-    with pytest.raises(ValueError):
-        av.numeric_error_expansion(s, eps_grid=[-0.1, 0.0, 0.1])
-    # inf + -inf is NaN, which the symmetry test alone lets through
-    with pytest.raises(ValueError, match="eps grid must be finite"):
-        av.numeric_error_expansion(s, eps_grid=[-np.inf, -0.1, 0.0, 0.1, np.inf])
+def test_numeric_expansion_rejects_a_nonfinite_beta_prime():
     with pytest.raises(ValueError, match="must be finite"):
-        av.numeric_error_expansion(s, beta_prime=np.nan)
-    with pytest.raises(ValueError, match="nonzero point"):
-        av.numeric_error_expansion(s, eps_grid=np.zeros(5))
+        av.numeric_error_expansion(catalog.f1(), beta_prime=np.nan)
 
 
 def test_symmetry_class_examples():

@@ -208,6 +208,23 @@ def test_empty_search_is_an_empty_stack(built_sequences):
     assert len(built_sequences) == 0
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_search_without_a_balanced_tuple_skips_the_chain(monkeypatch, n):
+    calls, chain = [], se.inverse_toggle_axes
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return chain(*args, **kwargs)
+
+    monkeypatch.setattr(se, "inverse_toggle_axes", counted)
+    empty = se.enumerate_balanced(se.SearchSpec(se.octahedron(), n, 4, "equatorial_pi"))
+    assert calls == []
+    assert isinstance(empty, sm.SequenceStack) and len(empty) == 0
+    assert empty.axes.shape == (0, n, 3)
+    assert se.enumerate_balanced(se.SearchSpec(se.tetrahedron(), 4, 3, se.AXIS_CYCLING))
+    assert len(calls) == 1   # the counter counts
+
+
 @pytest.mark.parametrize("symmetry", ["global_z", "axis_set_rotations", "none"])
 def test_dedupe_of_a_stack_equals_dedupe_of_its_rows(symmetry):
     rng = np.random.default_rng(17)

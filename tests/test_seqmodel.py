@@ -481,6 +481,15 @@ def test_cyclic_permute():
     assert sm.sequences_equal(sm.cyclic_permute(s, 3), s)
 
 
+def test_cyclic_permute_names_a_huge_shift_by_its_digit_count():
+    s = catalog.f1()
+    big = sm.cyclic_permute(s, 10 ** 5000)
+    assert big.name == "cycan integer of 5001 digits(f1)"
+    assert sm.sequences_equal(big, sm.cyclic_permute(s, 10 ** 5000 % len(s)))
+    assert sm.cyclic_permute(s, 10 ** 20 - 1).name == f"cyc{10 ** 20 - 1}(f1)"
+    assert sm.cyclic_permute(s, -3.0).name == "cyc-3(f1)"
+
+
 def test_held_flip_angles_are_not_checked_again(monkeypatch):
     # reverse, cyclic_permute, with_name, with_axes and the virtual-MAS
     # compensated cycle's _take reuse a built sequence's angles and cycle
