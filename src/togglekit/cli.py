@@ -21,6 +21,7 @@ from . import (acceptance, averaging, catalog, ddsim, profiles, rotcore,
                search, seqmodel, toggling)
 
 _XI = {"x": rotcore.E_X, "y": rotcore.E_Y, "z": rotcore.E_Z}
+_MAX_COUNT = 2 ** 20
 
 
 class _UsageError(Exception):
@@ -30,10 +31,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -48,6 +45,18 @@ def _positive_float(text: str) -> float:
     value = float(text)
     if not 0.0 < value < math.inf:   # NaN fails too
         raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return value
+
+
+def _count(text: str) -> int:
+    """A loop length or element count, at most 2**20: toggling f1 2**20 times
+    takes about 25 s on a 2-vCPU VM, and a count far above that would not return."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    if value > _MAX_COUNT:
+        raise argparse.ArgumentTypeError(f"must be at most 2**20 = {_MAX_COUNT}, got {text!r}")
     return value
 
 
@@ -70,8 +79,8 @@ def _resolve_dd(spec: str, tau: float = 1.0) -> ddsim.DDSequence:
     return catalog.named_dd(spec, tau)
 
 
-def _seq_json(s: seqmodel.RotationSequence) -> str:
-    return json.dumps(seqmodel.to_json_dict(s), indent=2) + "\n"
+def _json_document(obj, indent: int | None = 2) -> str:
+    return json.dumps(obj, indent=indent) + "\n"
 
 
 def _build_parser() -> _Parser:
@@ -94,13 +103,13 @@ def _build_parser() -> _Parser:
 
     pt = sub.add_parser("toggle", help="iterated toggling map")
     pt.add_argument("seq")
-    pt.add_argument("--m", type=int, default=1)
+    pt.add_argument("--m", type=_count, default=1)
     pt.add_argument("--deg", action="store_true")
     pt.add_argument("--out")
 
     py = sub.add_parser("cycle", help="smallest m restoring the sequence")
     py.add_argument("seq")
-    py.add_argument("--max-m", type=int, default=12)
+    py.add_argument("--max-m", type=_count, default=12)
     py.add_argument("--deg", action="store_true")
 
     pq = sub.add_parser("profile", help="inversion profile CSV over beta'")
@@ -150,8 +159,8 @@ def _build_parser() -> _Parser:
 
     ps = sub.add_parser("search", help="balanced-sequence synthesis on an axis set")
     ps.add_argument("--axes", choices=sorted(search.BUILTIN_AXIS_SETS), required=True)
-    ps.add_argument("--n", type=int, required=True)
-    ps.add_argument("--m", type=int, required=True)
+    ps.add_argument("--n", type=_count, required=True)
+    ps.add_argument("--m", type=_count, required=True)
     ps.add_argument("--target", required=True,
                     help="equatorial-pi, axis-cycling, or 'ax,ay,az:angle'")
     ps.add_argument("--balance", choices=["full", "z"], default="full")
@@ -171,109 +180,44 @@ def _target_from_string(text: str):
     axis_part, _, angle_part = text.partition(":")
     if not angle_part:
         raise _UsageError(f"cannot parse target {text!r}")
-    axis = np.asarray([float(t) for t in axis_part.split(",")])
+    try:
+        axis = np.array([float(t) for t in axis_part.split(",")])
+    except ValueError:
+        axis = np.empty(0)
+    if axis.shape != (3,):
+        raise _UsageError(f"target axis needs 3 numbers, got {axis_part!r}")
     norm = float(np.linalg.norm(axis))
     if not 0.0 < norm < math.inf:   # NaN fails too
         raise _UsageError(f"target axis must be finite and nonzero, got {axis_part!r}")
-    angle = float(angle_part)
+    try:
+        angle = float(angle_part)
+    except ValueError:
+        angle = math.nan
     if not math.isfinite(angle):
         raise _UsageError(f"target angle must be finite, got {angle_part!r}")
     return rotcore.from_axis_angle(axis / norm, angle)
 
 
-def _run(args) -> int:
+def _run(args) -> str:
+    """The document a subcommand prints, or writes to ``--out``."""
     if args.command == "catalog":
         if args.action == "list":
-            for name in catalog.list_names(dd=args.dd):
-                sys.stdout.write(name + "\n")
-            return 0
+            return "".join(name + "\n" for name in catalog.list_names(dd=args.dd))
         if not args.name:
             raise _UsageError("catalog show needs a sequence name")
         if args.dd:
-            dd = catalog.named_dd(args.name)
-            sys.stdout.write(json.dumps(ddsim.dd_to_json_dict(dd), indent=2) + "\n")
-        else:
-            sys.stdout.write(_seq_json(catalog.named(args.name)))
-        return 0
-
-    if args.command == "dual":
-        s = _resolve_sequence(args.seq, args.deg)
-        _emit(_seq_json(toggling.toggling_map(s)), args.out)
-        return 0
-
-    if args.command == "toggle":
-        s = _resolve_sequence(args.seq, args.deg)
-        _emit(_seq_json(toggling.toggling_map_iter(s, args.m)), args.out)
-        return 0
-
-    if args.command == "cycle":
-        s = _resolve_sequence(args.seq, args.deg)
-        m = toggling.cyclicity_order(s, args.max_m)
-        sys.stdout.write(("none" if m is None else str(m)) + "\n")
-        return 0
-
-    if args.command == "profile":
-        s = _resolve_sequence(args.seq, args.deg)
-        _emit(profiles.profile_csv(s, _XI[args.xi]), args.out)
-        return 0
-
-    if args.command == "trajectory":
-        s = _resolve_sequence(args.seq, args.deg)
-        beta_prime = args.beta_scale * s.uniform_beta()
-        path = profiles.trajectory(s, _XI[args.v0], beta_prime)
-        lines = ["step,vx,vy,vz"]
-        lines += [f"{i}," + ",".join(_fmt(c) for c in v) for i, v in enumerate(path)]
-        _emit("\n".join(lines) + "\n", args.out)
-        return 0
-
-    if args.command == "glide":
-        a = _resolve_sequence(args.seq_a, args.deg)
-        b = _resolve_sequence(args.seq_b, args.deg)
-        plus, minus = profiles.glide_reflection_deviations(a, b, e_xi=_XI[args.xi])
-        branch = "pi+b'" if plus <= minus else "pi-b'"
-        sys.stdout.write(json.dumps({
-            "deviation": min(plus, minus), "branch": branch,
-            "plus_branch": plus, "minus_branch": minus}) + "\n")
-        return 0
-
-    if args.command == "centroid":
-        s = _resolve_sequence(args.seq, args.deg)
-        axes = s.axes if args.frame == 0 else toggling.toggling_map(s).axes
-        c = averaging.centroid(axes)
-        sys.stdout.write(json.dumps({
-            "frame": args.frame, "cx": c[0], "cy": c[1], "cz": c[2],
-            "norm": float(np.linalg.norm(c))}) + "\n")
-        return 0
-
-    if args.command == "orders":
-        s = _resolve_sequence(args.seq, args.deg)
-        scaled = seqmodel.scale_betas(s, args.beta_scale)
-        orders = averaging.average_orders(toggling.toggling_map(scaled).axes)
-        sys.stdout.write(json.dumps({
-            "beta_scale": args.beta_scale,
-            "order1": list(orders.order1), "order2": list(orders.order2),
-            "order3": list(orders.order3)}) + "\n")
-        return 0
+            return _json_document(ddsim.dd_to_json_dict(catalog.named_dd(args.name)))
+        return _json_document(seqmodel.to_json_dict(catalog.named(args.name)))
 
     if args.command == "kappa":
-        dd = _resolve_dd(args.ddseq, args.tau)
-        table = averaging.kappa(dd, args.lam, args.beta_scale)
+        table = averaging.kappa(_resolve_dd(args.ddseq, args.tau), args.lam, args.beta_scale)
         if args.json:
-            _emit(json.dumps(table.to_json_dict(), indent=2) + "\n", args.out)
-        else:
-            lines = ["lambda,mu,mu_prime,re,im"]
-            lines += [f"{lam},{mu},{mup},{_fmt(re)},{_fmt(im)}"
-                      for lam, mu, mup, re, im in table.csv_rows()]
-            _emit("\n".join(lines) + "\n", args.out)
-        return 0
+            return _json_document(table.to_json_dict())
+        return seqmodel._csv_text("lambda,mu,mu_prime,re,im", [list(table.csv_rows())])
 
     if args.command == "ddmap":
-        dd = _resolve_dd(args.ddseq, args.tau)
-        cm = ddsim.centroid_map(dd, amp=args.amp)
-        text = json.dumps(ddsim.map_to_json_dict(cm), indent=2) + "\n" if args.json \
-            else ddsim.map_to_csv(cm)
-        _emit(text, args.out)
-        return 0
+        cm = ddsim.centroid_map(_resolve_dd(args.ddseq, args.tau), amp=args.amp)
+        return _json_document(ddsim.map_to_json_dict(cm)) if args.json else ddsim.map_to_csv(cm)
 
     if args.command == "search":
         axis_set = search.BUILTIN_AXIS_SETS[args.axes]()
@@ -281,18 +225,48 @@ def _run(args) -> int:
                                  _target_from_string(args.target),
                                  "full" if args.balance == "full" else "z_only")
         results = search.dedupe(search.enumerate_balanced(spec), args.dedupe)
-        lines = [json.dumps(seqmodel.to_json_dict(s)) for s in results]
-        _emit("".join(line + "\n" for line in lines), args.out)
-        return 0
+        return "".join(_json_document(seqmodel.to_json_dict(s), None) for s in results)
+
+    if args.command == "glide":
+        a = _resolve_sequence(args.seq_a, args.deg)
+        b = _resolve_sequence(args.seq_b, args.deg)
+        plus, minus = profiles.glide_reflection_deviations(a, b, e_xi=_XI[args.xi])
+        branch = "pi+b'" if plus <= minus else "pi-b'"
+        return _json_document({"deviation": min(plus, minus), "branch": branch,
+                               "plus_branch": plus, "minus_branch": minus}, None)
+
+    s = _resolve_sequence(args.seq, args.deg)   # every other command reads one sequence
+    if args.command == "dual":
+        return _json_document(seqmodel.to_json_dict(toggling.toggling_map(s)))
+
+    if args.command == "toggle":
+        return _json_document(seqmodel.to_json_dict(toggling.toggling_map_iter(s, args.m)))
 
     if args.command == "convert24":
-        s = _resolve_sequence(args.seq, args.deg)
-        _emit(_seq_json(profiles.convert_m2_to_m4(s)), args.out)
-        return 0
+        return _json_document(seqmodel.to_json_dict(profiles.convert_m2_to_m4(s)))
 
-    if args.command == "verify":
-        results = acceptance.run_all(verbose=True)
-        return 0 if all(r.passed for r in results) else 2
+    if args.command == "cycle":
+        m = toggling.cyclicity_order(s, args.max_m)
+        return ("none" if m is None else str(m)) + "\n"
+
+    if args.command == "profile":
+        return profiles.profile_csv(s, _XI[args.xi])
+
+    if args.command == "trajectory":
+        path = profiles.trajectory(s, _XI[args.v0], args.beta_scale * s.uniform_beta())
+        return seqmodel._csv_text("step,vx,vy,vz", [np.arange(len(path)), path])
+
+    if args.command == "centroid":
+        c = averaging.centroid(s.axes if args.frame == 0 else toggling.toggling_map(s).axes)
+        return _json_document({"frame": args.frame, "cx": c[0], "cy": c[1], "cz": c[2],
+                               "norm": float(np.linalg.norm(c))}, None)
+
+    if args.command == "orders":
+        scaled = seqmodel.scale_betas(s, args.beta_scale)
+        orders = averaging.average_orders(toggling.toggling_map(scaled).axes)
+        return _json_document({"beta_scale": args.beta_scale,
+                               "order1": list(orders.order1), "order2": list(orders.order2),
+                               "order3": list(orders.order3)}, None)
 
     raise _UsageError(f"unknown command {args.command!r}")
 
@@ -306,7 +280,10 @@ def main(argv=None) -> int:
         _PARSER = _build_parser()
     try:
         args = _PARSER.parse_args(argv)
-        return _run(args)
+        if args.command == "verify":   # prints each criterion as it runs
+            return 0 if all(r.passed for r in acceptance.run_all(verbose=True)) else 2
+        _emit(_run(args), getattr(args, "out", None))
+        return 0
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 1
@@ -315,7 +292,10 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:   # a JSONDecodeError is a ValueError too
         sys.stderr.write(f"i/o error: {exc}\n")
         return 3
-    except (KeyError, ValueError) as exc:
+    except KeyError as exc:   # str() of a KeyError quotes its message
+        sys.stderr.write(f"error: {exc.args[0]}\n")
+        return 1
+    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

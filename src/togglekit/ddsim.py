@@ -194,11 +194,9 @@ def centroid_map(dd: DDSequence, omega_grid=None, beta_scale_grid=None,
 
 def map_to_csv(cm: CentroidMap) -> str:
     """Header row of beta'/beta values, first column omega, cells |C^(1)|."""
-    cells = ",".join(["%.17g"] * cm.beta_scales.size)
-    lines = ["omega\\beta_scale," + cells % tuple(cm.beta_scales.tolist())]
-    row_fmt = "%.17g," + cells
-    lines += [row_fmt % (w, *row) for w, row in zip(cm.omegas.tolist(), cm.values.tolist())]
-    return "\n".join(lines) + "\n"
+    scales = cm.beta_scales.tolist()
+    header = ("omega\\beta_scale" + ",%.17g" * len(scales)) % tuple(scales)
+    return seqmodel._csv_text(header, [cm.omegas, cm.values])
 
 
 def map_to_json_dict(cm: CentroidMap) -> dict:
@@ -218,8 +216,8 @@ def dd_to_json_dict(dd: DDSequence) -> dict:
 def dd_from_json_dict(d: dict) -> DDSequence:
     if not isinstance(d, dict):
         raise ValueError("a DD sequence must be a JSON object")
-    return DDSequence(seqmodel.from_json_dict(d["pulses"]),
-                      np.asarray(d["delays"], dtype=float))
+    return DDSequence(seqmodel.from_json_dict(d.get("pulses")),
+                      np.asarray(d.get("delays"), dtype=float))
 
 
 def load_dd(path: str) -> DDSequence:

@@ -12,9 +12,9 @@ import numpy as np
 
 from . import averaging, rotcore, toggling
 from .rotcore import Rotation, quat_apply
-from .seqmodel import (RotationSequence, _scaled_angles, _sweep_grid, global_phase_shift,
-                       net_propagator, net_quaternions, prefix_quaternions, riffle,
-                       sequence_from_axes)
+from .seqmodel import (RotationSequence, _csv_text, _scaled_angles, _sweep_grid,
+                       global_phase_shift, net_propagator, net_quaternions,
+                       prefix_quaternions, riffle, sequence_from_axes)
 
 DEFAULT_GRID = np.linspace(0.0, 2.0 * np.pi, 721)   # half-degree steps
 DEFAULT_GRID.flags.writeable = False
@@ -203,14 +203,8 @@ def convert_m2_to_m4(s: RotationSequence) -> RotationSequence:
 # CSV export
 # ---------------------------------------------------------------------------
 
-_CSV_ROW6 = ",".join(["%.17g"] * 6)
-
-
 def profile_csv(s: RotationSequence, e_xi=rotcore.E_Z, grid=None) -> str:
     """Rows beta_prime, q, vx, vy, vz, err_deg (error vs the nominal net)."""
     grid, quats, finals, qs = _profile_arrays(s, e_xi, grid)
     errs = _errors_deg(quats, net_propagator(s))
-    rows = np.column_stack([grid, qs, finals, errs]).tolist()
-    lines = ["beta_prime,q,vx,vy,vz,err_deg"]
-    lines += [_CSV_ROW6 % tuple(row) for row in rows]
-    return "\n".join(lines) + "\n"
+    return _csv_text("beta_prime,q,vx,vy,vz,err_deg", [grid, qs, finals, errs])

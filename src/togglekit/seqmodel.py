@@ -646,9 +646,9 @@ def json_elements(d) -> list[dict]:
     if not isinstance(els, list) or not all(isinstance(ed, dict) for ed in els):
         raise ValueError("a sequence must be a JSON object whose 'elements' is a list of objects")
     for ed in els:
-        _json_number("beta", ed["beta"])
+        _json_number("beta", ed.get("beta"))
         if "axis" not in ed:
-            _json_number("phase", ed["phase"])
+            _json_number("phase", ed.get("phase"))
             if "latitude" in ed:
                 _json_number("latitude", ed["latitude"])
         elif not (isinstance(ed["axis"], list) and len(ed["axis"]) == 3):
@@ -686,3 +686,13 @@ def load_sequence(path: str, deg: bool = False) -> RotationSequence:
     """The sequence in a JSON file; ``deg`` as in ``from_json_dict``."""
     with open(path, encoding="utf-8") as fh:
         return from_json_dict(json.load(fh), deg)
+
+
+def _csv_text(header: str, columns) -> str:
+    """A CSV document: the ``header`` line, then one line per row of the
+    stacked ``columns`` (1-D columns or 2-D blocks of them), every cell at
+    %.17g, written in one %-format operation.  An integer column (values
+    within 2**53, exact as floats) prints its digits, as %d would."""
+    table = np.column_stack(columns)
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    return header + "\n" + row * len(table) % tuple(table.ravel().tolist())

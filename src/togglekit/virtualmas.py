@@ -66,11 +66,9 @@ def suppression_order_slopes(h: float = 1e-7) -> tuple[float, float]:
 
 def sweep_csv(beta_scale_grid) -> str:
     """CSV rows: scale, value, compensated flag, then the mu' components."""
-    lines = ["beta_scale,max_abs_kappa20,compensated,"
-             + ",".join(f"re_mu{m},im_mu{m}" for m in range(-2, 3))]
-    fmt = "%.17g,%.17g,%d," + ",".join(["%.17g,%.17g"] * 5)
-    for comp in (False, True):
-        for row in mas_kappa_sweep(comp, beta_scale_grid):
-            parts = [c for z in row.kappa_row.tolist() for c in (z.real, z.imag)]
-            lines.append(fmt % (row.beta_scale, row.max_abs, comp, *parts))
-    return "\n".join(lines) + "\n"
+    rows = mas_kappa_sweep(False, beta_scale_grid) + mas_kappa_sweep(True, beta_scale_grid)
+    header = ("beta_scale,max_abs_kappa20,compensated,"
+              + ",".join(f"re_mu{m},im_mu{m}" for m in range(-2, 3)))
+    columns = [[r.beta_scale for r in rows], [r.max_abs for r in rows],
+               np.repeat([0, 1], len(rows) // 2), np.array([r.kappa_row for r in rows]).view(float)]
+    return seqmodel._csv_text(header, columns)

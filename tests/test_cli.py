@@ -163,6 +163,24 @@ def test_unknown_sequence_exit_code(capsys):
     assert code == 1 and "error" in err
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["dual", "nope"], "error: unknown sequence 'nope'; see list_names()\n"),
+    (["catalog", "show", "nosuch"], "error: unknown sequence 'nosuch'; see list_names()\n"),
+    (["kappa", "nope", "--lambda", "1"],
+     "error: unknown DD sequence 'nope'; see list_names(dd=True)\n"),
+], ids=["dual", "catalog-show", "kappa"])
+def test_unknown_name_prints_the_message_unquoted(capsys, argv, err):
+    assert run(capsys, *argv) == (1, "", err)
+
+
+@pytest.mark.parametrize("argv, dest", [
+    (["toggle", "f1", "--m"], "m"), (["cycle", "f1", "--max-m"], "max_m"),
+    (["search", "--axes", "cube", "--m", "3", "--target", "axis-cycling", "--n"], "n"),
+], ids=["toggle", "cycle", "search"])
+def test_counts_up_to_two_to_the_twenty_parse(argv, dest):
+    assert getattr(cli._build_parser().parse_args([*argv, str(2 ** 20)]), dest) == 2 ** 20
+
+
 def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "dual", "@does_not_exist.json")
     assert code == 3 and "i/o error" in err
@@ -236,7 +254,34 @@ AXIS_SHAPES = {"axis-len2": [1, 0], "axis-len4": [1, 0, 0, 0], "axis-nested": [[
       for bad in (None, float("inf"), "nan")],
     *[pytest.param(["search", "--axes", "cube", "--n", "2", "--m", "3", "--target", f"1,0,0:{a}"],
                    None, f"target angle must be finite, got '{a}'", id=f"{a}-target-angle")
-      for a in ("inf", "-inf", "nan")],
+      for a in ("inf", "-inf", "nan", "x")],
+    *[pytest.param(["search", "--axes", "cube", "--n", "2", "--m", "3", "--target", f"{axis}:{a}"],
+                   None, f"usage error: target axis needs 3 numbers, got '{axis}'\n",
+                   id=f"target-axis-{axis or 'empty'}")
+      for axis, a in (("1,1", "2"), ("1,0,0,0", "2"), ("", "1"), ("a,b,c", "1"))],
+    *[pytest.param([*argv[:-1], str(count)], None,
+                   f"usage error: argument {argv[-2]}: must be at most 2**20 = 1048576, "
+                   f"got '{count}'\n", id=f"{argv[0]}{argv[-2]}-{count}")
+      for argv in (["toggle", "f1", "--m", "1"], ["cycle", "f1", "--max-m", "1"],
+                   ["search", "--axes", "cube", "--m", "3", "--target", "axis-cycling",
+                    "--n", "1"],
+                   ["search", "--axes", "cube", "--n", "2", "--target", "axis-cycling",
+                    "--m", "1"])
+      for count in (2 ** 20 + 1, 10 ** 20)],
+    pytest.param(["toggle", "f1", "--m", "1.5"], None,
+                 "usage error: argument --m: must be an integer, got '1.5'\n", id="toggle-float-m"),
+    # a missing key is named like a value of the wrong type, not as a bare KeyError
+    pytest.param(["cycle", "@in"], {"elements": [{"phase": 0.0}]},
+                 "error: malformed sequence: beta must be a JSON number, got None\n",
+                 id="missing-beta"),
+    pytest.param(["cycle", "@in"], {"elements": [{"beta": np.pi}]},
+                 "error: malformed sequence: phase must be a JSON number, got None\n",
+                 id="missing-phase"),
+    pytest.param(["kappa", "@in", "--lambda", "1"], {"delays": [1.0]}, "'elements'",
+                 id="dd-missing-pulses"),
+    pytest.param(["kappa", "@in", "--lambda", "1"],
+                 {"pulses": {"elements": [{"beta": np.pi, "phase": 0.0}]}},
+                 "one more delay than pulses", id="dd-missing-delays"),
     pytest.param(["kappa", "xy4", "--lambda", "1", "--tau", "1e-310"], None,
                  "delays must total a finite value", id="kappa-subnormal-total"),
     pytest.param(["ddmap", "xy4", "--tau", "1e-307"], None, "omega grid must be finite",

@@ -75,8 +75,8 @@ def _tokens(text: str) -> tuple[list[str], list[float]]:
     return NUMBER.split(text), [float(x) for x in NUMBER.findall(text)]
 
 
-def _stdout(argv: list[str], tmp_path, capsys) -> str:
-    """stdout of ``cli.main``, each '@name' argument written from the golden files."""
+def _args(argv: list[str], tmp_path) -> list[str]:
+    """``argv`` with each '@name' argument written from the golden files."""
     args = []
     for arg in argv:
         if arg.startswith("@"):
@@ -84,7 +84,12 @@ def _stdout(argv: list[str], tmp_path, capsys) -> str:
             path.write_text(json.dumps(GOLDEN["files"][arg[1:]]), encoding="utf-8")
             arg = f"@{path}"
         args.append(arg)
-    assert cli.main(args) == 0
+    return args
+
+
+def _stdout(argv: list[str], tmp_path, capsys) -> str:
+    """stdout of ``cli.main``, each '@name' argument written from the golden files."""
+    assert cli.main(_args(argv, tmp_path)) == 0
     return capsys.readouterr().out
 
 
@@ -99,6 +104,22 @@ def test_cli_output_matches_golden(record, tmp_path, capsys):
         assert _sha256(out) == record["sha256"]
         return
     _assert_agree(out, record["stdout"], CONVERT_TOL)
+
+
+OUT_COMMANDS = {"dual", "toggle", "convert24", "profile", "trajectory", "kappa", "ddmap", "search"}
+
+
+@pytest.mark.parametrize("record", GOLDEN["commands"], ids=lambda r: " ".join(r["argv"]))
+def test_out_file_holds_what_stdout_carries(record, tmp_path, capsys):
+    stdout = _stdout(record["argv"], tmp_path, capsys)
+    path = tmp_path / "out.txt"
+    code = cli.main([*_args(record["argv"], tmp_path), "--out", str(path)])
+    out, err = capsys.readouterr()
+    if record["argv"][0] not in OUT_COMMANDS:
+        assert code == 1 and "unrecognized arguments: --out" in err and not path.exists()
+        return
+    assert (code, out, err) == (0, "", "")
+    assert path.read_bytes() == stdout.encode("utf-8")
 
 
 def _assert_agree(text: str, want: str, tol: float) -> None:

@@ -9,8 +9,8 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from togglekit import (catalog, ddsim, rotcore as rc, seqmodel as sm, toggling as tg,
-                       virtualmas as vm)
+from togglekit import (averaging, catalog, cli, ddsim, profiles, rotcore as rc, seqmodel as sm,
+                       toggling as tg, virtualmas as vm)
 
 PHI = np.arccos(-0.25)
 
@@ -684,6 +684,9 @@ def test_sequences_equal_tolerances():
     {"elements": [{"beta": "3.14", "phase": 0.0}]},
     {"elements": [{"beta": np.pi, "phase": False}]},
     {"elements": [{"beta": np.pi, "axis": [1.0, None, 0.0]}]},
+    # a missing flip angle or phase is a ValueError too, not a KeyError
+    {"elements": [{"phase": 0.0}]},
+    {"elements": [{"beta": np.pi}]},
 ])
 def test_from_json_dict_rejects_malformed_documents(doc):
     with pytest.raises(ValueError):
@@ -1003,3 +1006,117 @@ def test_infer_cycle_order_equals_the_scan():
                 assert sm.infer_cycle_order(b, m_max) == _ref_infer_cycle_order(b, m_max), b
     assert sm.infer_cycle_order(2.0 * np.pi / 64) == 64
     assert sm.infer_cycle_order(2.0 * np.pi / 65) is None
+
+
+# ---------------------------------------------------------------------------
+# reference: the per-row CSV writers that the one writer, _csv_text, replaced
+# ---------------------------------------------------------------------------
+
+CSV_VALUES = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, 1.7976931348623157e308,
+                       -1.0 / 3.0, 0.1, 1e17, 123456789.0, 0.0, -2.5e-300])
+
+
+def _csv_cells(n_cols: int) -> np.ndarray:
+    """(len(CSV_VALUES), n_cols) cells; every column holds every value."""
+    return np.stack([np.roll(CSV_VALUES, -k) for k in range(n_cols)], axis=1)
+
+
+def _complex(re, im) -> np.ndarray:
+    """re + i im without the nan that 1j * inf makes."""
+    z = np.empty(np.shape(re), dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
+def _ref_fmt(x: float) -> str:
+    return f"{x:.17g}"
+
+
+def _ref_profile_csv(grid, qs, finals, errs) -> str:
+    rows = np.column_stack([grid, qs, finals, errs]).tolist()
+    lines = ["beta_prime,q,vx,vy,vz,err_deg"]
+    lines += [",".join(["%.17g"] * 6) % tuple(row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _ref_map_to_csv(cm) -> str:
+    cells = ",".join(["%.17g"] * cm.beta_scales.size)
+    lines = ["omega\\beta_scale," + cells % tuple(cm.beta_scales.tolist())]
+    row_fmt = "%.17g," + cells
+    lines += [row_fmt % (w, *row) for w, row in zip(cm.omegas.tolist(), cm.values.tolist())]
+    return "\n".join(lines) + "\n"
+
+
+def _ref_sweep_csv(beta_scale_grid) -> str:
+    lines = ["beta_scale,max_abs_kappa20,compensated,"
+             + ",".join(f"re_mu{m},im_mu{m}" for m in range(-2, 3))]
+    fmt = "%.17g,%.17g,%d," + ",".join(["%.17g,%.17g"] * 5)
+    for comp in (False, True):
+        for row in vm.mas_kappa_sweep(comp, beta_scale_grid):
+            parts = [c for z in row.kappa_row.tolist() for c in (z.real, z.imag)]
+            lines.append(fmt % (row.beta_scale, row.max_abs, comp, *parts))
+    return "\n".join(lines) + "\n"
+
+
+def _ref_kappa_csv(table) -> str:
+    lines = ["lambda,mu,mu_prime,re,im"]
+    lines += [f"{lam},{mu},{mup},{_ref_fmt(re)},{_ref_fmt(im)}"
+              for lam, mu, mup, re, im in table.csv_rows()]
+    return "\n".join(lines) + "\n"
+
+
+def _ref_trajectory_csv(path) -> str:
+    lines = ["step,vx,vy,vz"]
+    lines += [f"{i}," + ",".join(_ref_fmt(c) for c in v) for i, v in enumerate(path)]
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_writer_prints_integer_columns_as_percent_d():
+    ints = [-2 ** 53, -(10 ** 15) - 1, -2, -1, 0, 1, 7, 123456789, 2 ** 53]
+    text = sm._csv_text("i,x", [np.array(ints), np.full(len(ints), -0.0)])
+    assert text == "i,x\n" + "".join("%d,-0\n" % i for i in ints)
+
+
+def test_profile_csv_equals_the_per_row_writer(monkeypatch):
+    cells = _csv_cells(6)
+    grid, qs, finals, errs = cells[:, 0], cells[:, 1], cells[:, 2:5], cells[:, 5]
+    monkeypatch.setattr(profiles, "_profile_arrays", lambda s, e_xi, g: (grid, None, finals, qs))
+    monkeypatch.setattr(profiles, "_errors_deg", lambda quats, target: errs)
+    text = profiles.profile_csv(catalog.f1())
+    assert text == _ref_profile_csv(grid, qs, finals, errs)
+    assert "\n-0,nan,inf,-inf,4.9406564584124654e-324,1.7976931348623157e+308\n" in text
+
+
+def test_map_to_csv_equals_the_per_row_writer():
+    cells = _csv_cells(len(CSV_VALUES) + 1)
+    cm = ddsim.CentroidMap(cells[:, 0], CSV_VALUES[::-1].copy(), cells[:, 1:], 1.0)
+    assert ddsim.map_to_csv(cm) == _ref_map_to_csv(cm)
+
+
+def test_sweep_csv_equals_the_per_row_writer(monkeypatch):
+    cells = _csv_cells(12)
+
+    def sweep(compensated, grid):
+        rows = np.roll(cells, int(compensated), axis=0)
+        kappa_rows = _complex(rows[:, 2:7], rows[:, 7:12])
+        return list(map(vm.MasSweepRow, rows[:, 0].tolist(), kappa_rows, rows[:, 1].tolist()))
+
+    monkeypatch.setattr(vm, "mas_kappa_sweep", sweep)
+    assert vm.sweep_csv([1.0]) == _ref_sweep_csv([1.0])
+
+
+def test_cli_kappa_csv_equals_the_per_row_writer(monkeypatch, capsys):
+    cells = _csv_cells(5).T.ravel()[:50]
+    table = averaging.KappaTable(2, _complex(cells[:25], cells[25:]).reshape(5, 5))
+    monkeypatch.setattr(averaging, "kappa", lambda dd, lam, scale: table)
+    assert cli.main(["kappa", "xy4", "--lambda", "2"]) == 0
+    out = capsys.readouterr().out
+    assert out == _ref_kappa_csv(table)
+    assert out.split("\n")[1].startswith("2,-2,-2,")   # negative integer columns
+
+
+def test_cli_trajectory_csv_equals_the_per_row_writer(monkeypatch, capsys):
+    path = _csv_cells(3)
+    monkeypatch.setattr(profiles, "trajectory", lambda s, v0, beta_prime: path)
+    assert cli.main(["trajectory", "f1"]) == 0
+    assert capsys.readouterr().out == _ref_trajectory_csv(path)
