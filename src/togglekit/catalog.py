@@ -23,6 +23,8 @@ from . import rotcore, seqmodel
 from .ddsim import DDSequence, udd
 from .seqmodel import RotationSequence, sequence_from_axes, sequence_from_phases
 
+MAX_ELEMENTS = 2 ** 20   # the longest entry built, and the CLI's largest loop or element count
+
 PHI_QUARTER = math.acos(-0.25)   # arccos(-1/4), shared by F1, NB1, T1
 PHI_EIGHTH = math.acos(-0.125)   # arccos(-1/8), PB1
 
@@ -273,16 +275,26 @@ def _parse(spec: str) -> tuple[str, tuple[int, ...]]:
     return name, args
 
 
+def _build(entry: CatalogEntry, args: tuple[int, ...], **kwargs):
+    """Build an entry, refusing one longer than MAX_ELEMENTS before anything is
+    allocated: its length is the product of the parameters before the optional ones."""
+    sizes = entry.params.split("[")[0].split(",") if entry.params else []
+    length = math.prod(max(a, 0) for a in args[:len(sizes)])
+    if length > MAX_ELEMENTS:
+        raise ValueError(f"{entry.name}({','.join(map(str, args))}) has {length} elements, "
+                         f"more than 2**20 = {MAX_ELEMENTS}")
+    try:
+        return entry.build(*args, **kwargs)
+    except TypeError:
+        raise ValueError(f"{entry.name} takes parameters ({entry.params}), got {args}") from None
+
+
 def named(spec: str) -> RotationSequence:
     """Build a catalog sequence from a name like ``f1`` or ``nprime(5,2)``."""
     name, args = _parse(spec)
     if name not in ENTRIES:
         raise KeyError(f"unknown sequence {name!r}; see list_names()")
-    entry = ENTRIES[name]
-    try:
-        return entry.build(*args)
-    except TypeError:
-        raise ValueError(f"{name} takes parameters ({entry.params}), got {args}") from None
+    return _build(ENTRIES[name], args)
 
 
 def named_dd(spec: str, tau: float = 1.0) -> DDSequence:
@@ -290,11 +302,7 @@ def named_dd(spec: str, tau: float = 1.0) -> DDSequence:
     name, args = _parse(spec)
     if name not in DD_ENTRIES:
         raise KeyError(f"unknown DD sequence {name!r}; see list_names(dd=True)")
-    entry = DD_ENTRIES[name]
-    try:
-        return entry.build(*args, tau=tau)
-    except TypeError:
-        raise ValueError(f"{name} takes parameters ({entry.params}), got {args}") from None
+    return _build(DD_ENTRIES[name], args, tau=tau)
 
 
 def list_names(dd: bool = False) -> list[str]:

@@ -21,7 +21,6 @@ from . import (acceptance, averaging, catalog, ddsim, profiles, rotcore,
                search, seqmodel, toggling)
 
 _XI = {"x": rotcore.E_X, "y": rotcore.E_Y, "z": rotcore.E_Z}
-_MAX_COUNT = 2 ** 20
 
 
 class _UsageError(Exception):
@@ -41,8 +40,15 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+def _number(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a number, got {text!r}") from None
+
+
 def _positive_float(text: str) -> float:
-    value = float(text)
+    value = _number(text)
     if not 0.0 < value < math.inf:   # NaN fails too
         raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
     return value
@@ -55,13 +61,14 @@ def _count(text: str) -> int:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
-    if value > _MAX_COUNT:
-        raise argparse.ArgumentTypeError(f"must be at most 2**20 = {_MAX_COUNT}, got {text!r}")
+    if value > catalog.MAX_ELEMENTS:
+        raise argparse.ArgumentTypeError(
+            f"must be at most 2**20 = {catalog.MAX_ELEMENTS}, got {text!r}")
     return value
 
 
 def _finite_float(text: str) -> float:
-    value = float(text)
+    value = _number(text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
     return value
@@ -88,76 +95,53 @@ def _build_parser() -> _Parser:
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
+    seq = _Parser(add_help=False)
+    seq.add_argument("seq")
+    seq.add_argument("--deg", action="store_true")
+    dd = _Parser(add_help=False)
+    dd.add_argument("ddseq")
+    dd.add_argument("--tau", type=_positive_float, default=1.0)
+    dd.add_argument("--json", action="store_true")
+    out = _Parser(add_help=False)
+    out.add_argument("--out")
+    xi = _Parser(add_help=False)
+    xi.add_argument("--xi", choices=sorted(_XI), default="z")
+
     pc = sub.add_parser("catalog", help="list or show the named sequences")
     pc.add_argument("action", choices=["list", "show"])
     pc.add_argument("name", nargs="?")
     pc.add_argument("--dd", action="store_true", help="delay-interleaved entries")
 
-    for cmd, hlp in (("dual", "toggling image of a sequence"),
-                     ("convert24", "convert a symmetric pi-inverter to pi/2 steps (balanced "
-                                   "only for a broadband input, which is not checked)")):
-        pp = sub.add_parser(cmd, help=hlp)
-        pp.add_argument("seq")
-        pp.add_argument("--deg", action="store_true")
-        pp.add_argument("--out")
-
-    pt = sub.add_parser("toggle", help="iterated toggling map")
-    pt.add_argument("seq")
+    sub.add_parser("dual", parents=[seq, out], help="toggling image of a sequence")
+    sub.add_parser("convert24", parents=[seq, out],
+                   help="convert a symmetric pi-inverter to pi/2 steps (balanced "
+                        "only for a broadband input, which is not checked)")
+    pt = sub.add_parser("toggle", parents=[seq, out], help="iterated toggling map")
     pt.add_argument("--m", type=_count, default=1)
-    pt.add_argument("--deg", action="store_true")
-    pt.add_argument("--out")
-
-    py = sub.add_parser("cycle", help="smallest m restoring the sequence")
-    py.add_argument("seq")
+    py = sub.add_parser("cycle", parents=[seq], help="smallest m restoring the sequence")
     py.add_argument("--max-m", type=_count, default=12)
-    py.add_argument("--deg", action="store_true")
-
-    pq = sub.add_parser("profile", help="inversion profile CSV over beta'")
-    pq.add_argument("seq")
-    pq.add_argument("--xi", choices=sorted(_XI), default="z")
-    pq.add_argument("--deg", action="store_true")
-    pq.add_argument("--out")
-
-    pj = sub.add_parser("trajectory", help="probe-vector path through the sequence")
-    pj.add_argument("seq")
+    sub.add_parser("profile", parents=[seq, xi, out], help="inversion profile CSV over beta'")
+    pj = sub.add_parser("trajectory", parents=[seq, out],
+                        help="probe-vector path through the sequence")
     pj.add_argument("--beta-scale", type=_finite_float, default=1.0)
     pj.add_argument("--v0", choices=sorted(_XI), default="z")
-    pj.add_argument("--deg", action="store_true")
-    pj.add_argument("--out")
-
-    pg = sub.add_parser("glide", help="glide-reflection deviation of a dual pair")
+    pg = sub.add_parser("glide", parents=[xi], help="glide-reflection deviation of a dual pair")
     pg.add_argument("seq_a")
     pg.add_argument("seq_b")
-    pg.add_argument("--xi", choices=sorted(_XI), default="z")
     pg.add_argument("--deg", action="store_true")
-
-    pn = sub.add_parser("centroid", help="centroid of the plain or toggled axes")
-    pn.add_argument("seq")
+    pn = sub.add_parser("centroid", parents=[seq], help="centroid of the plain or toggled axes")
     pn.add_argument("--frame", type=int, choices=[0, 1], default=1)
-    pn.add_argument("--deg", action="store_true")
-
-    po = sub.add_parser("orders", help="average-rotation orders of the toggled axes")
-    po.add_argument("seq")
+    po = sub.add_parser("orders", parents=[seq],
+                        help="average-rotation orders of the toggled axes")
     po.add_argument("--beta-scale", type=_finite_float, default=1.0)
-    po.add_argument("--deg", action="store_true")
 
-    pk = sub.add_parser("kappa", help="rank-lambda decoupling coefficients")
-    pk.add_argument("ddseq")
+    pk = sub.add_parser("kappa", parents=[dd, out], help="rank-lambda decoupling coefficients")
     pk.add_argument("--lambda", dest="lam", type=int, required=True,
                     help=f"rank, an integer in 0..{averaging.MAX_WIGNER_RANK}")
     pk.add_argument("--beta-scale", type=_finite_float, default=1.0)
-    pk.add_argument("--tau", type=_positive_float, default=1.0)
-    pk.add_argument("--json", action="store_true")
-    pk.add_argument("--out")
-
-    pm = sub.add_parser("ddmap", help="centroid map over (omega, beta scale)")
-    pm.add_argument("ddseq")
-    pm.add_argument("--tau", type=_positive_float, default=1.0)
+    pm = sub.add_parser("ddmap", parents=[dd, out], help="centroid map over (omega, beta scale)")
     pm.add_argument("--amp", type=_finite_float, help="field amplitude, default 1/total-time")
-    pm.add_argument("--json", action="store_true")
-    pm.add_argument("--out")
-
-    ps = sub.add_parser("search", help="balanced-sequence synthesis on an axis set")
+    ps = sub.add_parser("search", parents=[out], help="balanced-sequence synthesis on an axis set")
     ps.add_argument("--axes", choices=sorted(search.BUILTIN_AXIS_SETS), required=True)
     ps.add_argument("--n", type=_count, required=True)
     ps.add_argument("--m", type=_count, required=True)
@@ -166,8 +150,6 @@ def _build_parser() -> _Parser:
     ps.add_argument("--balance", choices=["full", "z"], default="full")
     ps.add_argument("--dedupe", choices=["global_z", "axis_set_rotations", "none"],
                     default="global_z")
-    ps.add_argument("--out")
-
     sub.add_parser("verify", help="run the acceptance criteria")
     return p
 
@@ -297,6 +279,9 @@ def main(argv=None) -> int:
         return 1
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 1
+    except MemoryError as exc:   # numpy names the allocation; a bare MemoryError has no text
+        sys.stderr.write(f"error: {str(exc) or 'out of memory'}\n")
         return 1
 
 

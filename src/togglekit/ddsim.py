@@ -214,10 +214,17 @@ def dd_to_json_dict(dd: DDSequence) -> dict:
 
 
 def dd_from_json_dict(d: dict) -> DDSequence:
+    """A DD sequence from its decoded JSON object.  Its delays are a list of
+    JSON numbers; no delays at all is a list of none, refused by count."""
     if not isinstance(d, dict):
         raise ValueError("a DD sequence must be a JSON object")
-    return DDSequence(seqmodel.from_json_dict(d.get("pulses")),
-                      np.asarray(d.get("delays"), dtype=float))
+    pulses = seqmodel.from_json_dict(d.get("pulses"))
+    delays = d.get("delays", [])
+    if not isinstance(delays, list):
+        raise ValueError(f"malformed DD sequence: delays must be a list, got {delays!r}")
+    for t in delays:
+        seqmodel._json_number("delay", t)
+    return DDSequence(pulses, np.array(delays, dtype=float))
 
 
 def load_dd(path: str) -> DDSequence:

@@ -40,6 +40,7 @@ from .seqmodel import RotationSequence, SequenceStack, _sequence_stack, integer_
 from .toggling import inverse_toggle_axes
 
 STATE_GUARD = 1 << 20    # candidate rows (states x vertices, or tuples) one level may allocate
+WALK_GUARD = 8 * STATE_GUARD   # candidate rows of all levels: any n <= 8 walk under STATE_GUARD
 NET_MATCH_TOL = 1e-8
 BALANCE_SUM_TOL = 1e-9
 WALK_TOL = 1e-6          # loose acceptance of the walk, far above its rounding drift
@@ -209,9 +210,14 @@ def _walk(spec: SearchSpec) -> np.ndarray:
     states = np.zeros((1, width))
     states[0, [0, -1]] = 1.0
     tables = []          # per level below n: (states, k) next state, len(next) if pruned
+    walked = 0
     for level in range(1, n + 1):
         rows = len(states) * k
         _check_level(level, rows)
+        walked += rows
+        if walked > WALK_GUARD:
+            raise ValueError(f"search walk needs {walked} candidate states up to level {level}, "
+                             f"above the bound {WALK_GUARD} on all levels")
         stepped = (states @ step).reshape(rows, width)
         sums = stepped[:, 4:-1]
         dist = np.sqrt(np.einsum("ij,ij->i", sums, sums))
@@ -234,11 +240,16 @@ def _walk(spec: SearchSpec) -> np.ndarray:
     for table in reversed(tables):
         alive = np.append(edges[0].any(axis=1), False)
         edges.insert(0, alive[table])
-    # path counts, so that the expansion stays under the bound
+    # path counts, so that the expansion stays under the bound.  Every counted
+    # path ends in an accepted tuple, so a count above the bound refuses the
+    # search, and the counts stay exact integers until then.
     counts = np.ones(1)
     for table, live, after in zip(tables, edges, edges[1:]):
         r, c = np.nonzero(live)
         counts = np.bincount(table[r, c], weights=counts[r], minlength=len(after))
+        if counts.max() > STATE_GUARD:
+            raise ValueError(f"search level {n} needs more candidate states than "
+                             f"the bound {STATE_GUARD}")
     _check_level(n, int(counts @ edges[-1].sum(axis=1)))
     # expand live transitions in row-major order: odometer order
     paths, digits = np.zeros(1, dtype=np.intp), np.empty((1, 0), dtype=np.intp)

@@ -1,6 +1,12 @@
 """CLI surface: subcommands, exit codes, deterministic output."""
 
+import argparse
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,6 +187,75 @@ def test_counts_up_to_two_to_the_twenty_parse(argv, dest):
     assert getattr(cli._build_parser().parse_args([*argv, str(2 ** 20)]), dest) == 2 ** 20
 
 
+def _pos(dest, choices=None, nargs=None):
+    return dest, None, None, choices, nargs, nargs is None, argparse._StoreAction
+
+
+def _opt(dest, default=None, type=None, choices=None, required=False):
+    return dest, default, type, choices, None, required, argparse._StoreAction
+
+
+def _flag(dest):
+    return dest, False, None, None, 0, False, argparse._StoreTrueAction
+
+
+XI = ["x", "y", "z"]
+# every subcommand's arguments: positionals by name, in order, then options by
+# their strings, as (dest, default, type, choices, nargs, required, action)
+SURFACE = {
+    "catalog": {"action": _pos("action", ["list", "show"]), "name": _pos("name", nargs="?"),
+                "--dd": _flag("dd")},
+    "dual": {"seq": _pos("seq"), "--deg": _flag("deg"), "--out": _opt("out")},
+    "convert24": {"seq": _pos("seq"), "--deg": _flag("deg"), "--out": _opt("out")},
+    "toggle": {"seq": _pos("seq"), "--m": _opt("m", 1, cli._count), "--deg": _flag("deg"),
+               "--out": _opt("out")},
+    "cycle": {"seq": _pos("seq"), "--max-m": _opt("max_m", 12, cli._count),
+              "--deg": _flag("deg")},
+    "profile": {"seq": _pos("seq"), "--xi": _opt("xi", "z", choices=XI), "--deg": _flag("deg"),
+                "--out": _opt("out")},
+    "trajectory": {"seq": _pos("seq"), "--beta-scale": _opt("beta_scale", 1.0, cli._finite_float),
+                   "--v0": _opt("v0", "z", choices=XI), "--deg": _flag("deg"),
+                   "--out": _opt("out")},
+    "glide": {"seq_a": _pos("seq_a"), "seq_b": _pos("seq_b"),
+              "--xi": _opt("xi", "z", choices=XI), "--deg": _flag("deg")},
+    "centroid": {"seq": _pos("seq"), "--frame": _opt("frame", 1, int, [0, 1]),
+                 "--deg": _flag("deg")},
+    "orders": {"seq": _pos("seq"), "--beta-scale": _opt("beta_scale", 1.0, cli._finite_float),
+               "--deg": _flag("deg")},
+    "kappa": {"ddseq": _pos("ddseq"), "--lambda": _opt("lam", type=int, required=True),
+              "--beta-scale": _opt("beta_scale", 1.0, cli._finite_float),
+              "--tau": _opt("tau", 1.0, cli._positive_float), "--json": _flag("json"),
+              "--out": _opt("out")},
+    "ddmap": {"ddseq": _pos("ddseq"), "--tau": _opt("tau", 1.0, cli._positive_float),
+              "--amp": _opt("amp", type=cli._finite_float), "--json": _flag("json"),
+              "--out": _opt("out")},
+    "search": {"--axes": _opt("axes", choices=["cube", "diagonal_quad", "octahedron",
+                                               "tetrahedron"], required=True),
+               "--n": _opt("n", type=cli._count, required=True),
+               "--m": _opt("m", type=cli._count, required=True),
+               "--target": _opt("target", required=True),
+               "--balance": _opt("balance", "full", choices=["full", "z"]),
+               "--dedupe": _opt("dedupe", "global_z",
+                                choices=["global_z", "axis_set_rotations", "none"]),
+               "--out": _opt("out")},
+    "verify": {},
+}
+
+
+def test_every_subcommand_keeps_its_arguments():
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(SURFACE)
+    for cmd, sp in sub.choices.items():
+        actions = [a for a in sp._actions if not isinstance(a, argparse._HelpAction)]
+        got = {"/".join(a.option_strings) or a.dest:
+               (a.dest, a.default, a.type, a.choices, a.nargs, a.required, type(a))
+               for a in actions}
+        assert got == SURFACE[cmd], cmd
+        assert [a.dest for a in actions if not a.option_strings] \
+            == [k for k in SURFACE[cmd] if not k.startswith("-")], cmd
+
+
 def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "dual", "@does_not_exist.json")
     assert code == 3 and "i/o error" in err
@@ -247,11 +322,13 @@ AXIS_SHAPES = {"axis-len2": [1, 0], "axis-len4": [1, 0, 0, 0], "axis-nested": [[
       for tag, el in (("string-beta", {"beta": "180", "phase": 0.0}),
                       ("string-phase", {"beta": 180.0, "phase": "inf"}),
                       ("null-latitude", {"beta": 180.0, "phase": 0.0, "latitude": None}))],
+    # a delay that is not a JSON number is refused as in a sequence file
     *[pytest.param(argv, {"pulses": {"elements": [{"beta": np.pi, "phase": 0.0}] * 2},
-                          "delays": [0.5, bad, 0.5]}, "delays must be finite",
-                   id=f"{argv[0]}-{bad}-delay")
+                          "delays": [0.5, bad, 0.5]}, says, id=f"{argv[0]}-{bad}-delay")
       for argv in (["kappa", "@in", "--lambda", "1"], ["ddmap", "@in"])
-      for bad in (None, float("inf"), "nan")],
+      for bad, says in ((float("inf"), "delays must be finite"),
+                        *[(v, "error: malformed sequence: delay must be a JSON number, "
+                              f"got {v!r}\n") for v in (None, "nan", True)])],
     *[pytest.param(["search", "--axes", "cube", "--n", "2", "--m", "3", "--target", f"1,0,0:{a}"],
                    None, f"target angle must be finite, got '{a}'", id=f"{a}-target-angle")
       for a in ("inf", "-inf", "nan", "x")],
@@ -268,6 +345,19 @@ AXIS_SHAPES = {"axis-len2": [1, 0], "axis-len4": [1, 0, 0, 0], "axis-nested": [[
                    ["search", "--axes", "cube", "--n", "2", "--target", "axis-cycling",
                     "--m", "1"])
       for count in (2 ** 20 + 1, 10 ** 20)],
+    *[pytest.param(argv, None, f"usage error: argument {argv[-2]}: must be a number, got 'x'\n",
+                   id=f"{argv[0]}{argv[-2]}-text")
+      for argv in (["ddmap", "xy4", "--tau", "x"], ["trajectory", "f1", "--beta-scale", "x"],
+                   ["ddmap", "xy4", "--amp", "x"])],
+    # path counts above the bound, and a walk whose levels together pass 8 times it
+    pytest.param(["search", "--axes", "octahedron", "--n", "400", "--m", "4",
+                  "--target", "equatorial-pi", "--balance", "z"], None,
+                 "error: search level 400 needs more candidate states than the bound 1048576\n",
+                 id="search-path-count-bound"),
+    pytest.param(["search", "--axes", "octahedron", "--n", "1048576", "--m", "4",
+                  "--target", "equatorial-pi", "--balance", "z"], None,
+                 "error: search walk needs 8388648 candidate states up to level 343, "
+                 "above the bound 8388608 on all levels\n", id="search-walk-bound"),
     pytest.param(["toggle", "f1", "--m", "1.5"], None,
                  "usage error: argument --m: must be an integer, got '1.5'\n", id="toggle-float-m"),
     # a missing key is named like a value of the wrong type, not as a bare KeyError
@@ -310,6 +400,34 @@ def test_bad_input_exits_1_with_one_line(capsys, tmp_path, argv, doc, says):
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err
     assert says in err
+
+
+@pytest.mark.parametrize("argv, says", [
+    (["catalog", "show", "nest_bn(100001,100001)"],
+     "error: nest_bn(100001,100001) has 10000200001 elements, more than 2**20 = 1048576\n"),
+    (["dual", "nprime(1048577)"],
+     "error: nprime(1048577) has 1048577 elements, more than 2**20 = 1048576\n"),
+    (["catalog", "show", "udd(1048577)", "--dd"],
+     "error: udd(1048577) has 1048577 elements, more than 2**20 = 1048576\n"),
+    (["kappa", "udd(1048577)", "--lambda", "1"],
+     "error: udd(1048577) has 1048577 elements, more than 2**20 = 1048576\n"),
+    # within the length bound, but the map's grid x n toggled axes do not fit: a MemoryError
+    (["ddmap", "udd(1048576)"], "error: "),
+], ids=["nest-bn", "nprime", "udd-show", "udd-kappa", "ddmap-memory"])
+def test_oversized_input_exits_1_under_a_memory_limit(argv, says):
+    # a child process with its address space capped at about 1.5 GB, so that
+    # an input allocating without bound fails there and not on the host
+    limit = 1_500_000 * 1024
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "togglekit.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(says)
 
 
 @pytest.mark.parametrize("argv", [["cycle", "@in"], ["kappa", "@in", "--lambda", "1"]],

@@ -1,5 +1,7 @@
 """Dynamical decoupling: timing, field dressing, centroid maps, anti-DD."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,20 @@ def test_dd_json_round_trip():
     back = ddsim.dd_from_json_dict(ddsim.dd_to_json_dict(dd))
     assert np.allclose(back.delays, dd.delays)
     assert sm.sequences_equal(back.pulses, dd.pulses)
+
+
+@pytest.mark.parametrize("delays, says", [
+    ([0.5, "0.5", 0.5], "delay must be a JSON number, got '0.5'"),
+    ([0.5, True, 0.5], "delay must be a JSON number, got True"),
+    ([0.5, None, 0.5], "delay must be a JSON number, got None"),
+    ([0.5, [0.5], 0.5], "delay must be a JSON number, got [0.5]"),
+    ({"0": 0.5}, "malformed DD sequence: delays must be a list, got {'0': 0.5}"),
+    (0.5, "malformed DD sequence: delays must be a list, got 0.5"),
+], ids=["string", "bool", "null", "nested-list", "object", "number"])
+def test_dd_from_json_dict_reads_delays_as_json_numbers(delays, says):
+    pulses = sm.to_json_dict(sm.sequence_from_phases("xx", np.pi, [0.0, 0.0]))
+    with pytest.raises(ValueError, match=re.escape(says)):
+        ddsim.dd_from_json_dict({"pulses": pulses, "delays": delays})
 
 
 def _centroid_map_reference(dd, omegas, scales, amp):
