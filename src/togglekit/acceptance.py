@@ -384,8 +384,8 @@ def criterion_15() -> CriterionResult:
     dev_nest = float(np.max(_wrap(nested.phases - explicit)))
     dev_cat = float(np.max(_wrap(catalog.kdd20().phases - explicit)))
     frame = toggling.detuning_frame(catalog.u5())
-    even = float(np.linalg.norm(frame.vectors[0::2].mean(axis=0)))
-    odd = float(np.linalg.norm(frame.vectors[1::2].mean(axis=0)))
+    even = float(np.linalg.norm(frame[0::2].mean(axis=0)))
+    odd = float(np.linalg.norm(frame[1::2].mean(axis=0)))
     ok = dev_nest < 1e-12 and dev_cat < 1e-12 and even < 1e-9 and odd < 1e-9
     return _result(15, "KDD fixture and U5 detuning balance", ok,
                    f"phase devs {dev_nest:.1e}/{dev_cat:.1e}, "

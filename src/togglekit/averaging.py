@@ -22,11 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rotcore
-from .rotcore import Rotation
-from .seqmodel import (RotationSequence, _half_sweep, _scaled_angles, _sweep_coefficients,
-                       prefix_quaternions)
+from .seqmodel import (RotationSequence, _csv_text, _half_sweep, _scaled_angles,
+                       _sweep_coefficients, prefix_quaternions)
 
-BALANCE_TOL = 1e-9
 MAX_WIGNER_RANK = 8
 # (w, x, y, z) @ _CAYLEY_KLEIN = (u00, u01, u10, u11) = (w + iz, y - ix, -y - ix, w - iz)
 _CAYLEY_KLEIN = np.array([[1, 0, 0, 1], [0, -1j, -1j, 0], [0, 1, -1, 0], [1j, 0, 0, -1j]])
@@ -38,10 +36,6 @@ def centroid(vectors) -> np.ndarray:
     if vectors.size == 0:
         raise ValueError("centroid of an empty set")
     return vectors.mean(axis=0)
-
-
-def is_balanced(vectors, tol: float = BALANCE_TOL) -> bool:
-    return float(np.linalg.norm(centroid(vectors))) < tol
 
 
 @dataclass(frozen=True)
@@ -204,11 +198,6 @@ def wigner_matrices(lam: int, quats) -> np.ndarray:
     return np.add.reduceat(terms, first, axis=-1).reshape(q.shape[:-1] + (two + 1, two + 1))
 
 
-def wigner_d(lam: int, r: Rotation) -> np.ndarray:
-    """The (2lam+1) square Wigner matrix of ``r``: a batch of one of ``wigner_matrices``."""
-    return wigner_matrices(lam, r.q)
-
-
 @dataclass(frozen=True)
 class KappaTable:
     """First-order average coefficients kappa_{lam, mu, mu'} of a rank-lam
@@ -218,21 +207,18 @@ class KappaTable:
     lam: int
     matrix: np.ndarray  # (2*lam+1, 2*lam+1) complex, ascending mu rows
 
-    def entry(self, mu: int, mu_prime: int) -> complex:
-        return self.matrix[mu + self.lam, mu_prime + self.lam]
-
-    def row(self, mu: int) -> np.ndarray:
-        return self.matrix[mu + self.lam]
-
     def to_json_dict(self) -> dict:
         cells = [[float(z.real), float(z.imag)] for z in self.matrix.flatten()]
         return {"lambda": self.lam, "cells_row_major": cells}
 
-    def csv_rows(self):
-        for mu in range(-self.lam, self.lam + 1):
-            for mup in range(-self.lam, self.lam + 1):
-                z = self.entry(mu, mup)
-                yield (self.lam, mu, mup, z.real, z.imag)
+
+def kappa_csv(table: KappaTable) -> str:
+    """Rows lambda, mu, mu_prime, re, im: one per cell, in row-major order."""
+    mus = np.arange(-table.lam, table.lam + 1)
+    cells = table.matrix.ravel()
+    return _csv_text("lambda,mu,mu_prime,re,im",
+                     [np.full(cells.size, table.lam), np.repeat(mus, mus.size),
+                      np.tile(mus, mus.size), cells.real, cells.imag])
 
 
 def kappa(dd, lam: int, scale: float = 1.0) -> KappaTable:

@@ -61,12 +61,12 @@ def _check_odd(n: int) -> None:
 
 def nprime(n: int, k: int = 1) -> RotationSequence:
     """Antisymmetrized Vitanov narrowband pi-pulse, phases in steps of 2pi/n,
-    optionally scaled by the integer k."""
+    optionally scaled by the integer k (refused where a phase overflows)."""
     _check_odd(n)
     i = np.arange(n)
     base = (-1.0) ** (i + 1) * np.floor((i + 1) / 2)
     offset = (-1.0) ** ((n - 1) // 2) * math.floor((n + 1) / 4)
-    phases = k * (2.0 * np.pi / n) * (base + offset)
+    phases = seqmodel._phase_multiple("k", k, 2.0 * np.pi / n, base + offset)
     name = f"nprime({n})" if k == 1 else f"nprime({n},{k})"
     return sequence_from_phases(name, np.pi, phases)
 
@@ -75,7 +75,7 @@ def bprime(n: int, k: int = 1) -> RotationSequence:
     """Symmetrized Vitanov broadband pi-pulse, dual of nprime(n)."""
     _check_odd(n)
     i = np.arange(n)
-    phases = k * (-2.0 * np.pi / n) * (2.0 * i * (i + 1) - n * n + 1) / 4.0
+    phases = seqmodel._phase_multiple("k", k, -2.0 * np.pi / n, 2.0 * i * (i + 1) - n * n + 1) / 4.0
     name = f"bprime({n})" if k == 1 else f"bprime({n},{k})"
     return sequence_from_phases(name, np.pi, phases)
 

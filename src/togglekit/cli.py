@@ -195,7 +195,7 @@ def _run(args) -> str:
         table = averaging.kappa(_resolve_dd(args.ddseq, args.tau), args.lam, args.beta_scale)
         if args.json:
             return _json_document(table.to_json_dict())
-        return seqmodel._csv_text("lambda,mu,mu_prime,re,im", [list(table.csv_rows())])
+        return averaging.kappa_csv(table)
 
     if args.command == "ddmap":
         cm = ddsim.centroid_map(_resolve_dd(args.ddseq, args.tau), amp=args.amp)

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,14 +20,10 @@ class DDSequence:
     """n pulses interleaved with n+1 free-evolution delays.
 
     delays[0] precedes the first pulse and delays[n] trails the last one.
-    ``trailing_z`` records the residual z-rotation angle an oscillating
-    field leaves after the last pulse; it has no toggled axis and is
-    excluded from centroid statistics.
     """
 
     pulses: RotationSequence
     delays: np.ndarray
-    trailing_z: float = field(default=0.0, compare=False)
 
     def __post_init__(self):
         delays = np.asarray(self.delays, dtype=float)
@@ -86,30 +82,25 @@ def _field_phases(t: np.ndarray, omegas, amp: float) -> np.ndarray:
     return thetas
 
 
-def _dress(dd: DDSequence, thetas: np.ndarray, trailing: float, tag: str) -> DDSequence:
+def _dress(dd: DDSequence, thetas: np.ndarray, tag: str) -> DDSequence:
     pulses = dd.pulses.with_axes(rotcore.rotate_about_z(dd.pulses.axes, thetas),
                                  name=f"{dd.pulses.name}{tag}")
-    return DDSequence(pulses, dd.delays, trailing_z=trailing)
+    return DDSequence(pulses, dd.delays)
 
 
 def osc_field_dressed(dd: DDSequence, omega: float, amp: float) -> DDSequence:
     """Absorb an oscillating z-field amp*cos(omega t) into the pulse axes.
 
-    Pulse j is phase-shifted by theta_j = (amp/omega) sin(omega t_j); the
-    closing z-rotation (amp/omega)[sin(omega tau_n) - sin(omega tau_{n-1})]
-    is kept as metadata only.
+    Pulse j is phase-shifted by theta_j = (amp/omega) sin(omega t_j).
     """
     if omega == 0.0:
         raise ValueError("omega must be nonzero; use static_field_dressed for the dc limit")
-    thetas = _field_phases(kick_times(dd), omega, amp)
-    trailing = (amp / omega) * (np.sin(omega * dd.delays[-1]) - np.sin(omega * dd.delays[-2]))
-    return _dress(dd, thetas, trailing, f"~w{omega:.3g}")
+    return _dress(dd, _field_phases(kick_times(dd), omega, amp), f"~w{omega:.3g}")
 
 
 def static_field_dressed(dd: DDSequence, amp: float) -> DDSequence:
     """The omega -> 0 limit: theta_j = amp * t_j."""
-    trailing = amp * (dd.delays[-1] - dd.delays[-2])
-    return _dress(dd, _field_phases(kick_times(dd), 0.0, amp), trailing, "~dc")
+    return _dress(dd, _field_phases(kick_times(dd), 0.0, amp), "~dc")
 
 
 def anti_dd(dd_outer: DDSequence, inner: RotationSequence) -> DDSequence:
@@ -162,7 +153,8 @@ def _centroid_norms(axes: np.ndarray, betas: np.ndarray, beta_scales) -> np.ndar
     """|centroid| of the toggled axes of every axis list in ``axes``
     (..., n, 3) at every flip-angle scale: shape (..., S)."""
     scales = np.atleast_1d(np.asarray(beta_scales, dtype=float))
-    toggled = toggling.toggle_axes(axes[..., None, :, :], scales[:, None] * betas[None, :])
+    angles = seqmodel._scaled_angles(scales[:, None], betas)   # an overflowing scale is refused
+    toggled = toggling.toggle_axes(axes[..., None, :, :], angles)
     return np.linalg.norm(toggled.mean(axis=-2), axis=-1)
 
 

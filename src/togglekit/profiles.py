@@ -144,14 +144,6 @@ _MIRROR_XZ = np.array([1.0, -1.0, 1.0])
 _MIRROR_TOL = 1e-9
 
 
-def _mirror_asymmetry(axes: np.ndarray) -> np.ndarray:
-    """Set-wise distance of each axis set (..., n, 3) from its own xz-plane
-    mirror image, shape (...)."""
-    mirrored = axes * _MIRROR_XZ
-    d2 = np.sum((mirrored[..., :, None, :] - axes[..., None, :, :]) ** 2, axis=-1)
-    return np.sqrt(d2.min(axis=-1).max(axis=-1))
-
-
 def convert_m2_to_m4(s: RotationSequence) -> RotationSequence:
     """Convert an order-reversal-symmetric broadband pi-inverter of odd
     length into a balanced 2n-element pi/2 sequence with net rotation
@@ -166,8 +158,8 @@ def convert_m2_to_m4(s: RotationSequence) -> RotationSequence:
     pi/2 steps; rotate the toggled axes about x by pi/2 and cyclically
     permute them by half the length; reconstruct through the inverse
     toggling map; finally turn the axes about z by the smallest angle in
-    [0, pi) that puts the candidate's net on +/-x, which also makes the
-    axis set reflection-symmetric in the xz plane (checked).
+    [0, pi) that puts the candidate's net on +/-x, which also makes each
+    axis the xz-plane mirror of its order-reversed partner (checked).
     """
     if not s.is_equatorial():
         raise ValueError("conversion requires an equatorial sequence")
@@ -193,8 +185,8 @@ def convert_m2_to_m4(s: RotationSequence) -> RotationSequence:
     delta = -np.arctan2(net[2], net[1]) % np.pi
     axes = rotcore.rotate_about_z(candidate, delta - np.pi if delta > np.pi - _MIRROR_TOL else delta)
     net_axis, net_angle = rotcore.quat_to_axis_angle(net)   # a z-turn keeps both
-    if (abs(net_angle - np.pi) < 1e-6 and abs(net_axis[2]) < 1e-6
-            and _mirror_asymmetry(axes) < _MIRROR_TOL):
+    mirror_gap = np.max(np.linalg.norm(axes - axes[::-1] * _MIRROR_XZ, axis=-1))
+    if abs(net_angle - np.pi) < 1e-6 and abs(net_axis[2]) < 1e-6 and mirror_gap < _MIRROR_TOL:
         return sequence_from_axes(name, np.pi / 2.0, axes)
     raise ValueError("no xz-symmetrizing z-rotation yields a (pi)_x net rotation")
 

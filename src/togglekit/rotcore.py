@@ -16,7 +16,6 @@ import math
 import numpy as np
 
 UNIT_TOL = 1e-12          # norm tolerance on construction
-DERIVED_TOL = 1e-10       # tolerance on derived quantities
 ZERO_ANGLE_TOL = 1e-9     # below this, the log map reports the identity
 AXIS_INPUT_TOL = 1e-6     # how far from unit an input axis may be
 
@@ -259,12 +258,6 @@ def _as_rotation(q: np.ndarray) -> Rotation:
     return r
 
 
-def rotations(q) -> list[Rotation]:
-    """One ``Rotation`` per quaternion of an (N, 4) stack, normalized and
-    checked in one call by ``unit_quaternions``."""
-    return list(map(_as_rotation, unit_quaternions(q)))
-
-
 def from_axis_angle(e, beta: float) -> Rotation:
     """Right-handed active rotation of column vectors about unit ``e`` by ``beta``."""
     e = np.asarray(e, dtype=float)
@@ -272,15 +265,6 @@ def from_axis_angle(e, beta: float) -> Rotation:
     if abs(n - 1.0) > AXIS_INPUT_TOL:
         raise ValueError(f"rotation axis must be unit length, got norm {n}")
     return Rotation(quat_from_axis_angle(e / n, float(beta)))
-
-
-def from_rotation_vector(v) -> Rotation:
-    """Rotation by |v| radians about v's direction; the zero vector is the identity."""
-    v = np.asarray(v, dtype=float)
-    angle = float(np.linalg.norm(v))
-    if angle < UNIT_TOL:
-        return IDENTITY
-    return from_axis_angle(v / angle, angle)
 
 
 def to_axis_angle(r: Rotation) -> tuple[np.ndarray, float]:

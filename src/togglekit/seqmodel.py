@@ -27,7 +27,12 @@ BETA_MATCH_TOL = 1e-12
 @dataclass(frozen=True)
 class PulseElement:
     """One piecewise rotation: flip angle ``beta`` (> 0) about ``axis``, with
-    the unreduced ``phase`` and ``latitude`` it was built from, if any."""
+    the unreduced ``phase`` and ``latitude`` it was built from, if any.
+
+    Sequences store arrays, not elements.  This record is only the input
+    form of ``RotationSequence(name, elements)``, kept for callers that
+    build a sequence element by element (``bench/wl_analysis.py`` builds
+    its mixed-angle sequences so)."""
 
     beta: float
     axis: np.ndarray
@@ -110,7 +115,7 @@ class RotationSequence:
     Flip angles ``betas`` (n,), unit ``axes`` (n, 3) and the phase/latitude
     provenance (two (n,) arrays, NaN where an element has none) are stored
     once, read-only, by ``_sequences``.  ``RotationSequence(name, elements)``
-    is a batch of one of it; ``elements`` is derived on first read.
+    is a batch of one of it, from ``PulseElement`` records.
     """
 
     def __init__(self, name: str, elements, cycle_order: int | None = None):
@@ -122,7 +127,9 @@ class RotationSequence:
                    unit=True, out=[self])
 
     def __post_init__(self):
-        """Runs once for every built sequence, after its arrays are set."""
+        """Runs once for every built sequence, after its arrays are set: the
+        hook through which the benchmark's tracer (``bench/spans.py``) and the
+        tests count the sequences built."""
 
     def __setattr__(self, name, value):
         raise AttributeError(f"RotationSequence is immutable; cannot set {name!r}")
@@ -136,17 +143,6 @@ class RotationSequence:
 
     def __len__(self) -> int:
         return len(self.betas)
-
-    @property
-    def elements(self) -> tuple[PulseElement, ...]:
-        if self._elements is None:   # rows checked and unit already: no PulseElement.__init__
-            els = tuple(PulseElement.__new__(PulseElement) for _ in range(len(self)))
-            for el, b, a, p, t in zip(els, self.betas.tolist(), self.axes,
-                                      self._given_phases.tolist(), self._given_latitudes.tolist()):
-                vars(el).update(beta=b, axis=a, phase=None if math.isnan(p) else p,
-                                latitude=None if math.isnan(t) else t)
-            vars(self)["_elements"] = els
-        return self._elements
 
     @property
     def phases(self) -> np.ndarray:
@@ -208,7 +204,7 @@ def _sequences(names, betas, axes, cycle_order=None, phases=None, latitudes=None
         out = [RotationSequence.__new__(RotationSequence) for _ in names]
     for s, name, b, a, p, t in zip(out, names, betas, axes, *prov):
         vars(s).update(name=name, cycle_order=m, betas=b, axes=a, _given_phases=p,
-                       _given_latitudes=t, _elements=None)
+                       _given_latitudes=t)
         s.__post_init__()
     return out
 
@@ -432,11 +428,7 @@ def _sweep_nets(axes, half_angles) -> np.ndarray:
     trig = np.empty(angles.shape[:-1] + (2 * js.size,))
     np.cos(angles, out=trig[..., :js.size])
     np.sin(angles, out=trig[..., js.size:])
-    nets = np.einsum("...gk,...kc->...gc", trig, real)
-    out = np.empty(nets.shape)
-    out[..., 0], out[..., 1], out[..., 2], out[..., 3] = _unit4(
-        nets[..., 0], nets[..., 1], nets[..., 2], nets[..., 3])
-    return out
+    return rotcore.quat_normalize(np.einsum("...gk,...kc->...gc", trig, real))
 
 
 def _sweep_grid(values, what: str = "grid") -> np.ndarray:
@@ -551,17 +543,25 @@ def global_phase_shift(s: RotationSequence, dphi: float) -> RotationSequence:
                       (s._given_phases + dphi)[None], s._given_latitudes[None])[0]
 
 
+def _phase_multiple(name: str, k, step, values) -> np.ndarray:
+    """Phases ``k * step * values``, multiplied left to right, for an
+    integer-valued factor ``k`` called ``name``: a k beyond the float range,
+    or one that takes a phase beyond it, ends in one ValueError."""
+    factor = _integer_valued(name, k)
+    if abs(factor) > sys.float_info.max:
+        raise ValueError(f"{name} is beyond the float range, got {_shown(factor)}")
+    with np.errstate(over="ignore", invalid="ignore"):   # a phase not finite is refused below
+        phases = factor * step * values
+    if not np.isfinite(phases).all():
+        raise ValueError(f"{name} takes a phase beyond the float range, got {_shown(k)}")
+    return phases
+
+
 def phase_scale(s: RotationSequence, k: int) -> RotationSequence:
     """Multiply every phase by integer ``k`` (equatorial sequences only)."""
     if not s.is_equatorial():
         raise ValueError("phase_scale requires an all-equatorial sequence")
-    factor = _integer_valued("phase scale factor", k)
-    if abs(factor) > sys.float_info.max:
-        raise ValueError(f"phase scale factor is beyond the float range, got {_shown(factor)}")
-    with np.errstate(over="ignore"):   # an infinite phase is refused below
-        phases = factor * s.phases
-    if not np.isfinite(phases).all():
-        raise ValueError(f"phase scale factor {k} takes a phase beyond the float range")
+    phases = _phase_multiple("phase scale factor", k, 1.0, s.phases)
     return _phase_sequence(f"{s.name}*k{k}", s.betas, phases, cycle_order=s.cycle_order)
 
 

@@ -9,7 +9,6 @@ organizing fact behind everything in this package.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,16 +17,6 @@ from .rotcore import quat_conj
 from .seqmodel import RotationSequence, _propagate, _scaled_angles, integer_at_least
 
 CYCLE_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class TogglingFrameSet:
-    """Axis vectors of a sequence seen at toggling-frame depth ``depth``."""
-
-    depth: int
-    vectors: np.ndarray
-    source: RotationSequence
-
 
 def toggle_axes(axes: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """One toggling transformation on raw axis arrays.
@@ -146,17 +135,17 @@ def finite_difference_duality_check(a: RotationSequence, b: RotationSequence,
     return bool(np.max(np.abs(mismatch)) < tol)
 
 
-def detuning_frame(s: RotationSequence) -> TogglingFrameSet:
-    """Detuning-error toggling axes for an equatorial pi-pulse sequence:
-    the plain toggled axes with alternating +/- pi/2 rotations about z.
+def detuning_frame(s: RotationSequence) -> np.ndarray:
+    """Detuning-error toggling axes (n, 3) for an equatorial pi-pulse
+    sequence: the plain toggled axes with alternating +/- pi/2 rotations
+    about z.
     """
     if not s.is_equatorial():
         raise ValueError("detuning frame requires an equatorial sequence")
     if abs(s.uniform_beta() - np.pi) > 1e-9:
         raise ValueError("detuning frame is defined for uniform beta = pi")
     signs = (-1.0) ** np.arange(len(s))
-    primed = rotcore.rotate_about_z(toggle_axes(s.axes, s.betas), signs * np.pi / 2.0)
-    return TogglingFrameSet(depth=1, vectors=primed, source=s)
+    return rotcore.rotate_about_z(toggle_axes(s.axes, s.betas), signs * np.pi / 2.0)
 
 
 def half_band_check(s: RotationSequence, tol: float = 1e-10) -> bool:

@@ -13,20 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import averaging, seqmodel
+from . import averaging, catalog, seqmodel
 from .ddsim import DDSequence
-
-
-def uncompensated_cycle(tau: float = 1.0) -> DDSequence:
-    from .catalog import vmas
-    return vmas(tau)
 
 
 def compensated_cycle(tau: float = 1.0) -> DDSequence:
     """Virtual MAS with each (1,1,1) rotation replaced by the compensated
     four-pulse block; delays sit only between blocks."""
-    from .catalog import p34
-    block = p34()
+    block = catalog.p34()
     pulses = seqmodel._take(block, np.tile(np.arange(len(block)), 3), "vmas_compensated")
     delays = np.zeros(13)
     delays[0] = delays[4] = delays[8] = tau
@@ -45,7 +39,7 @@ def mas_kappa_sweep(compensated: bool, beta_scale_grid) -> list[MasSweepRow]:
     cycle, plus the full mu' row for export, one row per grid point in input
     order."""
     grid = np.atleast_1d(seqmodel._sweep_grid(beta_scale_grid))
-    dd = compensated_cycle() if compensated else uncompensated_cycle()
+    dd = compensated_cycle() if compensated else catalog.vmas()
     rows = averaging._kappa_matrices(dd, 2, grid)[:, 2]   # mu = 0
     return list(map(MasSweepRow, grid.tolist(), rows, np.max(np.abs(rows), axis=1).tolist()))
 

@@ -65,8 +65,7 @@ def test_criterion_10_p34_robustness_known_failure():
 def test_criterion_10_rejects_uncompensated_and_off_target_blocks():
     single = seqmodel.sequence_from_axes(
         "single", 2.0 * np.pi / 3.0, np.array([[1.0, 1.0, 1.0]]) / np.sqrt(3.0))
-    e = catalog.p34().elements
-    swapped = seqmodel.RotationSequence("p34_swapped", (e[1], e[0]) + e[2:])
+    swapped = seqmodel._take(catalog.p34(), [1, 0, 2, 3], "p34_swapped")
     # still compensated and under 5 degrees, but 0.81 degrees off target
     turned = seqmodel.global_phase_shift(catalog.p34(), 0.01)
     for s in (single, swapped, turned):

@@ -20,11 +20,6 @@ def test_centroid_examples():
         av.centroid(np.empty((0, 3)))
 
 
-def test_is_balanced():
-    assert av.is_balanced(np.array([rc.E_X, -rc.E_X]))
-    assert not av.is_balanced(np.array([rc.E_X, rc.E_Y]))
-
-
 def test_average_orders_commuting_case():
     e = np.tile(rc.E_X, (4, 1))
     orders = av.average_orders(e)
@@ -171,8 +166,8 @@ def reference_numeric_error_expansion(s, beta_prime):
 
     def net(scale):
         q = rc.quat_identity()
-        for el in s.elements:
-            q = rc.quat_mul(rc.quat_from_axis_angle(el.axis, scale * el.beta), q)
+        for axis, b in zip(s.axes, s.betas.tolist()):
+            q = rc.quat_mul(rc.quat_from_axis_angle(axis, scale * b), q)
             q = q / np.linalg.norm(q)
         return rc.Rotation(q)
 
@@ -295,13 +290,13 @@ def test_symmetry_class_vector_negation():
 
 def test_wigner_identity():
     for lam in range(4):
-        d = av.wigner_d(lam, rc.IDENTITY)
+        d = av.wigner_matrices(lam, rc.IDENTITY.q)
         assert np.allclose(d, np.eye(2 * lam + 1), atol=1e-14)
 
 
 def test_wigner_z_rotation_diagonal():
     beta = 0.7
-    d = av.wigner_d(1, rc.from_axis_angle(rc.E_Z, beta))
+    d = av.wigner_matrices(1, rc.from_axis_angle(rc.E_Z, beta).q)
     assert np.allclose(np.diag(d), [np.exp(1j * beta), 1.0, np.exp(-1j * beta)],
                        atol=1e-14)
     assert np.allclose(d, np.diag(np.diag(d)), atol=1e-14)
@@ -313,7 +308,7 @@ def test_wigner_cartesian_equivalence():
     for _ in range(20):
         v = rng.normal(size=3)
         r = rc.from_axis_angle(v / np.linalg.norm(v), rng.uniform(0, np.pi))
-        assert np.allclose(av.wigner_d(1, r), t.conj().T @ r.as_matrix() @ t,
+        assert np.allclose(av.wigner_matrices(1, r.q), t.conj().T @ r.as_matrix() @ t,
                            atol=1e-12)
 
 
@@ -323,8 +318,8 @@ def test_wigner_homomorphism_and_unitarity():
         v1, v2 = rng.normal(size=(2, 3))
         r1 = rc.from_axis_angle(v1 / np.linalg.norm(v1), 1.1)
         r2 = rc.from_axis_angle(v2 / np.linalg.norm(v2), 2.3)
-        d1, d2 = av.wigner_d(lam, r1), av.wigner_d(lam, r2)
-        assert np.allclose(av.wigner_d(lam, rc.compose(r2, r1)), d2 @ d1, atol=1e-12)
+        d1, d2 = av.wigner_matrices(lam, r1.q), av.wigner_matrices(lam, r2.q)
+        assert np.allclose(av.wigner_matrices(lam, rc.compose(r2, r1).q), d2 @ d1, atol=1e-12)
         assert np.allclose(d1 @ d1.conj().T, np.eye(2 * lam + 1), atol=1e-12)
 
 
@@ -362,7 +357,7 @@ def test_wigner_term_table_is_built_once_and_keeps_the_bits():
 def test_wigner_unsupported_rank():
     for lam in (9, -1, True, 2.0):
         with pytest.raises(ValueError, match=r"rank must be an integer in 0\.\.8"):
-            av.wigner_d(lam, rc.IDENTITY)
+            av.wigner_matrices(lam, rc.IDENTITY.q)
 
 
 # The spin-lam generators and the eigendecomposition that computed D before
@@ -411,7 +406,7 @@ def test_wigner_matches_eigh_reference_at_every_rank():
         for q, d in zip(quats, batch):
             r = rc.Rotation(q)
             assert np.max(np.abs(d - _wigner_eigh(lam, r))) < 1e-12
-            assert np.array_equal(av.wigner_d(lam, r), d)   # a batch of one
+            assert np.array_equal(av.wigner_matrices(lam, r.q), d)   # a batch of one
 
 
 DD_SPECS = [*(name for name in catalog.DD_ENTRIES if name != "udd"), "udd(5)", "udd(8)"]
@@ -453,7 +448,7 @@ def test_kappa_batch_of_one_bit_identical_to_array_steps():
 def test_mas_kappa_sweep_matches_per_scale_loop():
     grid = [1.2, 0.8, 1.0, 0.95, 1.07]
     for compensated in (False, True):
-        dd = vm.compensated_cycle() if compensated else vm.uncompensated_cycle()
+        dd = vm.compensated_cycle() if compensated else catalog.vmas()
         rows = vm.mas_kappa_sweep(compensated, grid)
         assert [row.beta_scale for row in rows] == grid   # input order
         for row in rows:
@@ -508,7 +503,7 @@ def test_kappa_lambda1_is_vector_average():
 
 def test_kappa_vmas_rank2_suppression():
     kt = av.kappa(catalog.vmas(), 2, 1.0)
-    assert np.max(np.abs(kt.row(0))) < 1e-12
+    assert np.max(np.abs(kt.matrix[kt.lam])) < 1e-12   # mu = 0
 
 
 def test_kappa_invariant_under_delay_rescaling():
@@ -535,8 +530,9 @@ def test_kappa_table_serialization():
     kt = av.kappa(catalog.vmas(), 1, 1.0)
     d = kt.to_json_dict()
     assert d["lambda"] == 1 and len(d["cells_row_major"]) == 9
-    rows = list(kt.csv_rows())
-    assert len(rows) == 9 and rows[0][0] == 1
+    rows = av.kappa_csv(kt).splitlines()
+    assert rows[0] == "lambda,mu,mu_prime,re,im"
+    assert len(rows) == 10 and rows[1].startswith("1,-1,-1,") and rows[9].startswith("1,1,1,")
 
 
 def test_kappa_entries_bounded_by_one():

@@ -360,6 +360,13 @@ AXIS_SHAPES = {"axis-len2": [1, 0], "axis-len4": [1, 0, 0, 0], "axis-nested": [[
                  "above the bound 8388608 on all levels\n", id="search-walk-bound"),
     pytest.param(["toggle", "f1", "--m", "1.5"], None,
                  "usage error: argument --m: must be an integer, got '1.5'\n", id="toggle-float-m"),
+    # a catalog k beyond the float range, and one whose phases overflow
+    pytest.param(["dual", f"bprime(5,{10 ** 400})"], None,
+                 "error: k is beyond the float range, got an integer of 401 digits\n",
+                 id="catalog-k-beyond-floats"),
+    pytest.param(["dual", f"bprime(5,{10 ** 308})"], None,
+                 "error: k takes a phase beyond the float range, got an integer of 309 digits\n",
+                 id="catalog-k-overflowing-phases"),
     # a missing key is named like a value of the wrong type, not as a bare KeyError
     pytest.param(["cycle", "@in"], {"elements": [{"phase": 0.0}]},
                  "error: malformed sequence: beta must be a JSON number, got None\n",
@@ -402,6 +409,20 @@ def test_bad_input_exits_1_with_one_line(capsys, tmp_path, argv, doc, says):
     assert says in err
 
 
+def _run_with_memory_limit(argv):
+    """The CLI on ``argv`` in a child process with its address space capped
+    at about 1.5 GB, so that an input allocating without bound fails there
+    and not on the host."""
+    limit = 1_500_000 * 1024
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "togglekit.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+
+
 @pytest.mark.parametrize("argv, says", [
     (["catalog", "show", "nest_bn(100001,100001)"],
      "error: nest_bn(100001,100001) has 10000200001 elements, more than 2**20 = 1048576\n"),
@@ -415,19 +436,18 @@ def test_bad_input_exits_1_with_one_line(capsys, tmp_path, argv, doc, says):
     (["ddmap", "udd(1048576)"], "error: "),
 ], ids=["nest-bn", "nprime", "udd-show", "udd-kappa", "ddmap-memory"])
 def test_oversized_input_exits_1_under_a_memory_limit(argv, says):
-    # a child process with its address space capped at about 1.5 GB, so that
-    # an input allocating without bound fails there and not on the host
-    limit = 1_500_000 * 1024
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "togglekit.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    proc = _run_with_memory_limit(argv)
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
     assert proc.stderr.startswith(says)
+
+
+def test_convert24_of_a_long_input_runs_under_a_memory_limit():
+    # the output's mirror check pairs each axis with one partner, not with all 2n
+    proc = _run_with_memory_limit(["convert24", "bprime(8001)"])
+    assert proc.returncode == 0 and proc.stderr == ""
+    doc = json.loads(proc.stdout)
+    assert doc["name"] == "bprime(8001)->m4" and len(doc["elements"]) == 16002
 
 
 @pytest.mark.parametrize("argv", [["cycle", "@in"], ["kappa", "@in", "--lambda", "1"]],

@@ -43,7 +43,6 @@ def test_osc_field_zero_amp_is_identity():
     dd = catalog.named_dd("xy4")
     dressed = ddsim.osc_field_dressed(dd, 2.0, 0.0)
     assert np.allclose(dressed.pulses.axes, dd.pulses.axes)
-    assert dressed.trailing_z == 0.0
 
 
 def test_osc_field_fast_limit_vanishes():
@@ -60,14 +59,6 @@ def test_osc_field_single_pulse_phase():
     dressed = ddsim.osc_field_dressed(dd, 1.0, a)
     got = np.arctan2(dressed.pulses.axes[0, 1], dressed.pulses.axes[0, 0])
     assert abs(got - a) < 1e-14   # theta = (a/w) sin(w t0) = a
-
-
-def test_osc_field_trailing_z_metadata():
-    dd = catalog.named_dd("xy4")
-    w, a = 3.0, 0.7
-    dressed = ddsim.osc_field_dressed(dd, w, a)
-    want = (a / w) * (np.sin(w * dd.delays[-1]) - np.sin(w * dd.delays[-2]))
-    assert abs(dressed.trailing_z - want) < 1e-14
 
 
 def test_static_field_is_dc_limit():
@@ -211,6 +202,8 @@ def test_centroid_map_matches_omega_loop_bit_for_bit(name):
                  id="scale-inf"),
     pytest.param({"omega_grid": [np.nan]}, "omega grid must be finite", id="omega-nan"),
     pytest.param({"omega_grid": []}, "omega grid must be nonempty", id="omega-empty"),
+    pytest.param({"omega_grid": [1.0], "beta_scale_grid": [1e308, 1.0]},
+                 "scaled flip angles must be finite, got inf", id="scale-overflowing-angles"),
 ])
 def test_centroid_map_rejects_non_finite_inputs_with_one_line(kwargs, says):
     with pytest.raises(ValueError, match=says) as info:

@@ -258,7 +258,7 @@ def test_rotation_vector_round_trip():
     rng = np.random.default_rng(17)
     for _ in range(100):
         v = rng.normal(size=3) * 0.8
-        r = rc.from_rotation_vector(v)
+        r = rc.from_axis_angle(v / np.linalg.norm(v), np.linalg.norm(v))
         assert np.allclose(rc.quat_to_rotation_vector(r.q), v, atol=1e-12)
 
 
@@ -301,10 +301,8 @@ def test_unit_quaternions_rows_equal_rotation_constructor():
     q = rng.normal(size=(33, 4))
     q *= (1.0 + rng.uniform(-5e-7, 5e-7, size=(33, 1))) / np.linalg.norm(q, axis=1, keepdims=True)
     want = np.array([rc.Rotation(row).q for row in q])
-    assert rc.unit_quaternions(q).tobytes() == want.tobytes()
-    rots = rc.rotations(q)
-    assert np.array([r.q for r in rots]).tobytes() == want.tobytes()
-    assert not any(r.q.flags.writeable for r in rots)
+    got = rc.unit_quaternions(q)
+    assert got.tobytes() == want.tobytes() and not got.flags.writeable
 
 
 @pytest.mark.parametrize("bad", [1.01, 0.0, np.nan, np.inf])
@@ -313,8 +311,6 @@ def test_unit_quaternions_check_the_whole_stack(bad):
     q[3, 0] = bad
     with pytest.raises(ValueError, match="too far from 1"):
         rc.unit_quaternions(q)
-    with pytest.raises(ValueError, match="too far from 1"):
-        rc.rotations(q)
     with pytest.raises(ValueError, match=r"shape \(\.\.\., 4\)"):
         rc.unit_quaternions(np.ones((2, 3)))
 

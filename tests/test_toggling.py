@@ -453,8 +453,8 @@ def test_toggled_frame_first_vector_invariant():
 def test_detuning_frame_single_pulse():
     s = sm.sequence_from_phases("pix", np.pi, [0.0])
     frame = tg.detuning_frame(s)
-    assert frame.depth == 1
-    assert np.allclose(frame.vectors[0], [0.0, 1.0, 0.0], atol=1e-15)
+    assert frame.shape == (1, 3)
+    assert np.allclose(frame[0], [0.0, 1.0, 0.0], atol=1e-15)
 
 
 def test_detuning_frame_alternates_sign():
@@ -463,14 +463,14 @@ def test_detuning_frame_alternates_sign():
     plain = tg.toggling_map(s).axes
     up = rc.rotate(rc.from_axis_angle(rc.E_Z, np.pi / 2), plain[0])
     down = rc.rotate(rc.from_axis_angle(rc.E_Z, -np.pi / 2), plain[1])
-    assert np.allclose(frame.vectors[0], up, atol=1e-15)
-    assert np.allclose(frame.vectors[1], down, atol=1e-15)
+    assert np.allclose(frame[0], up, atol=1e-15)
+    assert np.allclose(frame[1], down, atol=1e-15)
 
 
 def test_detuning_frame_u5_sublists_balanced():
     frame = tg.detuning_frame(catalog.u5())
-    assert np.linalg.norm(frame.vectors[0::2].mean(axis=0)) < 1e-12
-    assert np.linalg.norm(frame.vectors[1::2].mean(axis=0)) < 1e-12
+    assert np.linalg.norm(frame[0::2].mean(axis=0)) < 1e-12
+    assert np.linalg.norm(frame[1::2].mean(axis=0)) < 1e-12
 
 
 def test_detuning_frame_requires_equatorial_pi():
