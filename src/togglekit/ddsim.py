@@ -14,6 +14,8 @@ import numpy as np
 from . import rotcore, seqmodel, toggling
 from .seqmodel import RotationSequence, sequence_from_phases
 
+MAP_MAX_AXES = 2 ** 22   # toggled axes (cells x pulses) one centroid map may allocate
+
 
 @dataclass(frozen=True)
 class DDSequence:
@@ -179,6 +181,11 @@ def centroid_map(dd: DDSequence, omega_grid=None, beta_scale_grid=None,
         amp = 1.0 / total
     if not math.isfinite(amp):
         raise ValueError(f"amp must be finite, got {amp}")
+    axes = omegas.size * scales.size * len(dd.pulses)
+    if axes > MAP_MAX_AXES:
+        raise ValueError(f"a centroid map of {omegas.size} x {scales.size} cells over "
+                         f"{len(dd.pulses)} pulses toggles {axes} axes, "
+                         f"more than 2**22 = {MAP_MAX_AXES}")
     thetas = _field_phases(kick_times(dd), omegas[:, None], amp)
     dressed = rotcore.unit_vectors(rotcore.rotate_about_z(dd.pulses.axes, thetas))
     return CentroidMap(omegas, scales, _centroid_norms(dressed, dd.pulses.betas, scales), amp)

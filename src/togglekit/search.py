@@ -14,10 +14,13 @@ sign, partial sum), merges equal states level by level, prunes partial
 sums that the remaining steps cannot cancel and keeps the states from
 which an accepting end state is reachable.  A step is linear in the row
 [q, s, 1], q times the vertex rotation and s plus its balance part, so one
-matmul steps every state by every vertex.  Expanding the live transitions in
-vertex order lists the candidate tuples in odometer order; the float
-balance test, the reverse transform and the target test then decide on
-the candidates alone, exactly as they would on every tuple.
+matmul steps every state by every vertex.  The target test runs once, on
+the last level's vertex products.  Expanding the live transitions in vertex
+order lists the candidate tuples in odometer order, and with them each
+tuple's state per level: that state is the prefix propagator U_i, so the
+walk also yields the playable axes U_i f_i (the reverse transform) and the
+nets, and no propagator chain runs.  The float balance test then decides on
+the candidates alone, exactly as it would on every tuple.
 
 Results are one ``seqmodel.SequenceStack``: the unit axes of every result
 in one array, from which a ``RotationSequence`` is built only when a row is
@@ -37,7 +40,6 @@ import numpy as np
 from . import rotcore
 from .rotcore import Rotation
 from .seqmodel import RotationSequence, SequenceStack, _sequence_stack, integer_at_least
-from .toggling import inverse_toggle_axes
 
 STATE_GUARD = 1 << 20    # candidate rows (states x vertices, or tuples) one level may allocate
 WALK_GUARD = 8 * STATE_GUARD   # candidate rows of all levels: any n <= 8 walk under STATE_GUARD
@@ -133,13 +135,15 @@ class SearchSpec:
         return 2.0 * np.pi / self.m
 
 
-def _target_mask(spec: SearchSpec, net_quats: np.ndarray, tol: float = NET_MATCH_TOL) -> np.ndarray:
-    """Boolean mask of nets (quaternions up to sign) matching the target within tol."""
+def _target_mask(spec: SearchSpec, net_quats: np.ndarray) -> np.ndarray:
+    """Boolean mask of nets (quaternions up to sign) matching the target
+    within NET_MATCH_TOL."""
     if spec.target == "equatorial_pi":
         # pi rotations have scalar part 0; equatorial axis means no z component
-        return (np.abs(net_quats[:, 0]) < tol / 2.0) & (np.abs(net_quats[:, 3]) < tol / 2.0)
+        return (np.abs(net_quats[:, 0]) < NET_MATCH_TOL / 2.0) \
+            & (np.abs(net_quats[:, 3]) < NET_MATCH_TOL / 2.0)
     target = AXIS_CYCLING if spec.target == "axis_cycling" else spec.target
-    return rotcore.quat_angle_between(target.q, net_quats) < tol
+    return rotcore.quat_angle_between(target.q, net_quats) < NET_MATCH_TOL
 
 
 def _check_level(level: int, rows: int) -> None:
@@ -149,14 +153,18 @@ def _check_level(level: int, rows: int) -> None:
 
 
 def _unique_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Groups of equal rows of a (N, L) array, in lexicographic order: the
-    index of each group's first row and each row's group, the index and
-    inverse of numpy's row-wise unique, from one stable lexsort instead of a
-    sort of structured rows."""
-    order = np.lexsort(keys.T[::-1])
-    ranked = keys[order]
+    """Groups of equal rows of a (N, L) array: the index of each group's
+    first row and each row's group, the partition and first occurrences of
+    numpy's row-wise unique.  One stable argsort over a ``np.void`` view of
+    the contiguous rows sorts them as byte strings, so groups come in byte
+    order, not lexicographic order: the walk expands its states in its own
+    order and ``dedupe`` sorts the first rows, so no caller reads it."""
+    keys = np.ascontiguousarray(keys)
+    rows = keys.view(np.dtype((np.void, keys.dtype.itemsize * keys.shape[1]))).reshape(-1)
+    order = np.argsort(rows, kind="stable")
+    ranked = rows[order]
     starts = np.ones(len(keys), dtype=bool)
-    np.any(ranked[1:] != ranked[:-1], axis=1, out=starts[1:])
+    starts[1:] = ranked[1:] != ranked[:-1]
     inverse = np.empty(len(keys), dtype=np.intp)
     inverse[order] = np.cumsum(starts) - 1
     return order[starts], inverse
@@ -191,24 +199,33 @@ def _step_matrix(spec: SearchSpec) -> np.ndarray:
     return step.reshape(5 + d, k * (5 + d))
 
 
-def _walk(spec: SearchSpec) -> np.ndarray:
-    """Vertex-index tuples (C, n), in odometer order, whose vertex product
-    and partial sum pass the target and balance tests within WALK_TOL: a
-    superset of the tuples the float tests accept.
+def _walk(spec: SearchSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vertex-index tuples (C, n), in odometer order, whose partial sum
+    passes the balance test within WALK_TOL and whose vertex product passes
+    the target test within NET_MATCH_TOL, with their playable axes (C, n, 3)
+    and their nets (C, 4), quaternions up to sign.
 
     States are rows [q, s, 1], and each level is one matmul by
     ``_step_matrix``, state-major and vertex-minor.  The partial sums are
     exact additions, as in a plain sum: every other product is by 0 or 1.
     The quaternions may differ from ``quat_mul``'s in their last bits, far
     below the 1e-9 on which states merge.  The last level runs the target
-    test only on the rows whose sum is within WALK_TOL of balance."""
-    k, n = len(spec.axis_set), spec.n
+    test only on the rows whose sum is within WALK_TOL of balance.
+
+    The merged state of level i is the prefix propagator U_i of every tuple
+    through it (U_{i+1} = U_i R(beta, f_i)), so the expansion records each
+    tuple's state per level: its playable axes U_i f_i are one
+    ``quat_apply`` of the live states of every level over the vertices and
+    one gather, and its net is its level-n row."""
+    verts = spec.axis_set.vertices
+    k, n = len(verts), spec.n
     step = _step_matrix(spec)
     width = step.shape[0]
     part = step[-1].reshape(k, width)[:, 4:-1]         # each vertex's balance part
     reach = float(np.linalg.norm(part, axis=1).max())
     states = np.zeros((1, width))
     states[0, [0, -1]] = 1.0
+    quats = [states[:, :4]]   # the merged state quaternions of every level below n
     tables = []          # per level below n: (states, k) next state, len(next) if pruned
     walked = 0
     for level in range(1, n + 1):
@@ -224,17 +241,18 @@ def _walk(spec: SearchSpec) -> np.ndarray:
         if level == n:
             accept = dist < WALK_TOL
             near = np.flatnonzero(accept)
-            accept[near] = _target_mask(spec, stepped[near, :4], WALK_TOL)
+            accept[near] = _target_mask(spec, stepped[near, :4])
             break
         keep = np.flatnonzero(dist <= (n - level) * reach + WALK_TOL)
         if keep.size == 0:
-            return np.empty((0, n), dtype=np.intp)
+            return np.empty((0, n), dtype=np.intp), np.empty((0, n, 3)), np.empty((0, 4))
         kept = stepped[keep]
         first, inverse = _unique_rows(_state_keys(kept[:, :-1]))
         table = np.full(rows, len(first))
         table[keep] = inverse
         tables.append(table.reshape(-1, k))
         states = kept[first]
+        quats.append(states[:, :4])
     # backward reachability: live transitions of every level
     edges = [accept.reshape(-1, k)]
     for table in reversed(tables):
@@ -251,14 +269,21 @@ def _walk(spec: SearchSpec) -> np.ndarray:
             raise ValueError(f"search level {n} needs more candidate states than "
                              f"the bound {STATE_GUARD}")
     _check_level(n, int(counts @ edges[-1].sum(axis=1)))
-    # expand live transitions in row-major order: odometer order
+    # expand live transitions in row-major order: odometer order, with each
+    # tuple's state per level as a row of the live states of all levels
+    live = np.concatenate([e.any(axis=1) for e in edges])
+    slots = np.cumsum(live) - 1
+    offsets = np.cumsum([0] + [len(e) for e in edges[:-1]])
     paths, digits = np.zeros(1, dtype=np.intp), np.empty((1, 0), dtype=np.intp)
-    for level, live in enumerate(edges):
-        r, c = np.nonzero(live[paths])
+    visits = np.empty((1, 0), dtype=np.intp)
+    for level, edge in enumerate(edges):
+        r, c = np.nonzero(edge[paths])
         digits = np.column_stack([digits[r], c])
+        visits = np.column_stack([visits[r], slots[paths[r] + offsets[level]]])
         if level < n - 1:
             paths = tables[level][paths[r], c]
-    return digits
+    axes = rotcore.quat_apply(np.concatenate(quats)[live, None, :], verts)[visits, digits]
+    return digits, axes, stepped[paths[r] * k + c, :4]
 
 
 def enumerate_balanced(spec: SearchSpec) -> SequenceStack:
@@ -269,19 +294,16 @@ def enumerate_balanced(spec: SearchSpec) -> SequenceStack:
     ``{axis set}-{m}-{index}``, as one ``SequenceStack``: their unit axes
     are one array, and a ``RotationSequence`` is built only when a row is
     read (``stack[i]``, or all rows in one batch by iteration).  No result
-    is an empty stack.
+    is an empty stack.  The walk has tested the target and recovered the
+    playable axes; the float balance test decides here.
     """
-    tuples = spec.axis_set.vertices[_walk(spec)]          # (C, n, 3)
-    sums = tuples.sum(axis=1)
+    digits, axes, _ = _walk(spec)
+    sums = spec.axis_set.vertices[digits].sum(axis=1)
     if spec.balance_mode == "full":
         keep = np.linalg.norm(sums, axis=1) < spec.n * BALANCE_SUM_TOL
     else:
         keep = np.abs(sums[:, 2]) < spec.n * BALANCE_SUM_TOL
-    axes = tuples[keep]
-    if len(axes):   # an empty stack skips the chain
-        axes, nets = inverse_toggle_axes(axes, spec.beta)
-        axes = axes[_target_mask(spec, nets)]
-    return _sequence_stack(f"{spec.axis_set.name}-{spec.m}-", spec.beta, axes, spec.m)
+    return _sequence_stack(f"{spec.axis_set.name}-{spec.m}-", spec.beta, axes[keep], spec.m)
 
 
 # ---------------------------------------------------------------------------

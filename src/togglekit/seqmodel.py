@@ -22,6 +22,7 @@ from .rotcore import Rotation, _apply3, _mul4, _unit3, _unit4, axis_from_phase
 
 EQUATORIAL_TOL = 1e-9
 BETA_MATCH_TOL = 1e-12
+SWEEP_MAX_ELEMENTS = 2 ** 13   # the longest sequence a flip-angle sweep takes: its cost grows as n^2
 
 
 @dataclass(frozen=True)
@@ -390,9 +391,14 @@ def _sweep_coefficients(axes) -> tuple[np.ndarray, np.ndarray]:
     """The net of uniform-angle sequences with unit axes (..., n, 3) as
     U(theta) = Re sum_j c_j e^{ij theta} over j >= 0: the coefficients
     c_j = C_j (2 C_j for j > 0) (..., J, 4) and the frequencies j (J,),
-    J = ceil((n + 1)/2), all of parity n (``_sweep_nets`` says how)."""
+    J = ceil((n + 1)/2), all of parity n (``_sweep_nets`` says how).  It
+    takes n steps over n + 1 rows, so n above SWEEP_MAX_ELEMENTS is refused
+    before any step."""
     axes = np.asarray(axes, dtype=float)
     lead, n = axes.shape[:-2], axes.shape[-2]
+    if n > SWEEP_MAX_ELEMENTS:
+        raise ValueError(f"a flip-angle sweep takes at most 2**13 = {SWEEP_MAX_ELEMENTS} "
+                         f"elements, got {n}")
     steps = np.empty(axes.shape[:-1] + (4, 8), dtype=complex)
     steps.real = _STEP_REAL
     steps.imag = (axes @ _STEP_IMAG).reshape(steps.shape)

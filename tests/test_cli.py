@@ -358,6 +358,10 @@ AXIS_SHAPES = {"axis-len2": [1, 0], "axis-len4": [1, 0, 0, 0], "axis-nested": [[
                   "--target", "equatorial-pi", "--balance", "z"], None,
                  "error: search walk needs 8388648 candidate states up to level 343, "
                  "above the bound 8388608 on all levels\n", id="search-walk-bound"),
+    # a flip-angle sweep's coefficients cost n^2 steps: refused above 2**13 elements
+    *[pytest.param(argv, None, "error: a flip-angle sweep takes at most 2**13 = 8192 elements, "
+                               "got 8193\n", id=f"{argv[0]}-sweep-length-bound")
+      for argv in (["profile", "nprime(8193)"], ["glide", "nprime(8193)", "bprime(8193)"])],
     pytest.param(["toggle", "f1", "--m", "1.5"], None,
                  "usage error: argument --m: must be an integer, got '1.5'\n", id="toggle-float-m"),
     # a catalog k beyond the float range, and one whose phases overflow
@@ -432,8 +436,10 @@ def _run_with_memory_limit(argv):
      "error: udd(1048577) has 1048577 elements, more than 2**20 = 1048576\n"),
     (["kappa", "udd(1048577)", "--lambda", "1"],
      "error: udd(1048577) has 1048577 elements, more than 2**20 = 1048576\n"),
-    # within the length bound, but the map's grid x n toggled axes do not fit: a MemoryError
-    (["ddmap", "udd(1048576)"], "error: "),
+    # within the length bound, but the map's grid x n toggled axes are refused before any
+    # is allocated
+    (["ddmap", "udd(1048576)"], "error: a centroid map of 25 x 21 cells over 1048576 pulses "
+                                "toggles 550502400 axes, more than 2**22 = 4194304\n"),
 ], ids=["nest-bn", "nprime", "udd-show", "udd-kappa", "ddmap-memory"])
 def test_oversized_input_exits_1_under_a_memory_limit(argv, says):
     proc = _run_with_memory_limit(argv)
@@ -448,6 +454,13 @@ def test_convert24_of_a_long_input_runs_under_a_memory_limit():
     assert proc.returncode == 0 and proc.stderr == ""
     doc = json.loads(proc.stdout)
     assert doc["name"] == "bprime(8001)->m4" and len(doc["elements"]) == 16002
+
+
+def test_ddmap_at_the_axes_bound_runs_under_a_memory_limit():
+    # 25 omegas x 21 scales x 7989 pulses = 4194225 toggled axes, within 2**22
+    proc = _run_with_memory_limit(["ddmap", "udd(7989)"])
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert len(proc.stdout.splitlines()) == 26
 
 
 @pytest.mark.parametrize("argv", [["cycle", "@in"], ["kappa", "@in", "--lambda", "1"]],

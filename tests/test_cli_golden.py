@@ -3,9 +3,10 @@
 tokens, its numbers within 1e-12, because its final z-rotation angle is a
 computed root.  The flip-angle sweep pins are also checked against the
 propagator chain they were first recorded with, the average-order pins
-against the hand-written Magnus sums, the search pins against the inverse
-toggle that rebuilt the axes forward, and the pins that once printed a
-phase of 2pi against the bare phase reduction."""
+against the hand-written Magnus sums, the search pins against the
+propagator chain that gave their axes before the walk did and against the
+inverse toggle that rebuilt the axes forward, and the pins that once
+printed a phase of 2pi against the bare phase reduction."""
 
 import hashlib
 import json
@@ -16,9 +17,10 @@ import numpy as np
 import pytest
 
 from test_averaging import _average_orders_reference
+from test_search import chain_route
 from test_seqmodel import reference_net_quaternions
 from test_toggling import reference_inverse_toggle_axes
-from togglekit import averaging, cli, profiles, search, seqmodel
+from togglekit import averaging, cli, profiles, search, seqmodel, toggling
 
 GOLDEN = json.loads((pathlib.Path(__file__).parent / "data" / "cli_golden.json")
                     .read_text(encoding="utf-8"))
@@ -41,6 +43,24 @@ HAND_SUM_SHA256 = {
     "orders @deg5 --deg": "a4532ab14cac5954fdc196019ee5cc2d126cfdceea8fb72cf434ae61220ddcd7",
 }
 INVERSE_TOL = 1e-15
+# stdout of the search commands with the axes from the propagator chain of
+# the inverse toggle, -T(-f), as recorded before the walk's prefix states
+# gave them
+CHAIN_ROUTE_SHA256 = {
+    "search --axes tetrahedron --n 4 --m 3 --target 1,1,1:2.0943951023931953":
+        "5dc0df502550570d9337943091a16a9620e36df13b58cee8c24efcacf715c02d",
+    "search --axes octahedron --n 4 --m 4 --target equatorial-pi --balance z":
+        "00589553f532edd0009d268e12868a2650fe0ba12771fac4f40183904aaf1131",
+    "search --axes octahedron --n 6 --m 4 --target equatorial-pi --dedupe global_z":
+        "2d1b7ed9916b4426cb6a0619de074f1b4080eee1f885dda194300edfb2b4e219",
+    "search --axes cube --n 4 --m 3 --target axis-cycling":
+        "e39df42a6110be9321229df109fd7f1fb06e2f74818c3b5f34c1c97a739ecda2",
+    "search --axes octahedron --n 3 --m 2 --target equatorial-pi --balance z --dedupe none":
+        "c30ac0a9594170ef8d9253ebea4e98bfda11a1abacc81735149f8d7f8c7d413b",
+    "search --axes tetrahedron --n 4 --m 3 --target axis-cycling --balance z "
+    "--dedupe axis_set_rotations":
+        "1d3609cd10cabb5e8f8d16db4532375c845fcf537de684e80b99dda6820d798b",
+}
 # stdout of the search commands with the inverse toggle rebuilding the axes
 # forward, e_i = U_i f_i, as first recorded
 FORWARD_INVERSE_SHA256 = {
@@ -123,12 +143,15 @@ def test_out_file_holds_what_stdout_carries(record, tmp_path, capsys):
 
 
 def _assert_agree(text: str, want: str, tol: float) -> None:
-    """Equal non-numeric text, and numbers within ``tol``."""
+    """Equal non-numeric text, and numbers within ``tol``, a "phase" field
+    modulo 2pi: a phase just below 2pi may print as one just above 0."""
     pieces, numbers = _tokens(text)
     want_pieces, want_numbers = _tokens(want)
     assert pieces == want_pieces
     assert len(numbers) == len(want_numbers)
-    worst = max(abs(a - b) for a, b in zip(numbers, want_numbers))
+    gaps = [abs(a - b) for a, b in zip(numbers, want_numbers)]
+    worst = max(min(gap, abs(gap - 2.0 * np.pi)) if piece.endswith('"phase": ') else gap
+                for piece, gap in zip(pieces, gaps))
     assert worst <= tol, worst
 
 
@@ -151,19 +174,35 @@ def test_orders_pins_agree_with_the_hand_written_sums(command, tmp_path, capsys,
     _assert_agree(out, sums, ORDERS_TOL)
 
 
+def _use_chain_route(monkeypatch, inverse=toggling.inverse_toggle_axes) -> None:
+    """Search commands take their axes from the propagator chain of
+    ``inverse``, as before the walk's prefix states gave them."""
+    monkeypatch.setattr(search, "enumerate_balanced", lambda spec: chain_route(spec, inverse))
+
+
+@pytest.mark.parametrize("command", sorted(CHAIN_ROUTE_SHA256))
+def test_search_pins_agree_with_the_chain_route(command, tmp_path, capsys, monkeypatch):
+    out = _stdout(command.split(), tmp_path, capsys)
+    _use_chain_route(monkeypatch)
+    chain = _stdout(command.split(), tmp_path, capsys)
+    assert _sha256(chain) == CHAIN_ROUTE_SHA256[command]
+    _assert_agree(out, chain, INVERSE_TOL)
+
+
 @pytest.mark.parametrize("command", sorted(FORWARD_INVERSE_SHA256))
 def test_search_pins_agree_with_the_forward_inverse(command, tmp_path, capsys, monkeypatch):
-    out = _stdout(command.split(), tmp_path, capsys)
-    monkeypatch.setattr(search, "inverse_toggle_axes", reference_inverse_toggle_axes)
+    _use_chain_route(monkeypatch)
+    chain = _stdout(command.split(), tmp_path, capsys)
+    _use_chain_route(monkeypatch, reference_inverse_toggle_axes)
     forward = _stdout(command.split(), tmp_path, capsys)
     assert _sha256(forward) == FORWARD_INVERSE_SHA256[command]
-    _assert_agree(out, forward, INVERSE_TOL)
+    _assert_agree(chain, forward, INVERSE_TOL)
 
 
 @pytest.mark.parametrize("command", sorted(BARE_MOD_SHA256))
 def test_phase_pins_differ_from_the_bare_reduction_only_at_two_pi(command, tmp_path, capsys,
                                                                    monkeypatch):
-    monkeypatch.setattr(search, "inverse_toggle_axes", reference_inverse_toggle_axes)
+    _use_chain_route(monkeypatch, reference_inverse_toggle_axes)
     out = _stdout(command.split(), tmp_path, capsys)
     monkeypatch.setattr(seqmodel, "_json_phase", lambda phase: phase % (2.0 * np.pi))
     bare = _stdout(command.split(), tmp_path, capsys)

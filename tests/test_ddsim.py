@@ -110,6 +110,19 @@ def test_centroid_map_default_grids():
     assert abs(cm.amp * dd.total_time - 1.0) < 1e-12
 
 
+def test_centroid_map_refuses_more_toggled_axes_than_the_bound(monkeypatch):
+    # 2 omegas x 3 scales x 4 pulses = 24 axes; refused before any is toggled
+    dd = catalog.named_dd("xy4")
+    grids = dict(omega_grid=[1.0, 2.0], beta_scale_grid=[0.9, 1.0, 1.1])
+    monkeypatch.setattr(ddsim, "MAP_MAX_AXES", 24)
+    assert ddsim.centroid_map(dd, **grids).values.shape == (2, 3)
+    monkeypatch.setattr(ddsim, "MAP_MAX_AXES", 23)
+    monkeypatch.setattr(ddsim, "_centroid_norms", None)
+    with pytest.raises(ValueError, match=r"^a centroid map of 2 x 3 cells over 4 pulses "
+                                         r"toggles 24 axes, more than 2\*\*22 = 23$"):
+        ddsim.centroid_map(dd, **grids)
+
+
 def test_anti_dd_matches_nest_of_dual():
     anti = ddsim.anti_dd(catalog.named_dd("xy4"), catalog.u5())
     direct = sm.nest(catalog.xy4(), tg.toggling_map(catalog.u5()))

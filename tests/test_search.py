@@ -2,10 +2,12 @@
 
 import hashlib
 import itertools
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
+from test_seqmodel import _decimal_cos_sin
 from test_toggling import reference_inverse_toggle_axes
 from togglekit import catalog, cli, profiles as pf, rotcore as rc, search as se, seqmodel as sm, \
     toggling as tg
@@ -205,21 +207,25 @@ def test_empty_search_is_an_empty_stack(built_sequences):
     assert len(built_sequences) == 0
 
 
-@pytest.mark.parametrize("n", [1, 3])
-def test_search_without_a_balanced_tuple_skips_the_chain(monkeypatch, n):
-    calls, chain = [], se.inverse_toggle_axes
+def test_search_runs_no_propagator_chain(monkeypatch):
+    # the walk's prefix states are the propagators: with the one stepping
+    # loop refusing to run, under both names it is bound to, every search
+    # still returns, empty or not
+    def refuse(*args, **kwargs):
+        raise AssertionError("the propagator chain ran")
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return chain(*args, **kwargs)
-
-    monkeypatch.setattr(se, "inverse_toggle_axes", counted)
-    empty = se.enumerate_balanced(se.SearchSpec(se.octahedron(), n, 4, "equatorial_pi"))
-    assert calls == []
-    assert isinstance(empty, sm.SequenceStack) and len(empty) == 0
-    assert empty.axes.shape == (0, n, 3)
-    assert se.enumerate_balanced(se.SearchSpec(se.tetrahedron(), 4, 3, se.AXIS_CYCLING))
-    assert len(calls) == 1   # the counter counts
+    monkeypatch.setattr(sm, "_propagate", refuse)
+    monkeypatch.setattr(tg, "_propagate", refuse)
+    for spec, found in ((se.SearchSpec(se.octahedron(), 1, 4, "equatorial_pi"), 0),
+                        (se.SearchSpec(se.octahedron(), 3, 4, "equatorial_pi"), 0),
+                        (se.SearchSpec(se.tetrahedron(), 4, 3, se.AXIS_CYCLING), 6),
+                        (se.SearchSpec(se.cube(), 6, 3, "axis_cycling", "z_only"), 6720),
+                        (LARGEST_SPEC, 3904)):
+        stack = se.enumerate_balanced(spec)
+        assert isinstance(stack, sm.SequenceStack) and stack.axes.shape == (found, spec.n, 3)
+        assert len(se.dedupe(stack)) <= len(stack)
+    with pytest.raises(AssertionError, match="chain ran"):
+        tg.inverse_toggle_axes(np.array([[1.0, 0.0, 0.0]]), 1.0)
 
 
 @pytest.mark.parametrize("symmetry", ["global_z", "axis_set_rotations", "none"])
@@ -247,9 +253,59 @@ def test_search_and_dedupe_build_no_sequences(built_sequences):
 # reference: the k^n odometer and the per-sequence dedupe the walk replaced
 # ---------------------------------------------------------------------------
 
+def _target_mask_reference(spec, net_quats, tol=se.NET_MATCH_TOL):
+    """The target test before it ran on quat_angle_between: its own log map
+    for a Rotation, and the action on the basis vectors for axis cycling."""
+    if isinstance(spec.target, rc.Rotation):
+        resid = rc.quat_mul(rc.quat_conj(spec.target.q)[None, :], net_quats)
+        angles = 2.0 * np.arctan2(np.linalg.norm(resid[:, 1:], axis=1), np.abs(resid[:, 0]))
+        return angles < tol
+    if spec.target == "equatorial_pi":
+        return (np.abs(net_quats[:, 0]) < tol / 2.0) & (np.abs(net_quats[:, 3]) < tol / 2.0)
+    ex = rc.quat_apply(net_quats, rc.E_X)
+    ey = rc.quat_apply(net_quats, rc.E_Y)
+    ez = rc.quat_apply(net_quats, rc.E_Z)
+    err = np.maximum(np.linalg.norm(ex - rc.E_Y, axis=1),
+                     np.maximum(np.linalg.norm(ey - rc.E_Z, axis=1),
+                                np.linalg.norm(ez - rc.E_X, axis=1)))
+    return err < tol
+
+
+# the walk's playable axes against the propagator chain's on the same
+# tuples; worst measured 2.2e-15 over 768 specs (every built-in axis set,
+# m 2-5, n 1-8, the three target kinds and both balance modes)
+CHAIN_AXES_TOL = 4e-15
+
+
+def _chain_axes(spec, tuples, inverse=tg.inverse_toggle_axes, mask=_target_mask_reference):
+    """The route from toggled tuples (C, n, 3) to results before the walk
+    yielded axes and nets: the float balance test, then the propagator
+    chain of ``inverse`` for the playable axes and the nets, and the target
+    test ``mask`` on those nets."""
+    sums = tuples.sum(axis=1)
+    if spec.balance_mode == "full":
+        keep = np.linalg.norm(sums, axis=1) < spec.n * se.BALANCE_SUM_TOL
+    else:
+        keep = np.abs(sums[:, 2]) < spec.n * se.BALANCE_SUM_TOL
+    tuples = tuples[keep]
+    if tuples.size == 0:
+        return tuples
+    axes, nets = inverse(tuples, spec.beta)
+    return axes[mask(spec, nets)]
+
+
+def chain_route(spec, inverse=tg.inverse_toggle_axes):
+    """enumerate_balanced as it ran on the propagator chain: the walk's
+    tuples, with the target tested within WALK_TOL on the vertex products,
+    through ``_chain_axes``."""
+    tuples = spec.axis_set.vertices[_walk_reference(spec, se.WALK_TOL)]
+    return sm._sequence_stack(f"{spec.axis_set.name}-{spec.m}-", spec.beta,
+                              _chain_axes(spec, tuples, inverse, se._target_mask), spec.m)
+
+
 def _odometer_reference(spec):
-    """Every tuple decoded in odometer order, then the float balance test,
-    the reverse transform and the target test; sequences built one by one."""
+    """Every tuple decoded in odometer order, then ``_chain_axes``;
+    sequences built one by one."""
     verts = spec.axis_set.vertices
     k, n = len(verts), spec.n
     idx = np.arange(k ** n, dtype=np.int64)
@@ -257,25 +313,15 @@ def _odometer_reference(spec):
     for pos in range(n - 1, -1, -1):
         digits[:, pos] = idx % k
         idx //= k
-    tuples = verts[digits]
-    sums = tuples.sum(axis=1)
-    if spec.balance_mode == "full":
-        keep = np.linalg.norm(sums, axis=1) < n * se.BALANCE_SUM_TOL
-    else:
-        keep = np.abs(sums[:, 2]) < n * se.BALANCE_SUM_TOL
-    tuples = tuples[keep]
-    if tuples.size == 0:
-        return []
-    axes, nets = tg.inverse_toggle_axes(tuples, spec.beta)
     return [sm.RotationSequence(f"{spec.axis_set.name}-{spec.m}-{j}",
                                 [sm.PulseElement(spec.beta, e) for e in a], spec.m)
-            for j, a in enumerate(axes[_target_mask_reference(spec, nets)])]
+            for j, a in enumerate(_chain_axes(spec, verts[digits]))]
 
 
-def _walk_reference(spec):
-    """The walk before the affine step: quaternions stepped by quat_mul and
-    partial sums by a broadcast add, kept as separate arrays, and the target
-    test on every row of the last level."""
+def _walk_reference(spec, tol=se.NET_MATCH_TOL):
+    """The walk's tuples before the affine step: quaternions stepped by
+    quat_mul and partial sums by a broadcast add, kept as separate arrays,
+    and the target test, within ``tol``, on every row of the last level."""
     verts = spec.axis_set.vertices
     k, n = len(verts), spec.n
     steps = rc.quat_from_axis_angle(verts, np.full(k, spec.beta))
@@ -290,7 +336,7 @@ def _walk_reference(spec):
         s = (sums[:, None, :] + part[None, :, :]).reshape(rows, -1)
         dist = np.linalg.norm(s, axis=1)
         if level == n:
-            accept = (dist < se.WALK_TOL) & se._target_mask(spec, q, se.WALK_TOL)
+            accept = (dist < se.WALK_TOL) & _target_mask_reference(spec, q, tol)
             break
         keep = np.flatnonzero(dist <= (n - level) * reach + se.WALK_TOL)
         if keep.size == 0:
@@ -315,24 +361,6 @@ def _walk_reference(spec):
         if level < n - 1:
             paths = tables[level][paths[r], c]
     return digits
-
-
-def _target_mask_reference(spec, net_quats, tol=se.NET_MATCH_TOL):
-    """The target test before it ran on quat_angle_between: its own log map
-    for a Rotation, and the action on the basis vectors for axis cycling."""
-    if isinstance(spec.target, rc.Rotation):
-        resid = rc.quat_mul(rc.quat_conj(spec.target.q)[None, :], net_quats)
-        angles = 2.0 * np.arctan2(np.linalg.norm(resid[:, 1:], axis=1), np.abs(resid[:, 0]))
-        return angles < tol
-    if spec.target == "equatorial_pi":
-        return (np.abs(net_quats[:, 0]) < tol / 2.0) & (np.abs(net_quats[:, 3]) < tol / 2.0)
-    ex = rc.quat_apply(net_quats, rc.E_X)
-    ey = rc.quat_apply(net_quats, rc.E_Y)
-    ez = rc.quat_apply(net_quats, rc.E_Z)
-    err = np.maximum(np.linalg.norm(ex - rc.E_Y, axis=1),
-                     np.maximum(np.linalg.norm(ey - rc.E_Z, axis=1),
-                                np.linalg.norm(ez - rc.E_X, axis=1)))
-    return err < tol
 
 
 @pytest.mark.parametrize("set_name, n, m, target, balance", [
@@ -401,11 +429,16 @@ def _vertex_product(verts, digits, beta):
     return q
 
 
-def _assert_same_results(got, want):
+def _assert_same_results(got, want, tol=0.0):
+    """Equal names, cycle orders and flip angles, and axes equal, or within
+    ``tol`` when one is given."""
     assert [s.name for s in got] == [s.name for s in want]
     assert [s.cycle_order for s in got] == [s.cycle_order for s in want]
     for a, b in zip(got, want):
-        assert a.axes.tobytes() == b.axes.tobytes()
+        if tol:
+            assert np.max(np.abs(a.axes - b.axes)) <= tol
+        else:
+            assert a.axes.tobytes() == b.axes.tobytes()
         assert a.betas.tobytes() == b.betas.tobytes()
 
 
@@ -426,11 +459,62 @@ def test_walk_matches_odometer_reference(set_name, m):
         for target in (rc.Rotation(net), "equatorial_pi", "axis_cycling"):
             for balance in ("full", "z_only"):
                 spec = se.SearchSpec(axis_set, n, m, target, balance)
-                assert np.array_equal(se._walk(spec), _walk_reference(spec))
+                assert np.array_equal(se._walk(spec)[0], _walk_reference(spec))
                 got = se.enumerate_balanced(spec)
-                _assert_same_results(got, _odometer_reference(spec))
+                _assert_same_results(got, _odometer_reference(spec), CHAIN_AXES_TOL)
                 found += len(got)
     assert found > 0
+
+
+def _exact_walk(verts, beta, digits):
+    """Playable axes U_i f_i (C, n, 3) and nets U_n (C, 4) of vertex-index
+    tuples (C, n), with U_0 = 1 and U_{i+1} = U_i R(beta, f_i), in 40-digit
+    decimal arithmetic on the float vertices and flip angle, rounded to
+    float.  Each distinct prefix is stepped once."""
+    with localcontext(prec=40):
+        c, sn = _decimal_cos_sin(0.5 * beta)
+        fs = [[Decimal(v) for v in row] for row in verts.tolist()]   # exact
+        prefixes = {(): (Decimal(1), Decimal(0), Decimal(0), Decimal(0))}
+        axes = []
+        for row in digits.tolist():
+            out = []
+            for i, d in enumerate(row):
+                w, x, y, z = prefixes[tuple(row[:i])]
+                fx, fy, fz = fs[d]
+                # q f q* = f + 2w (u x f) + 2u x (u x f), u = (x, y, z)
+                tx, ty, tz = 2 * (y * fz - z * fy), 2 * (z * fx - x * fz), 2 * (x * fy - y * fx)
+                out.append([fx + w * tx + (y * tz - z * ty), fy + w * ty + (z * tx - x * tz),
+                            fz + w * tz + (x * ty - y * tx)])
+                bx, by, bz = sn * fx, sn * fy, sn * fz
+                prefixes.setdefault(tuple(row[:i + 1]), (
+                    w * c - (x * bx + y * by + z * bz), w * bx + c * x + (y * bz - z * by),
+                    w * by + c * y + (z * bx - x * bz), w * bz + c * z + (x * by - y * bx)))
+            axes.append(out)
+        nets = [prefixes[tuple(row)] for row in digits.tolist()]
+        return (np.array(axes, dtype=float).reshape(digits.shape + (3,)),
+                np.array(nets, dtype=float).reshape(len(digits), 4))
+
+
+# the walk's axes and nets against the 40-digit product; worst measured
+# 1.8e-15 on the axes (cube n = 6) and 5.6e-16 on the nets
+EXACT_WALK_TOL = 3e-15
+
+
+@pytest.mark.parametrize("set_name, n, m, target, found", [
+    ("octahedron", 8, 4, "equatorial_pi", 3904),
+    ("cube", 6, 3, "axis_cycling", 360),
+    ("tetrahedron", 4, 3, "axis_cycling", 6),
+])
+def test_walk_axes_and_nets_agree_with_a_40_digit_product(set_name, n, m, target, found):
+    spec = se.SearchSpec(se.BUILTIN_AXIS_SETS[set_name](), n, m, target)
+    digits, axes, nets = se._walk(spec)
+    assert len(digits) == found and axes.shape == (found, n, 3) and nets.shape == (found, 4)
+    want_axes, want_nets = _exact_walk(spec.axis_set.vertices, spec.beta, digits)
+    # nets are quaternions up to sign: states merge on either sign
+    signs = np.where(np.sum(nets * want_nets, axis=1) < 0, -1.0, 1.0)
+    assert np.max(np.abs(axes - want_axes)) <= EXACT_WALK_TOL
+    assert np.max(np.abs(nets - signs[:, None] * want_nets)) <= EXACT_WALK_TOL
+    assert np.all(se._target_mask(spec, want_nets))
 
 
 @pytest.mark.parametrize("set_name, n, m, target, found", [
@@ -442,7 +526,7 @@ def test_walk_matches_odometer_reference(set_name, m):
 ])
 def test_walk_matches_the_quat_mul_walk(monkeypatch, set_name, n, m, target, found):
     spec = se.SearchSpec(se.BUILTIN_AXIS_SETS[set_name](), n, m, target)
-    got, want = se._walk(spec), _walk_reference(spec)
+    got, want = se._walk(spec)[0], _walk_reference(spec)
     assert got.dtype == want.dtype and np.array_equal(got, want)
     assert len(se.enumerate_balanced(spec)) == found
     # the states each level merges: equal keys, so equal tables
@@ -524,7 +608,7 @@ def test_dedupe_matches_per_sequence_reference(symmetry):
 
 # ---------------------------------------------------------------------------
 # reference: np.unique over structured rows and the matmul octahedral images
-# that the lexsort row grouping and the signed-permutation gather replaced
+# that the byte-string row grouping and the signed-permutation gather replaced
 # ---------------------------------------------------------------------------
 
 def _unique_rows_reference(keys):
@@ -554,14 +638,18 @@ def test_unique_rows_matches_np_unique(monkeypatch):
     ties[:, :3] = 0
     ties[:, 0] = rng.choice([-10 ** 12, -3, 7, 10 ** 12], size=5000)
     floats = np.round(rng.choice([-0.5, -0.0, 0.0, 1 / 3, 2 / 3], size=(3000, 12)), 9) + 0.0
-    cases = [ties, floats, ties[:1], floats[:1],
+    cases = [ties, floats, ties[:1], floats[:1], ties[::2, ::-1],   # the last one a strided view
              *_walk_state_keys(monkeypatch, se.SearchSpec(se.octahedron(), 8, 4, "equatorial_pi"))]
-    assert len(cases) == 11 and all(np.signbit(floats[floats == 0.0]) == 0)
+    assert len(cases) == 12 and all(np.signbit(floats[floats == 0.0]) == 0)
     for keys in cases:
         first, inverse = se._unique_rows(keys)
         want_first, want_inverse = _unique_rows_reference(keys)
         assert first.dtype == inverse.dtype == np.intp and inverse.shape == (len(keys),)
-        assert np.array_equal(first, want_first) and np.array_equal(inverse, want_inverse)
+        # the same groups and first rows; the groups in byte order, not numpy's
+        assert np.array_equal(np.sort(first), np.sort(want_first))
+        assert np.array_equal(first[inverse], want_first[want_inverse])
+        rows = [keys[i].tobytes() for i in first]
+        assert rows == sorted(set(rows))
     assert len(_unique_rows_reference(ties)[0]) < len(ties) // 2
 
 
@@ -578,34 +666,43 @@ LARGEST_SPEC = se.SearchSpec(se.octahedron(), 8, 4, "equatorial_pi")
 
 
 def test_largest_walk_and_dedupe_pinned():
-    # octahedron n = 8, m = 4, equatorial pi, re-recorded when the inverse
-    # toggle became the forward chain on negated axes
+    # octahedron n = 8, m = 4, equatorial pi, re-recorded when the walk's
+    # prefix states gave the playable axes
     raw = se.enumerate_balanced(LARGEST_SPEC)
     assert len(raw) == 3904
-    assert _digest(raw) == "cce6e0eb6f37828a0edff0a18e5c35658cca49d97c3d11883576bbb0806e9df2"
+    assert _digest(raw) == "c9a7d88077bd6b129cd796438675cdae2cfc03a63c866ab54da86ee3bcc9a32b"
     for symmetry, count, digest in (
-            ("global_z", 976, "e84b7d3202846e1b93fa92f7beb923d0c50534fd56b402506fc4159363fec689"),
+            ("global_z", 976, "dfac44a3385f8c0d34712e25629d02c50b30d3dc70ff5bb97a9e3ed82838fe28"),
             ("axis_set_rotations", 244,
-             "582e8804a071792f77158d88f6413b03a3df6110a48684b16b238a8770f2970b"),
-            ("none", 3904, "3c60a73a03af45ce1c51d8c8bdcda91794aa69643b4bfcb637e8e9f9804f0d65")):
+             "3e0869ba68b646c8d6f87ed80378c353e686952f727cc0e15c6d19d01c86627d"),
+            ("none", 3904, "b8a68e34789b138dd668ae28bfc6630febe6c45301ce811a7ee6e8a0c6524e69")):
         unique = se.dedupe(raw, symmetry)
         assert len(unique) == count and _digest(unique, names=True) == digest
 
 
-def test_largest_walk_and_dedupe_agree_with_the_forward_reconstruction(monkeypatch):
-    # the pins above as they stood while the inverse toggle rebuilt the axes
-    # forward, e_i = U_i f_i; worst axis change 1.1e-15
+@pytest.mark.parametrize("inverse, digests", [
+    # the pins above as they stood while the propagator chain of the inverse
+    # toggle (-T(-f)) gave the axes; worst axis change 1.6e-15
+    (tg.inverse_toggle_axes,
+     ("cce6e0eb6f37828a0edff0a18e5c35658cca49d97c3d11883576bbb0806e9df2",
+      "e84b7d3202846e1b93fa92f7beb923d0c50534fd56b402506fc4159363fec689",
+      "582e8804a071792f77158d88f6413b03a3df6110a48684b16b238a8770f2970b",
+      "3c60a73a03af45ce1c51d8c8bdcda91794aa69643b4bfcb637e8e9f9804f0d65")),
+    # and before that, while the inverse toggle rebuilt the axes forward,
+    # e_i = U_i f_i
+    (reference_inverse_toggle_axes,
+     ("8727a0c77fb182dca806b6fe088b6e5fd9ac327b454b6e5a60f33ea28d6c62e6",
+      "024591aa686baa548e76bfe094a71071c33ac0f9cc6494e26b1c8470c45ab633",
+      "670e2d4b5c7a304684b39cbae60e4d6f59ff523e925188d48d7d2b2411a98f94",
+      "70b92a5b1c9f2d8f0f67ed91cabfa68009f4509573f74bc3447987c92320e8d6")),
+], ids=["chain", "forward"])
+def test_largest_walk_and_dedupe_agree_with_the_chain_route(inverse, digests):
     raw = se.enumerate_balanced(LARGEST_SPEC)
-    monkeypatch.setattr(se, "inverse_toggle_axes", reference_inverse_toggle_axes)
-    old = se.enumerate_balanced(LARGEST_SPEC)
-    assert _digest(old) == "8727a0c77fb182dca806b6fe088b6e5fd9ac327b454b6e5a60f33ea28d6c62e6"
+    old = chain_route(LARGEST_SPEC, inverse)
+    assert _digest(old) == digests[0]
     assert np.array_equal(raw._rows, old._rows)
     assert np.max(np.abs(raw.axes - old.axes)) <= 2e-15
-    for symmetry, digest in (
-            ("global_z", "024591aa686baa548e76bfe094a71071c33ac0f9cc6494e26b1c8470c45ab633"),
-            ("axis_set_rotations",
-             "670e2d4b5c7a304684b39cbae60e4d6f59ff523e925188d48d7d2b2411a98f94"),
-            ("none", "70b92a5b1c9f2d8f0f67ed91cabfa68009f4509573f74bc3447987c92320e8d6")):
+    for symmetry, digest in zip(("global_z", "axis_set_rotations", "none"), digests[1:]):
         unique, old_unique = se.dedupe(raw, symmetry), se.dedupe(old, symmetry)
         assert _digest(old_unique, names=True) == digest
         assert np.array_equal(unique._rows, old_unique._rows)

@@ -425,6 +425,23 @@ def test_sweep_nets_of_a_stack_equal_per_row_and_per_point_calls(n):
         [sm._sweep_nets(axes[0], h) for h in half]).tobytes()
 
 
+def test_sweeps_refuse_more_elements_than_the_bound(monkeypatch):
+    # every sweep takes its coefficients from _sweep_coefficients: the profile,
+    # glide and rotation-error sweeps and the exact eps-series all stop there
+    monkeypatch.setattr(sm, "SWEEP_MAX_ELEMENTS", 4)
+    at, above = catalog.p34(), catalog.bprime(5)
+    assert len(at) == 4 and len(above) == 5
+    assert sm.net_quaternions(at, [1.0, 2.0]).shape == (2, 4)
+    calls = (lambda s: sm.net_quaternions(s, [1.0, 2.0]),
+             lambda s: profiles.q_profile(s, rc.E_Z),
+             lambda s: profiles.rotation_errors(s, [1.0], rc.IDENTITY),
+             lambda s: averaging.numeric_error_expansion(s))
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^a flip-angle sweep takes at most 2\*\*13 = 4 "
+                                             r"elements, got 5$"):
+            call(above)
+
+
 def test_sweep_at_the_first_angle_stays_within_the_match_bound():
     # elements whose angles differ from beta_0 by up to BETA_MATCH_TOL are
     # swept at beta_0: each net moves by at most n |beta'/beta_0| tol / 2

@@ -305,16 +305,13 @@ def test_batch_of_one_broadcasts_one_axis_over_the_elements():
 
 
 def _octahedron_search_stack():
-    """The (3904, 8, 3) stack of toggled axes, and its flip angle, that the
-    octahedron n = 8, m = 4 equatorial-pi search hands to inverse_toggle_axes."""
-    seen = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(se, "inverse_toggle_axes",
-                   lambda f, beta: seen.append((f, beta)) or tg.inverse_toggle_axes(f, beta))
-        se.enumerate_balanced(se.SearchSpec(se.octahedron(), 8, 4, "equatorial_pi"))
-    (f, beta), = seen
+    """The (3904, 8, 3) stack of toggled axes, and its flip angle, of the
+    octahedron n = 8, m = 4 equatorial-pi search: the vertices of the walk's
+    tuples."""
+    spec = se.SearchSpec(se.octahedron(), 8, 4, "equatorial_pi")
+    f = spec.axis_set.vertices[se._walk(spec)[0]]
     assert f.shape == (3904, 8, 3)
-    return f, beta
+    return f, spec.beta
 
 
 # traced peak over the bytes returned; with one batched unrotation pass
