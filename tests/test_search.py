@@ -207,18 +207,29 @@ def test_empty_search_is_an_empty_stack(built_sequences):
     assert len(built_sequences) == 0
 
 
-def test_search_runs_no_propagator_chain(monkeypatch):
-    # the walk's prefix states are the propagators: with the one stepping
-    # loop refusing to run, under both names it is bound to, every search
-    # still returns, empty or not
+def _refuse_the_chain(monkeypatch):
+    """Make the one stepping loop raise, under both names it is bound to."""
     def refuse(*args, **kwargs):
         raise AssertionError("the propagator chain ran")
 
     monkeypatch.setattr(sm, "_propagate", refuse)
     monkeypatch.setattr(tg, "_propagate", refuse)
-    for spec, found in ((se.SearchSpec(se.octahedron(), 1, 4, "equatorial_pi"), 0),
-                        (se.SearchSpec(se.octahedron(), 3, 4, "equatorial_pi"), 0),
-                        (se.SearchSpec(se.tetrahedron(), 4, 3, se.AXIS_CYCLING), 6),
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_search_without_a_balanced_tuple_skips_the_chain(monkeypatch, n):
+    _refuse_the_chain(monkeypatch)
+    empty = se.enumerate_balanced(se.SearchSpec(se.octahedron(), n, 4, "equatorial_pi"))
+    assert isinstance(empty, sm.SequenceStack) and len(empty) == 0
+    assert empty.axes.shape == (0, n, 3)
+    assert len(se.dedupe(empty)) == 0
+
+
+def test_search_runs_no_propagator_chain(monkeypatch):
+    # the walk's prefix states are the propagators: with the stepping loop
+    # refusing to run, every search that finds tuples still returns them
+    _refuse_the_chain(monkeypatch)
+    for spec, found in ((se.SearchSpec(se.tetrahedron(), 4, 3, se.AXIS_CYCLING), 6),
                         (se.SearchSpec(se.cube(), 6, 3, "axis_cycling", "z_only"), 6720),
                         (LARGEST_SPEC, 3904)):
         stack = se.enumerate_balanced(spec)
