@@ -147,12 +147,17 @@ def quat_from_axis_angle(axes: np.ndarray, angles) -> np.ndarray:
 
 def rotate_about_z(v: np.ndarray, angles) -> np.ndarray:
     """Rotate vector(s) v, shape (..., 3), about e_z by ``angles``, which
-    broadcast against the leading axes of v."""
+    broadcast against the leading axes of v; the three components are
+    written into one output array."""
     v = np.asarray(v, dtype=float)
     angles = np.asarray(angles, dtype=float)
     c, s = np.cos(angles), np.sin(angles)
     x, y, z = v[..., 0], v[..., 1], v[..., 2]
-    return np.stack(np.broadcast_arrays(c * x - s * y, s * x + c * y, z), axis=-1)
+    out = np.empty(np.broadcast_shapes(x.shape, angles.shape) + (3,))
+    np.subtract(c * x, s * y, out=out[..., 0])
+    np.add(s * x, c * y, out=out[..., 1])
+    out[..., 2] = z
+    return out
 
 
 def quat_to_axis_angle(q) -> tuple[np.ndarray, np.ndarray]:

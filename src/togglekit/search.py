@@ -11,23 +11,27 @@ reconstructed sequence is the product of the *vertex* rotations
 R(beta, f_0) ... R(beta, f_{n-1}), and balance is a partial sum.  A
 level-synchronous walk therefore tracks states (vertex product up to
 sign, partial sum), merges equal states level by level, prunes partial
-sums that the remaining steps cannot cancel and keeps the states from
-which an accepting end state is reachable.  A step is linear in the row
-[q, s, 1], q times the vertex rotation and s plus its balance part, so one
-matmul steps every state by every vertex.  The target test runs once, on
-the last level's vertex products.  Expanding the live transitions in vertex
-order lists the candidate tuples in odometer order, and with them each
-tuple's state per level: that state is the prefix propagator U_i, so the
-walk also yields the playable axes U_i f_i (the reverse transform) and the
-nets, and no propagator chain runs.  The float balance test then decides on
-the candidates alone, exactly as it would on every tuple.
+sums that the remaining steps cannot cancel (past level n/2; before it no
+sum is that far out) and keeps the states from which an accepting end
+state is reachable.  A step is linear in the row [q, s, 1], q times the
+vertex rotation and s plus its balance part, so one matmul steps every
+state by every vertex.  The target test runs once, on the last level's
+vertex products.  Expanding the live transitions in vertex order lists the
+candidate tuples in odometer order; each level's map from its rows to
+their parent rows and vertices is composed backward into each tuple's
+vertex and state per level.  That state is the prefix propagator U_i, so
+the walk also yields the playable axes U_i f_i (the reverse transform),
+the nets and the level-n partial sums, and no propagator chain runs.  The
+float balance test then decides on the candidates' sums alone, as it would
+on every tuple.
 
 Results are one ``seqmodel.SequenceStack``: the unit axes of every result
 in one array, from which a ``RotationSequence`` is built only when a row is
 read.  Deduplication keys each result once: one z-turn for 'global_z', and
 for the octahedral group only the rotations that give the smallest image of
-the first axis.  It keeps a sub-stack of a stack, so a search and its
-dedupe build no sequence at all.
+the first axis, each image one batched matmul by the rotations' matrices.
+It keeps a sub-stack of a stack, so a search and its dedupe build no
+sequence at all.
 """
 
 from __future__ import annotations
@@ -153,18 +157,23 @@ def _check_level(level: int, rows: int) -> None:
 
 
 def _unique_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Groups of equal rows of a (N, L) array: the index of each group's
-    first row and each row's group, the partition and first occurrences of
-    numpy's row-wise unique.  One stable argsort over a ``np.void`` view of
-    the contiguous rows sorts them as byte strings, so groups come in byte
-    order, not lexicographic order: the walk expands its states in its own
-    order and ``dedupe`` sorts the first rows, so no caller reads it."""
+    """Groups of equal rows of a (N, L) array of 8-byte items: the index of
+    each group's first row and each row's group, the partition and first
+    occurrences of numpy's row-wise unique.  One stable argsort over a
+    ``np.void`` view of the contiguous rows sorts them as byte strings, and
+    neighbours are compared item by item as 8-byte integers, so rows are
+    equal when their bytes are.  Groups come in byte order, not
+    lexicographic order.  ``dedupe`` sorts the first rows, but the walk
+    reads the order: group g is the state in row g of the next level, so
+    the order sets the next level's row order, through it which stepped row
+    stands for each state merged there, and so the last bits of the
+    playable axes."""
     keys = np.ascontiguousarray(keys)
     rows = keys.view(np.dtype((np.void, keys.dtype.itemsize * keys.shape[1]))).reshape(-1)
     order = np.argsort(rows, kind="stable")
-    ranked = rows[order]
+    ranked = keys.view(np.uint64)[order]
     starts = np.ones(len(keys), dtype=bool)
-    starts[1:] = ranked[1:] != ranked[:-1]
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=starts[1:])
     inverse = np.empty(len(keys), dtype=np.intp)
     inverse[order] = np.cumsum(starts) - 1
     return order[starts], inverse
@@ -181,42 +190,55 @@ def _state_keys(states: np.ndarray) -> np.ndarray:
     return keys
 
 
+# q * p == q @ M(p) for row quaternions, with M(p)[a, b] == sum_c p[c] _RIGHT_MUL[a, c, b]:
+# the Hamilton product of the unit quaternions e_a * e_c, one signed unit per (a, b)
+_RIGHT_MUL = rotcore.quat_mul(np.eye(4)[:, None, :], np.eye(4)[None, :, :])
+
+
 def _step_matrix(spec: SearchSpec) -> np.ndarray:
     """The (5 + d, k (5 + d)) matrix that steps a state row [q, s, 1] by
     every vertex at once: block j holds the right-multiplication matrix of
-    vertex j's rotation (q @ M_j == q * step_j), the identity on the partial
-    sum s and the vertex's balance part on the homogeneous row."""
+    vertex j's rotation (q @ M_j == q * step_j), one einsum against
+    ``_RIGHT_MUL``, the identity on the partial sum s and the vertex's
+    balance part on the homogeneous row."""
     verts = spec.axis_set.vertices
     k = len(verts)
     steps = rotcore.quat_from_axis_angle(verts, np.full(k, spec.beta))
     part = verts if spec.balance_mode == "full" else verts[:, 2:]
     d = part.shape[1]
     step = np.zeros((5 + d, k, 5 + d))
-    step[:4, :, :4] = rotcore.quat_mul(np.eye(4)[:, None, :], steps[None, :, :])
+    step[:4, :, :4] = np.einsum("acb,jc->ajb", _RIGHT_MUL, steps)
     step[4:4 + d, :, 4:4 + d] = np.eye(d)[:, None, :]
     step[4 + d, :, 4:4 + d] = part
     step[4 + d, :, 4 + d] = 1.0
     return step.reshape(5 + d, k * (5 + d))
 
 
-def _walk(spec: SearchSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _walk(spec: SearchSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vertex-index tuples (C, n), in odometer order, whose partial sum
     passes the balance test within WALK_TOL and whose vertex product passes
-    the target test within NET_MATCH_TOL, with their playable axes (C, n, 3)
-    and their nets (C, 4), quaternions up to sign.
+    the target test within NET_MATCH_TOL, with their playable axes (C, n, 3),
+    their nets (C, 4), quaternions up to sign, and their level-n partial
+    sums (C, d) of the balance parts (d = 3, or 1 for the z part alone).
 
     States are rows [q, s, 1], and each level is one matmul by
     ``_step_matrix``, state-major and vertex-minor.  The partial sums are
-    exact additions, as in a plain sum: every other product is by 0 or 1.
-    The quaternions may differ from ``quat_mul``'s in their last bits, far
-    below the 1e-9 on which states merge.  The last level runs the target
-    test only on the rows whose sum is within WALK_TOL of balance.
+    exact additions, as in a plain sum in tuple order: every other product
+    is by 0 or 1.  A tuple reads the sum of the first row of each state it
+    passes, so where a level merged sums of the same parts added in another
+    order, it is a few ulps off its own.  The quaternions may differ from
+    ``quat_mul``'s in their last bits, far below the 1e-9 on which states
+    merge.  Up to level n/2 no row is pruned, since |s| <= level reach <=
+    (n - level) reach.  The last level runs the target test only on the
+    rows whose sum is within WALK_TOL of balance.
 
     The merged state of level i is the prefix propagator U_i of every tuple
-    through it (U_{i+1} = U_i R(beta, f_i)), so the expansion records each
-    tuple's state per level: its playable axes U_i f_i are one
-    ``quat_apply`` of the live states of every level over the vertices and
-    one gather, and its net is its level-n row."""
+    through it (U_{i+1} = U_i R(beta, f_i)).  The expansion maps each row of
+    level i to its parent row and vertex, and to the parent's state; the
+    maps, composed backward from the last level, give each tuple's vertex
+    and state per level in one preallocated column each.  Its playable axes
+    U_i f_i are one ``quat_apply`` of the live states of every level over
+    the vertices and one gather, and its net and sum are its level-n row."""
     verts = spec.axis_set.vertices
     k, n = len(verts), spec.n
     step = _step_matrix(spec)
@@ -228,6 +250,7 @@ def _walk(spec: SearchSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     quats = [states[:, :4]]   # the merged state quaternions of every level below n
     tables = []          # per level below n: (states, k) next state, len(next) if pruned
     walked = 0
+    accept = np.zeros(0, dtype=bool)   # no accepted row if a level prunes them all
     for level in range(1, n + 1):
         rows = len(states) * k
         _check_level(level, rows)
@@ -236,6 +259,13 @@ def _walk(spec: SearchSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             raise ValueError(f"search walk needs {walked} candidate states up to level {level}, "
                              f"above the bound {WALK_GUARD} on all levels")
         stepped = (states @ step).reshape(rows, width)
+        if 2 * level <= n:
+            # |s| <= level reach <= (n - level) reach: the prune keeps every row
+            first, table = _unique_rows(_state_keys(stepped[:, :-1]))
+            tables.append(table.reshape(-1, k))
+            states = stepped[first]
+            quats.append(states[:, :4])
+            continue
         sums = stepped[:, 4:-1]
         dist = np.sqrt(np.einsum("ij,ij->i", sums, sums))
         if level == n:
@@ -245,7 +275,7 @@ def _walk(spec: SearchSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             break
         keep = np.flatnonzero(dist <= (n - level) * reach + WALK_TOL)
         if keep.size == 0:
-            return np.empty((0, n), dtype=np.intp), np.empty((0, n, 3)), np.empty((0, 4))
+            break
         kept = stepped[keep]
         first, inverse = _unique_rows(_state_keys(kept[:, :-1]))
         table = np.full(rows, len(first))
@@ -253,6 +283,9 @@ def _walk(spec: SearchSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         tables.append(table.reshape(-1, k))
         states = kept[first]
         quats.append(states[:, :4])
+    if not accept.any():
+        return (np.empty((0, n), dtype=np.intp), np.empty((0, n, 3)), np.empty((0, 4)),
+                np.empty((0, width - 5)))
     # backward reachability: live transitions of every level
     edges = [accept.reshape(-1, k)]
     for table in reversed(tables):
@@ -269,21 +302,31 @@ def _walk(spec: SearchSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             raise ValueError(f"search level {n} needs more candidate states than "
                              f"the bound {STATE_GUARD}")
     _check_level(n, int(counts @ edges[-1].sum(axis=1)))
-    # expand live transitions in row-major order: odometer order, with each
-    # tuple's state per level as a row of the live states of all levels
+    # expand live transitions in row-major order: odometer order.  Level i
+    # maps each of its rows to its parent row r and its vertex c, and to the
+    # parent's state as a slot among the live states of all levels
     live = np.concatenate([e.any(axis=1) for e in edges])
     slots = np.cumsum(live) - 1
     offsets = np.cumsum([0] + [len(e) for e in edges[:-1]])
-    paths, digits = np.zeros(1, dtype=np.intp), np.empty((1, 0), dtype=np.intp)
-    visits = np.empty((1, 0), dtype=np.intp)
+    paths = np.zeros(1, dtype=np.intp)
+    maps = []
     for level, edge in enumerate(edges):
         r, c = np.nonzero(edge[paths])
-        digits = np.column_stack([digits[r], c])
-        visits = np.column_stack([visits[r], slots[paths[r] + offsets[level]]])
+        maps.append((r, c, slots[paths + offsets[level]]))
         if level < n - 1:
             paths = tables[level][paths[r], c]
+    last = stepped[paths[r] * k + c]
+    # compose the maps backward: each tuple's vertex and state per level
+    digits = np.empty((len(c), n), dtype=np.intp)
+    visits = np.empty((len(c), n), dtype=np.intp)
+    rows = np.arange(len(c))
+    for level in range(n - 1, -1, -1):
+        r, c, seen = maps[level]
+        digits[:, level] = c[rows]
+        rows = r[rows]
+        visits[:, level] = seen[rows]
     axes = rotcore.quat_apply(np.concatenate(quats)[live, None, :], verts)[visits, digits]
-    return digits, axes, stepped[paths[r] * k + c, :4]
+    return digits, axes, last[:, :4], last[:, 4:-1]
 
 
 def enumerate_balanced(spec: SearchSpec) -> SequenceStack:
@@ -295,14 +338,14 @@ def enumerate_balanced(spec: SearchSpec) -> SequenceStack:
     are one array, and a ``RotationSequence`` is built only when a row is
     read (``stack[i]``, or all rows in one batch by iteration).  No result
     is an empty stack.  The walk has tested the target and recovered the
-    playable axes; the float balance test decides here.
+    playable axes; the float balance test decides here, on the walk's
+    level-n partial sums.
     """
-    digits, axes, _ = _walk(spec)
-    sums = spec.axis_set.vertices[digits].sum(axis=1)
+    _, axes, _, sums = _walk(spec)
     if spec.balance_mode == "full":
         keep = np.linalg.norm(sums, axis=1) < spec.n * BALANCE_SUM_TOL
     else:
-        keep = np.abs(sums[:, 2]) < spec.n * BALANCE_SUM_TOL
+        keep = np.abs(sums[:, 0]) < spec.n * BALANCE_SUM_TOL
     return _sequence_stack(f"{spec.axis_set.name}-{spec.m}-", spec.beta, axes[keep], spec.m)
 
 
@@ -310,8 +353,8 @@ def enumerate_balanced(spec: SearchSpec) -> SequenceStack:
 # deduplication
 # ---------------------------------------------------------------------------
 
-def _octahedral_rotations() -> list[np.ndarray]:
-    """The 24 rotation matrices permuting the signed coordinate axes."""
+def _octahedral_rotations() -> np.ndarray:
+    """The 24 rotation matrices (24, 3, 3) permuting the signed coordinate axes."""
     mats = []
     for perm in itertools.permutations(range(3)):
         for signs in itertools.product([-1.0, 1.0], repeat=3):
@@ -320,13 +363,13 @@ def _octahedral_rotations() -> list[np.ndarray]:
                 m[row, col] = signs[row]
             if np.linalg.det(m) > 0.5:
                 mats.append(m)
-    return mats
+    return np.array(mats)
 
 
 _OCTAHEDRAL = _octahedral_rotations()
-# each rotation as a signed permutation: (v @ g.T)[..., i] == v[..., _PERMS[g, i]] * _SIGNS[g, i]
-_PERMS = np.array([np.abs(g).argmax(axis=1) for g in _OCTAHEDRAL])
-_SIGNS = np.array([g.sum(axis=1) for g in _OCTAHEDRAL])
+_IMAGES = np.ascontiguousarray(_OCTAHEDRAL.transpose(0, 2, 1))   # v @ _IMAGES[g] == v @ g.T
+# row 24 c + g of _FIRST_IMAGES @ v is component c of g v: all 24 images, column by column
+_FIRST_IMAGES = np.ascontiguousarray(_OCTAHEDRAL.transpose(1, 0, 2)).reshape(-1, 3)
 
 
 def _rounded(axes: np.ndarray) -> np.ndarray:
@@ -350,25 +393,29 @@ def _lex_min(best: np.ndarray, cand: np.ndarray) -> np.ndarray:
 def _octahedral_keys(axes: np.ndarray) -> np.ndarray:
     """The smallest rounded image of each axis list under _OCTAHEDRAL.  The
     axes are rounded once: a signed permutation moves and negates components
-    exactly, and rounding commutes with both.
+    exactly, and rounding commutes with both.  An image is a matmul by the
+    rotation's matrix, exact too: each component is one signed component of
+    the list plus zeros, and ``+= 0.0`` makes a -0.0 of those sums 0.0.
 
     The smallest image of a list starts with the smallest image of its first
     axis.  The rotations giving that are a coset of the first axis's
     stabilizer, at most 4 of the 24, so the 24 images of the first axis are
-    narrowed column by column and only the rotations left are applied to
-    the whole list."""
+    narrowed column by column, each a (24, N) array, and only the rotations
+    left are applied to the whole list."""
     rounded = np.round(axes, 9)
-    firsts = rounded[:, 0, _PERMS] * _SIGNS                       # (N, 24, 3)
-    least = np.ones(firsts.shape[:2], dtype=bool)
-    for c in range(3):
-        column = np.where(least, firsts[..., c], np.inf)
-        least &= column == column.min(axis=1, keepdims=True)
-    width = int(least.sum(axis=1).max(initial=0))
-    slots = np.argsort(~least, axis=1, kind="stable")[:, :width]  # the coset's rotations first
+    firsts = (_FIRST_IMAGES @ np.ascontiguousarray(rounded[:, 0].T)).reshape(3, len(_IMAGES),
+                                                                              len(axes))
+    least = firsts[0] == firsts[0].min(axis=0)
+    for column in firsts[1:]:
+        column = np.where(least, column, np.inf)
+        least &= column == column.min(axis=0)
+    lists, coset = np.nonzero(least.T)          # each list's rotations, list by list
+    size = np.bincount(lists, minlength=len(axes))
+    start = np.cumsum(size) - size
     best = np.full((len(axes), axes.shape[1] * 3), np.inf)
-    for g in slots.T:
-        image = np.take_along_axis(rounded, _PERMS[g][:, None, :], axis=2)
-        image *= _SIGNS[g][:, None, :]
+    for j in range(int(size.max(initial=0))):
+        g = coset[start + np.minimum(j, size - 1)]   # a smaller coset repeats its last rotation
+        image = rounded @ _IMAGES[g]                 # (N, n, 3) @ (N, 3, 3)
         image += 0.0
         best = _lex_min(best, image.reshape(best.shape))
     return best

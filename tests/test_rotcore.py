@@ -84,6 +84,38 @@ def test_rotate_about_z_matches_rodrigues_and_broadcasts():
     assert np.array_equal(rc.rotate_about_z(v, 0.0), v)
 
 
+def _rotate_about_z_reference(v, angles):
+    """rotate_about_z as it stacked three broadcast component arrays."""
+    v = np.asarray(v, dtype=float)
+    angles = np.asarray(angles, dtype=float)
+    c, s = np.cos(angles), np.sin(angles)
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    return np.stack(np.broadcast_arrays(c * x - s * y, s * x + c * y, z), axis=-1)
+
+
+def test_rotate_about_z_matches_the_stacked_components():
+    rng = np.random.default_rng(23)
+    v = rng.normal(size=(40, 6, 3))
+    v[rng.random(v.shape) < 0.2] = 0.0
+    v[rng.random(v.shape) < 0.2] = -0.0          # -0.0 components, x, y and z
+    angles = rng.uniform(-4, 4, 40)
+    angles[:4] = [0.0, -0.0, np.pi, -np.pi / 2]
+    cases = [
+        (v, angles[:, None]),                    # (N, 1) against (N, n, 3)
+        (v[0], angles[:6]),                      # (n,) against (n, 3)
+        (v[0], angles[:, None]),                 # (N, 1) against (n, 3): (N, n, 3)
+        (v, 0.7), (v, -0.0), (v[0, 0], 0.0),     # scalar angles; one vector
+        (v[0, 0], angles),                       # one vector, N angles
+        (v[:0], angles[:0, None]), (v[:, :0], angles[:, None]), (v[:0], 1.0),   # empty stacks
+        ([[-0.0, -0.0, -0.0]], [-0.0]), ([[0.0, -0.0, -0.0]], np.pi),
+    ]
+    for vs, a in cases:
+        got, want = rc.rotate_about_z(vs, a), _rotate_about_z_reference(vs, a)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    assert np.signbit(rc.rotate_about_z(v, 0.0)[..., 2]).any()
+
+
 def test_axis_angle_round_trip():
     rng = np.random.default_rng(7)
     for _ in range(200):

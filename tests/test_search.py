@@ -309,7 +309,7 @@ def chain_route(spec, inverse=tg.inverse_toggle_axes):
     """enumerate_balanced as it ran on the propagator chain: the walk's
     tuples, with the target tested within WALK_TOL on the vertex products,
     through ``_chain_axes``."""
-    tuples = spec.axis_set.vertices[_walk_reference(spec, se.WALK_TOL)]
+    tuples = spec.axis_set.vertices[_walk_reference(spec, se.WALK_TOL)[0]]
     return sm._sequence_stack(f"{spec.axis_set.name}-{spec.m}-", spec.beta,
                               _chain_axes(spec, tuples, inverse, se._target_mask), spec.m)
 
@@ -332,7 +332,8 @@ def _odometer_reference(spec):
 def _walk_reference(spec, tol=se.NET_MATCH_TOL):
     """The walk's tuples before the affine step: quaternions stepped by
     quat_mul and partial sums by a broadcast add, kept as separate arrays,
-    and the target test, within ``tol``, on every row of the last level."""
+    and the target test, within ``tol``, on every row of the last level.
+    Returns the tuples and their rows' level-n partial sums."""
     verts = spec.axis_set.vertices
     k, n = len(verts), spec.n
     steps = rc.quat_from_axis_angle(verts, np.full(k, spec.beta))
@@ -351,7 +352,7 @@ def _walk_reference(spec, tol=se.NET_MATCH_TOL):
             break
         keep = np.flatnonzero(dist <= (n - level) * reach + se.WALK_TOL)
         if keep.size == 0:
-            return np.empty((0, n), dtype=np.intp)
+            return np.empty((0, n), dtype=np.intp), np.empty((0, part.shape[1]))
         qk = np.rint(q[keep] * se._KEY_SCALE).astype(np.int64)
         lead = qk[np.arange(len(qk)), (qk != 0).argmax(axis=1)]
         qk[lead < 0] *= -1
@@ -371,7 +372,7 @@ def _walk_reference(spec, tol=se.NET_MATCH_TOL):
         digits = np.column_stack([digits[r], c])
         if level < n - 1:
             paths = tables[level][paths[r], c]
-    return digits
+    return digits, s[paths[r] * k + c]
 
 
 @pytest.mark.parametrize("set_name, n, m, target, balance", [
@@ -470,7 +471,7 @@ def test_walk_matches_odometer_reference(set_name, m):
         for target in (rc.Rotation(net), "equatorial_pi", "axis_cycling"):
             for balance in ("full", "z_only"):
                 spec = se.SearchSpec(axis_set, n, m, target, balance)
-                assert np.array_equal(se._walk(spec)[0], _walk_reference(spec))
+                assert np.array_equal(se._walk(spec)[0], _walk_reference(spec)[0])
                 got = se.enumerate_balanced(spec)
                 _assert_same_results(got, _odometer_reference(spec), CHAIN_AXES_TOL)
                 found += len(got)
@@ -518,8 +519,9 @@ EXACT_WALK_TOL = 3e-15
 ])
 def test_walk_axes_and_nets_agree_with_a_40_digit_product(set_name, n, m, target, found):
     spec = se.SearchSpec(se.BUILTIN_AXIS_SETS[set_name](), n, m, target)
-    digits, axes, nets = se._walk(spec)
+    digits, axes, nets, sums = se._walk(spec)
     assert len(digits) == found and axes.shape == (found, n, 3) and nets.shape == (found, 4)
+    assert sums.shape == (found, 3)
     want_axes, want_nets = _exact_walk(spec.axis_set.vertices, spec.beta, digits)
     # nets are quaternions up to sign: states merge on either sign
     signs = np.where(np.sum(nets * want_nets, axis=1) < 0, -1.0, 1.0)
@@ -537,7 +539,7 @@ def test_walk_axes_and_nets_agree_with_a_40_digit_product(set_name, n, m, target
 ])
 def test_walk_matches_the_quat_mul_walk(monkeypatch, set_name, n, m, target, found):
     spec = se.SearchSpec(se.BUILTIN_AXIS_SETS[set_name](), n, m, target)
-    got, want = se._walk(spec)[0], _walk_reference(spec)
+    got, want = se._walk(spec)[0], _walk_reference(spec)[0]
     assert got.dtype == want.dtype and np.array_equal(got, want)
     assert len(se.enumerate_balanced(spec)) == found
     # the states each level merges: equal keys, so equal tables
@@ -549,6 +551,67 @@ def test_walk_matches_the_quat_mul_walk(monkeypatch, set_name, n, m, target, fou
     assert half == len(seen) - half == n - 1
     for a, b in zip(seen[:half], seen[half:]):
         assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _walk_with_merges(monkeypatch, spec):
+    """``_walk(spec)`` and whether some level merged states whose partial
+    sums differ in their bits (equal to 1e-9, summed in another order)."""
+    sums, merged = [], []
+    keys, group = se._state_keys, se._unique_rows
+    monkeypatch.setattr(se, "_state_keys", lambda states: sums.append(states[:, 4:]) or keys(states))
+
+    def grouped(rows):
+        first, inverse = group(rows)
+        level = np.ascontiguousarray(sums[-1])
+        merged.append(level[first][inverse].tobytes() != level.tobytes())
+        return first, inverse
+
+    monkeypatch.setattr(se, "_unique_rows", grouped)
+    out = se._walk(spec)
+    monkeypatch.undo()
+    return out, any(merged)
+
+
+@pytest.mark.parametrize("set_name", sorted(se.BUILTIN_AXIS_SETS))
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_walk_sums_are_the_balance_test_sums(monkeypatch, set_name, m):
+    # enumerate_balanced's float balance test reads the walk's level-n
+    # partial sums in place of vertices[digits].sum(axis=1).  The step adds
+    # each vertex's balance part to the sum, one addition per level in tuple
+    # order, so the sums equal the reference walk's broadcast adds bit for
+    # bit, and the plain sum of each tuple too.  But a level merges states
+    # whose sums agree to 1e-9: where it merged sums of the same parts added
+    # in another order, every tuple through the state reads the sum of its
+    # first row, a few ulps off the tuple's own, and the balance test must
+    # decide as it would on the plain sums
+    axis_set = se.BUILTIN_AXIS_SETS[set_name]()
+    verts = axis_set.vertices
+    exact = reordered = 0
+    for n in range(1, 9 if len(verts) <= 6 else 8):
+        for target in (PI0, "equatorial_pi", "axis_cycling"):
+            for balance in ("full", "z_only"):
+                spec = se.SearchSpec(axis_set, n, m, target, balance)
+                (digits, _, _, sums), merged = _walk_with_merges(monkeypatch, spec)
+                want_digits, want = _walk_reference(spec)
+                assert np.array_equal(digits, want_digits) and sums.tobytes() == want.tobytes()
+                plain = verts[digits].sum(axis=1)
+                if balance == "z_only":
+                    plain = plain[:, 2:]
+                assert sums.shape == plain.shape
+                if not merged:
+                    assert sums.tobytes() == plain.tobytes()
+                    exact += len(digits)
+                    continue
+                reordered += len(digits)
+                assert np.max(np.abs(sums - plain), initial=0.0) <= n * np.finfo(float).eps
+                tol = n * se.BALANCE_SUM_TOL
+                assert np.array_equal(np.linalg.norm(sums, axis=1) < tol,
+                                      np.linalg.norm(plain, axis=1) < tol)
+    # the octahedron's vertices have integer components, so no order matters;
+    # the other sets' tuples pass reordered merges only with three-fold flips
+    assert reordered == 0 or (m == 3 and set_name != "octahedron")
+    # results come from the octahedron at m = 2 and 4 and from the others at m = 3
+    assert (exact > 0) == (m == 3 if set_name != "octahedron" else m in (2, 4))
 
 
 @pytest.mark.parametrize("set_name", sorted(se.BUILTIN_AXIS_SETS))
@@ -572,6 +635,10 @@ def test_step_matrix_is_quat_mul_and_an_exact_sum(set_name, m, balance):
     sums = states[:, None, 4:-1] + part[None, :, :]
     assert np.array_equal(stepped[..., 4:-1], sums)
     assert np.all(stepped[..., -1] == 1.0)
+    # the einsum's blocks equal, up to the sign of a zero, the broadcast
+    # quat_mul of the identity that built them before
+    blocks = step.reshape(width, k, width)[:4, :, :4]
+    assert np.array_equal(blocks, rc.quat_mul(np.eye(4)[:, None, :], steps[None, :, :]))
 
 
 def test_reversed_vertex_product_is_the_net():
@@ -618,8 +685,9 @@ def test_dedupe_matches_per_sequence_reference(symmetry):
 
 
 # ---------------------------------------------------------------------------
-# reference: np.unique over structured rows and the matmul octahedral images
-# that the byte-string row grouping and the signed-permutation gather replaced
+# reference: np.unique over structured rows, which the byte-string row
+# grouping replaced; the octahedral images of all 24 rotations; and the
+# signed-permutation gather that the batched matmul images replaced
 # ---------------------------------------------------------------------------
 
 def _unique_rows_reference(keys):
@@ -631,6 +699,31 @@ def _octahedral_keys_reference(axes):
     best = np.full((len(axes), axes.shape[1] * 3), np.inf)
     for g in se._OCTAHEDRAL:
         best = se._lex_min(best, se._rounded(axes @ g.T))
+    return best
+
+
+# each rotation as a signed permutation: (v @ g.T)[..., i] == v[..., PERMS[g, i]] * SIGNS[g, i]
+PERMS = np.array([np.abs(g).argmax(axis=1) for g in se._OCTAHEDRAL])
+SIGNS = np.array([g.sum(axis=1) for g in se._OCTAHEDRAL])
+
+
+def _octahedral_keys_gather(axes):
+    """_octahedral_keys as it gathered each image with take_along_axis and a
+    sign multiply, after an argsort that put each coset's rotations first."""
+    rounded = np.round(axes, 9)
+    firsts = rounded[:, 0, PERMS] * SIGNS                         # (N, 24, 3)
+    least = np.ones(firsts.shape[:2], dtype=bool)
+    for c in range(3):
+        column = np.where(least, firsts[..., c], np.inf)
+        least &= column == column.min(axis=1, keepdims=True)
+    width = int(least.sum(axis=1).max(initial=0))
+    slots = np.argsort(~least, axis=1, kind="stable")[:, :width]
+    best = np.full((len(axes), axes.shape[1] * 3), np.inf)
+    for g in slots.T:
+        image = np.take_along_axis(rounded, PERMS[g][:, None, :], axis=2)
+        image *= SIGNS[g][:, None, :]
+        image += 0.0
+        best = se._lex_min(best, image.reshape(best.shape))
     return best
 
 
@@ -719,7 +812,9 @@ def test_largest_walk_and_dedupe_agree_with_the_chain_route(inverse, digests):
         assert np.array_equal(unique._rows, old_unique._rows)
 
 
-def test_octahedral_keys_match_the_matmul_images():
+def _octahedral_key_stacks():
+    """Axis-list stacks (N, n, 3) for the octahedral keys: search results,
+    lists off the lattice and lists whose first axes have large stabilizers."""
     rng = np.random.default_rng(5)
     mixed = _synthesis_mix()
     stacks = [np.array([s.axes for s in mixed if len(s) == n])
@@ -740,15 +835,32 @@ def test_octahedral_keys_match_the_matmul_images():
         lists[200:400, 1:] = rc.unit_vectors(rng.normal(size=(200, n - 1, 3)))
         stacks.append(lists)
     stacks.append(special[:, None, :])
+    # -0.0 components, and an empty stack
+    signed = special[rng.integers(len(special), size=(300, 3))]
+    signed[signed == 0.0] = -0.0
+    stacks.extend([signed, special[:0, None, :]])
+    return stacks
+
+
+def test_octahedral_keys_match_the_matmul_images():
+    stacks = _octahedral_key_stacks()
     for axes in stacks:
         got, want = se._octahedral_keys(axes.copy()), _octahedral_keys_reference(axes.copy())
         assert got.tobytes() == want.tobytes()
     assert sum(len(a) for a in stacks) > 4000
     # every stabilizer size of the octahedral group is hit by some first axis
     firsts = np.round(np.concatenate([a[:, 0] for a in stacks]), 9)
-    fixing = [np.all(firsts[:, perm] * signs == firsts, axis=1) for perm, signs in
-              zip(se._PERMS, se._SIGNS)]
+    fixing = [np.all(firsts @ g.T == firsts, axis=1) for g in se._OCTAHEDRAL]
     assert set(np.sum(fixing, axis=0).tolist()) == {1, 2, 3, 4}
+
+
+def test_octahedral_keys_match_the_signed_permutation_gather():
+    stacks = _octahedral_key_stacks()
+    for axes in stacks:
+        got, want = se._octahedral_keys(axes.copy()), _octahedral_keys_gather(axes.copy())
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert np.signbit(stacks[-2]).any() and len(stacks[-1]) == 0
+    assert [len(se._OCTAHEDRAL), len(np.unique(PERMS * SIGNS, axis=0))] == [24, 24]
 
 
 def test_global_z_partition_matches_every_equatorial_turn():
