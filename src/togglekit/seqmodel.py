@@ -611,11 +611,17 @@ def scale_betas(s: RotationSequence, scale: float) -> RotationSequence:
 #   [{"beta": num, "phase": num, "latitude": num?} | {"beta": num, "axis": [x,y,z]}]}
 # ---------------------------------------------------------------------------
 
+# reduced phases from here up to 2pi are written as 0
+_PHASE_WRAP = 2.0 * math.pi - 4.0 * math.ulp(2.0 * math.pi)
+
+
 def _json_phase(phase: float) -> float:
     """``phase`` reduced to [0, 2pi).  A tiny negative phase reduces to
-    2pi itself in float arithmetic; that result is written as 0."""
+    2pi itself, or to a few ulps below it, in float arithmetic, and a
+    last-bit change of an axis moves it between the two and 0: a reduced
+    phase within 4 ulps below 2pi, or 2pi itself, is written as 0."""
     reduced = phase % (2.0 * np.pi)
-    return 0.0 if reduced == 2.0 * np.pi else reduced
+    return reduced if reduced < _PHASE_WRAP else 0.0
 
 
 def to_json_dict(s: RotationSequence) -> dict:

@@ -5,8 +5,10 @@ computed root.  The flip-angle sweep pins are also checked against the
 propagator chain they were first recorded with, the average-order pins
 against the hand-written Magnus sums, the search pins against the
 propagator chain that gave their axes before the walk did and against the
-inverse toggle that rebuilt the axes forward, and the pins that once
-printed a phase of 2pi against the bare phase reduction."""
+inverse toggle that rebuilt the axes forward, the pins that once printed a
+phase of 2pi against the bare phase reduction, and the pin that once
+printed a phase one ulp below 2pi against the reduction that wrote only
+2pi itself as 0."""
 
 import hashlib
 import json
@@ -88,6 +90,12 @@ BARE_MOD_SHA256 = {
     "search --axes octahedron --n 3 --m 2 --target equatorial-pi --balance z --dedupe none":
         "998f7a1b17617911a0565b69c0dfce2e259f00af0557bd20cacc264e066ce7b3",
 }
+# stdout while only a phase that reduced to 2pi itself was written as 0, not
+# one a few ulps below it, as recorded when the walk gave the axes
+BELOW_TWO_PI_SHA256 = {
+    "search --axes octahedron --n 6 --m 4 --target equatorial-pi --dedupe global_z":
+        "b18bb30ff15849cb6b220a6ecc926d42df3eae4fc37a5f9b9019f04bc396d955",
+}
 
 
 def _tokens(text: str) -> tuple[list[str], list[float]]:
@@ -143,15 +151,12 @@ def test_out_file_holds_what_stdout_carries(record, tmp_path, capsys):
 
 
 def _assert_agree(text: str, want: str, tol: float) -> None:
-    """Equal non-numeric text, and numbers within ``tol``, a "phase" field
-    modulo 2pi: a phase just below 2pi may print as one just above 0."""
+    """Equal non-numeric text, and numbers within ``tol``."""
     pieces, numbers = _tokens(text)
     want_pieces, want_numbers = _tokens(want)
     assert pieces == want_pieces
     assert len(numbers) == len(want_numbers)
-    gaps = [abs(a - b) for a, b in zip(numbers, want_numbers)]
-    worst = max(min(gap, abs(gap - 2.0 * np.pi)) if piece.endswith('"phase": ') else gap
-                for piece, gap in zip(pieces, gaps))
+    worst = max(abs(a - b) for a, b in zip(numbers, want_numbers))
     assert worst <= tol, worst
 
 
@@ -210,3 +215,21 @@ def test_phase_pins_differ_from_the_bare_reduction_only_at_two_pi(command, tmp_p
     two_pi = '"phase": 6.283185307179586'
     assert two_pi in bare and two_pi not in out
     assert bare.replace(two_pi, '"phase": 0.0') == out
+
+
+def _two_pi_only_phase(phase):
+    """The phase reduction that wrote only a phase of exactly 2pi as 0."""
+    reduced = phase % (2.0 * np.pi)
+    return 0.0 if reduced == 2.0 * np.pi else reduced
+
+
+@pytest.mark.parametrize("command", sorted(BELOW_TWO_PI_SHA256))
+def test_phase_pins_differ_from_the_two_pi_only_reduction_only_below_two_pi(
+        command, tmp_path, capsys, monkeypatch):
+    out = _stdout(command.split(), tmp_path, capsys)
+    monkeypatch.setattr(seqmodel, "_json_phase", _two_pi_only_phase)
+    old = _stdout(command.split(), tmp_path, capsys)
+    assert _sha256(old) == BELOW_TWO_PI_SHA256[command]
+    below = '"phase": 6.283185307179585'
+    assert below in old and below not in out
+    assert old.replace(below, '"phase": 0.0') == out

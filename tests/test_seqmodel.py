@@ -810,13 +810,33 @@ def _ref_scale_betas(s, scale):
     return sm.RotationSequence(s.name, els, None)
 
 
+def test_json_phase_writes_phases_a_few_ulps_below_two_pi_as_zero():
+    two_pi = 2.0 * np.pi
+    below = [two_pi]
+    for _ in range(5):
+        below.append(float(np.nextafter(below[-1], 0.0)))
+    assert [sm._json_phase(p) for p in below] == [0.0] * 5 + [below[5]]
+    # tiny negative phases reduce to 2pi or just below it
+    for phase in (-1e-17, -4e-16, -1e-15, -3e-15, -0.0, 0.0, two_pi, 3 * two_pi):
+        assert sm._json_phase(phase) == 0.0
+    assert sm._json_phase(-4e-15) == -4e-15 % two_pi > 6.28
+    assert sm._json_phase(np.pi) == np.pi and sm._json_phase(-np.pi) == np.pi
+    assert sm._json_phase(two_pi + 1.0) == (two_pi + 1.0) % two_pi
+
+
+def _ref_json_phase(phase):
+    """A phase in [0, 2pi), with those within 4 ulps below 2pi written as 0."""
+    reduced = phase % (2.0 * np.pi)
+    return 0.0 if 2.0 * np.pi - reduced <= 4 * math.ulp(2.0 * np.pi) else reduced
+
+
 def _ref_to_json_dict(s):
     elements = []
     for el in _elements(s):
         if abs(el.axis[2]) < 1e-12:
-            d = {"beta": el.beta, "phase": _ref_phase_value(el) % (2.0 * np.pi)}
+            d = {"beta": el.beta, "phase": _ref_json_phase(_ref_phase_value(el))}
         elif el.phase is not None and el.latitude is not None:
-            d = {"beta": el.beta, "phase": el.phase % (2.0 * np.pi), "latitude": el.latitude}
+            d = {"beta": el.beta, "phase": _ref_json_phase(el.phase), "latitude": el.latitude}
         else:
             d = {"beta": el.beta, "axis": [float(c) for c in el.axis]}
         elements.append(d)
