@@ -15,23 +15,21 @@ sums that the remaining steps cannot cancel (past level n/2; before it no
 sum is that far out) and keeps the states from which an accepting end
 state is reachable.  A step is linear in the row [q, s, 1], q times the
 vertex rotation and s plus its balance part, so one matmul steps every
-state by every vertex.  The target test runs once, on the last level's
-vertex products.  Expanding the live transitions in vertex order lists the
-candidate tuples in odometer order; each level's map from its rows to
-their parent rows and vertices is composed backward into each tuple's
-vertex and state per level.  That state is the prefix propagator U_i, so
-the walk also yields the playable axes U_i f_i (the reverse transform),
-the nets and the level-n partial sums, and no propagator chain runs.  The
-float balance test then decides on the candidates' sums alone, as it would
-on every tuple.
+state by every vertex.  The balance and target tests run once, on the last
+level.  Expanding the live transitions in vertex order lists the accepted
+tuples in odometer order; each level's map from its rows to their parent
+rows and vertices is composed backward into each tuple's vertex and state
+per level.  That state is the prefix propagator U_i, so the walk also
+yields the playable axes U_i f_i (the reverse transform) and the nets, and
+no propagator chain runs.
 
 Results are one ``seqmodel.SequenceStack``: the unit axes of every result
 in one array, from which a ``RotationSequence`` is built only when a row is
-read.  Deduplication keys each result once: one z-turn for 'global_z', and
-for the octahedral group only the rotations that give the smallest image of
-the first axis, each image one batched matmul by the rotations' matrices.
-It keeps a sub-stack of a stack, so a search and its dedupe build no
-sequence at all.
+read.  Deduplication keys each row of a stack once: one z-turn for
+'global_z', and for the octahedral group only the rotations that give the
+smallest image of the first axis, each image one batched matmul by the
+rotations' matrices.  It keeps a sub-stack, so a search and its dedupe
+build no sequence at all.
 """
 
 from __future__ import annotations
@@ -43,13 +41,12 @@ import numpy as np
 
 from . import rotcore
 from .rotcore import Rotation
-from .seqmodel import RotationSequence, SequenceStack, _sequence_stack, integer_at_least
+from .seqmodel import SequenceStack, _sequence_stack, integer_at_least
 
 STATE_GUARD = 1 << 20    # candidate rows (states x vertices, or tuples) one level may allocate
 WALK_GUARD = 8 * STATE_GUARD   # candidate rows of all levels: any n <= 8 walk under STATE_GUARD
 NET_MATCH_TOL = 1e-8
 BALANCE_SUM_TOL = 1e-9
-WALK_TOL = 1e-6          # loose acceptance of the walk, far above its rounding drift
 _KEY_SCALE = 1e9         # states merge on their components rounded to 1e-9
 
 AXIS_CYCLING = rotcore.from_axis_angle(np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0), 2.0 * np.pi / 3.0)
@@ -214,23 +211,23 @@ def _step_matrix(spec: SearchSpec) -> np.ndarray:
     return step.reshape(5 + d, k * (5 + d))
 
 
-def _walk(spec: SearchSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vertex-index tuples (C, n), in odometer order, whose partial sum
-    passes the balance test within WALK_TOL and whose vertex product passes
-    the target test within NET_MATCH_TOL, with their playable axes (C, n, 3),
-    their nets (C, 4), quaternions up to sign, and their level-n partial
-    sums (C, d) of the balance parts (d = 3, or 1 for the z part alone).
+def _walk(spec: SearchSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vertex-index tuples (C, n), in odometer order, whose partial sum is
+    within n BALANCE_SUM_TOL of balance (in full, or in z alone) and whose
+    vertex product passes the target test within NET_MATCH_TOL, with their
+    playable axes (C, n, 3) and their nets (C, 4), quaternions up to sign.
 
     States are rows [q, s, 1], and each level is one matmul by
     ``_step_matrix``, state-major and vertex-minor.  The partial sums are
     exact additions, as in a plain sum in tuple order: every other product
-    is by 0 or 1.  A tuple reads the sum of the first row of each state it
-    passes, so where a level merged sums of the same parts added in another
-    order, it is a few ulps off its own.  The quaternions may differ from
-    ``quat_mul``'s in their last bits, far below the 1e-9 on which states
-    merge.  Up to level n/2 no row is pruned, since |s| <= level reach <=
-    (n - level) reach.  The last level runs the target test only on the
-    rows whose sum is within WALK_TOL of balance.
+    is by 0 or 1.  A tuple is tested on the sum of the first row of each
+    state it passes, so where a level merged sums of the same parts added in
+    another order, it is a few ulps off its own.  The quaternions may differ
+    from ``quat_mul``'s in their last bits, far below the 1e-9 on which
+    states merge.  Up to level n/2 no row is pruned, since |s| <= level
+    reach <= (n - level) reach; past it a row is pruned when no remaining
+    steps bring its sum within the tolerance.  The last level runs the
+    target test only on the balanced rows.
 
     The merged state of level i is the prefix propagator U_i of every tuple
     through it (U_{i+1} = U_i R(beta, f_i)).  The expansion maps each row of
@@ -238,13 +235,14 @@ def _walk(spec: SearchSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     maps, composed backward from the last level, give each tuple's vertex
     and state per level in one preallocated column each.  Its playable axes
     U_i f_i are one ``quat_apply`` of the live states of every level over
-    the vertices and one gather, and its net and sum are its level-n row."""
+    the vertices and one gather, and its net is its level-n row."""
     verts = spec.axis_set.vertices
     k, n = len(verts), spec.n
     step = _step_matrix(spec)
     width = step.shape[0]
     part = step[-1].reshape(k, width)[:, 4:-1]         # each vertex's balance part
     reach = float(np.linalg.norm(part, axis=1).max())
+    tol = n * BALANCE_SUM_TOL
     states = np.zeros((1, width))
     states[0, [0, -1]] = 1.0
     quats = [states[:, :4]]   # the merged state quaternions of every level below n
@@ -269,11 +267,11 @@ def _walk(spec: SearchSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
         sums = stepped[:, 4:-1]
         dist = np.sqrt(np.einsum("ij,ij->i", sums, sums))
         if level == n:
-            accept = dist < WALK_TOL
+            accept = dist < tol
             near = np.flatnonzero(accept)
             accept[near] = _target_mask(spec, stepped[near, :4])
             break
-        keep = np.flatnonzero(dist <= (n - level) * reach + WALK_TOL)
+        keep = np.flatnonzero(dist <= (n - level) * reach + tol)
         if keep.size == 0:
             break
         kept = stepped[keep]
@@ -284,8 +282,7 @@ def _walk(spec: SearchSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
         states = kept[first]
         quats.append(states[:, :4])
     if not accept.any():
-        return (np.empty((0, n), dtype=np.intp), np.empty((0, n, 3)), np.empty((0, 4)),
-                np.empty((0, width - 5)))
+        return np.empty((0, n), dtype=np.intp), np.empty((0, n, 3)), np.empty((0, 4))
     # backward reachability: live transitions of every level
     edges = [accept.reshape(-1, k)]
     for table in reversed(tables):
@@ -326,7 +323,7 @@ def _walk(spec: SearchSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
         rows = r[rows]
         visits[:, level] = seen[rows]
     axes = rotcore.quat_apply(np.concatenate(quats)[live, None, :], verts)[visits, digits]
-    return digits, axes, last[:, :4], last[:, 4:-1]
+    return digits, axes, last[:, :4]
 
 
 def enumerate_balanced(spec: SearchSpec) -> SequenceStack:
@@ -337,16 +334,9 @@ def enumerate_balanced(spec: SearchSpec) -> SequenceStack:
     ``{axis set}-{m}-{index}``, as one ``SequenceStack``: their unit axes
     are one array, and a ``RotationSequence`` is built only when a row is
     read (``stack[i]``, or all rows in one batch by iteration).  No result
-    is an empty stack.  The walk has tested the target and recovered the
-    playable axes; the float balance test decides here, on the walk's
-    level-n partial sums.
+    is an empty stack.
     """
-    _, axes, _, sums = _walk(spec)
-    if spec.balance_mode == "full":
-        keep = np.linalg.norm(sums, axis=1) < spec.n * BALANCE_SUM_TOL
-    else:
-        keep = np.abs(sums[:, 0]) < spec.n * BALANCE_SUM_TOL
-    return _sequence_stack(f"{spec.axis_set.name}-{spec.m}-", spec.beta, axes[keep], spec.m)
+    return _sequence_stack(f"{spec.axis_set.name}-{spec.m}-", spec.beta, _walk(spec)[1], spec.m)
 
 
 # ---------------------------------------------------------------------------
@@ -451,13 +441,7 @@ def _canonical_keys(axes: np.ndarray, symmetry: str) -> np.ndarray:
     return keys
 
 
-def _classes(axes: np.ndarray, symmetry: str) -> np.ndarray:
-    """The row of each class's first member in a stack of axis lists (N, n, 3)."""
-    return _unique_rows(_canonical_keys(axes, symmetry))[0]
-
-
-def dedupe(results: SequenceStack | list[RotationSequence], symmetry: str = "global_z"
-           ) -> SequenceStack | list[RotationSequence]:
+def dedupe(results: SequenceStack, symmetry: str = "global_z") -> SequenceStack:
     """One representative per equivalence class, the first in input order.
 
     symmetry 'global_z' identifies sequences differing by a rigid rotation
@@ -465,23 +449,12 @@ def dedupe(results: SequenceStack | list[RotationSequence], symmetry: str = "glo
     rotation group); 'axis_set_rotations' uses the rotation group of the
     octahedron; 'none' deduplicates exact duplicates only.
 
-    Each length is one stack of canonical keys (``_canonical_keys``: one
-    z-turn per list for 'global_z', images over a stabilizer coset for the
-    octahedral group) whose classes ``_unique_rows`` finds.  Only the
-    partition into classes decides what is kept.  The kept rows come back
-    in input order and in the input's kind: a ``SequenceStack`` gives a
-    sub-stack on the same axes, so no sequence is built; a list (grouped by
-    length) gives a list of the same objects.
+    The stack's rows get canonical keys (``_canonical_keys``: one z-turn
+    per row for 'global_z', images over a stabilizer coset for the
+    octahedral group) whose classes ``_unique_rows`` finds.  The kept rows
+    come back in input order as a sub-stack on the same axes, so no
+    sequence is built.
     """
     if symmetry not in ("global_z", "axis_set_rotations", "none"):
         raise ValueError(f"unknown symmetry {symmetry!r}")
-    if isinstance(results, SequenceStack):
-        return results[np.sort(_classes(results.axes, symmetry))]
-    by_length: dict[int, list[int]] = {}
-    for i, seq in enumerate(results):
-        by_length.setdefault(len(seq), []).append(i)
-    keep = []
-    for idx in by_length.values():
-        first = _classes(np.array([results[i].axes for i in idx]), symmetry)
-        keep.extend(np.asarray(idx)[first].tolist())
-    return [results[i] for i in sorted(keep)]
+    return results[np.sort(_unique_rows(_canonical_keys(results.axes, symmetry))[0])]

@@ -90,10 +90,12 @@ def _checked_cycle_order(m, betas: list[float]) -> int | None:
     if m is None:
         return None
     m = integer_at_least("cycle order", m)
+    if m > sys.float_info.max:
+        raise ValueError(f"cycle order is beyond the float range, got {_shown(m)}")
     want = 2.0 * np.pi / m
     for b in betas:
         if abs(b - want) >= BETA_MATCH_TOL:
-            raise ValueError(f"cycle order {m} requires beta = 2pi/{m}, got {b}")
+            raise ValueError(f"cycle order {_shown(m)} requires beta = 2pi/{_shown(m)}, got {b}")
     return m
 
 
@@ -675,6 +677,9 @@ def from_json_dict(d: dict, deg: bool = False) -> RotationSequence:
     """The sequence a decoded JSON object describes; with ``deg`` its flip
     angles, phases and latitudes are read in degrees."""
     rows = json_elements(d)
+    seq_name = d.get("name", "unnamed")
+    if not isinstance(seq_name, str):
+        raise ValueError(f"malformed sequence: name must be a JSON string, got {_shown(seq_name)}")
     betas, axes = np.empty(len(rows)), np.empty((len(rows), 3))
     phases, lats = np.full((2, len(rows)), math.nan)
     by_phase = np.array(["axis" not in ed for ed in rows], dtype=bool)
@@ -690,7 +695,7 @@ def from_json_dict(d: dict, deg: bool = False) -> RotationSequence:
         if not np.isfinite(vals).all():
             raise ValueError(f"{name} {vals[~np.isfinite(vals)][0]} is not finite")
     axes[by_phase] = axis_from_phase(phases[by_phase], lats[by_phase])
-    return _sequences([d.get("name", "unnamed")], betas[None], axes[None],
+    return _sequences([seq_name], betas[None], axes[None],
                       d.get("cycle_order"), phases[None], lats[None])[0]
 
 

@@ -402,6 +402,25 @@ AXIS_SHAPES = {"axis-len2": [1, 0], "axis-len4": [1, 0, 0, 0], "axis-nested": [[
     pytest.param(["toggle", "@in"], {"cycle_order": True, "elements": [
         {"beta": 2 * np.pi, "phase": 0.0}]}, "cycle order must be an integer",
         id="bool-cycle-order"),
+    pytest.param(["toggle", "@in"], {"cycle_order": 10 ** 400, "elements": [
+        {"beta": np.pi, "phase": 0.0}]},
+        "error: cycle order is beyond the float range, got an integer of 401 digits\n",
+        id="huge-cycle-order"),
+    pytest.param(["toggle", "@in"], {"cycle_order": 10 ** 30, "elements": [
+        {"beta": np.pi, "phase": 0.0}]},
+        "error: cycle order an integer of 31 digits requires beta = 2pi/an integer of 31 digits, "
+        "got 3.141592653589793\n", id="long-cycle-order"),
+    # a name that is not a string, in a sequence file and in a DD file's pulses
+    *[pytest.param(argv, doc, f"error: malformed sequence: name must be a JSON string, got {got}\n",
+                   id=f"{argv[0]}-{tag}-name")
+      for tag, name, got in (("infinite", 1e400, "inf"), ("object", {"a": 1}, "{'a': 1}"),
+                             ("null", None, "None"))
+      for argv, doc in (
+          (["toggle", "@in", "--m", "0"],
+           {"name": name, "elements": [{"beta": np.pi, "phase": 0.0}]}),
+          (["kappa", "@in", "--lambda", "1"],
+           {"pulses": {"name": name, "elements": [{"beta": np.pi, "phase": 0.0}]},
+            "delays": [1.0, 1.0]}))],
 ])
 def test_bad_input_exits_1_with_one_line(capsys, tmp_path, argv, doc, says):
     path = tmp_path / "in.json"

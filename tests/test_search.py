@@ -127,30 +127,38 @@ def test_z_only_balance_mode_is_weaker():
     assert len(zonly) >= len(full)
 
 
+def _stack_of(*seqs):
+    """A stack of sequences of one length and one flip angle, named ``s-{i}``."""
+    s = seqs[0]
+    return sm._sequence_stack("s-", float(s.betas[0]), np.array([t.axes for t in seqs]),
+                              s.cycle_order)
+
+
 def test_dedupe_global_z_merges_rotated_copies():
     s = catalog.derome()
     rotated = sm.global_phase_shift(s, 1.234)
-    out = se.dedupe([s, rotated, s], "global_z")
-    assert len(out) == 1
-    assert se.dedupe([], "global_z") == []
+    out = se.dedupe(_stack_of(s, rotated, s), "global_z")
+    assert isinstance(out, sm.SequenceStack) and [t.name for t in out] == ["s-0"]
+    empty = se.dedupe(_stack_of(s)[:0], "global_z")
+    assert isinstance(empty, sm.SequenceStack) and len(empty) == 0
 
 
 def test_dedupe_none_keeps_distinct():
     s = catalog.derome()
     rotated = sm.global_phase_shift(s, 1.234)
-    assert len(se.dedupe([s, rotated], "none")) == 2
+    assert len(se.dedupe(_stack_of(s, rotated), "none")) == 2
 
 
 def test_dedupe_axis_set_rotations_merges_mirror():
     s = catalog.derome()
     mirrored = s.with_axes(s.axes * np.array([1.0, -1.0, 1.0]))
-    assert len(se.dedupe([s, mirrored], "axis_set_rotations")) == 1
-    assert len(se.dedupe([s, mirrored], "global_z")) == 2
+    assert len(se.dedupe(_stack_of(s, mirrored), "axis_set_rotations")) == 1
+    assert len(se.dedupe(_stack_of(s, mirrored), "global_z")) == 2
 
 
 def test_dedupe_unknown_symmetry():
     with pytest.raises(ValueError):
-        se.dedupe([], "bogus")
+        se.dedupe(_stack_of(catalog.derome()), "bogus")
 
 
 def test_octahedral_group_size():
@@ -239,20 +247,6 @@ def test_search_runs_no_propagator_chain(monkeypatch):
         tg.inverse_toggle_axes(np.array([[1.0, 0.0, 0.0]]), 1.0)
 
 
-@pytest.mark.parametrize("symmetry", ["global_z", "axis_set_rotations", "none"])
-def test_dedupe_of_a_stack_equals_dedupe_of_its_rows(symmetry):
-    rng = np.random.default_rng(17)
-    for spec in (se.SearchSpec(se.octahedron(), 6, 4, "equatorial_pi"),
-                 se.SearchSpec(se.cube(), 6, 3, "axis_cycling"),
-                 se.SearchSpec(se.octahedron(), 5, 4, "equatorial_pi", "z_only")):
-        stack = se.enumerate_balanced(spec)
-        # a shuffled sub-stack with repeats: the first of each class in its order
-        for results in (stack, stack[rng.integers(len(stack), size=2 * len(stack))]):
-            got = se.dedupe(results, symmetry)
-            assert isinstance(got, sm.SequenceStack) and 0 < len(got) <= len(results)
-            _assert_same_results(got, se.dedupe(list(results), symmetry))
-
-
 def test_search_and_dedupe_build_no_sequences(built_sequences):
     raw = se.enumerate_balanced(se.SearchSpec(se.octahedron(), 8, 4, "equatorial_pi"))
     unique = se.dedupe(raw)
@@ -263,6 +257,11 @@ def test_search_and_dedupe_build_no_sequences(built_sequences):
 # ---------------------------------------------------------------------------
 # reference: the k^n odometer and the per-sequence dedupe the walk replaced
 # ---------------------------------------------------------------------------
+
+# the walk's loose acceptance before it ran the balance test itself: the
+# route of _walk_reference and chain_route
+OLD_WALK_TOL = 1e-6
+
 
 def _target_mask_reference(spec, net_quats, tol=se.NET_MATCH_TOL):
     """The target test before it ran on quat_angle_between: its own log map
@@ -307,9 +306,9 @@ def _chain_axes(spec, tuples, inverse=tg.inverse_toggle_axes, mask=_target_mask_
 
 def chain_route(spec, inverse=tg.inverse_toggle_axes):
     """enumerate_balanced as it ran on the propagator chain: the walk's
-    tuples, with the target tested within WALK_TOL on the vertex products,
-    through ``_chain_axes``."""
-    tuples = spec.axis_set.vertices[_walk_reference(spec, se.WALK_TOL)[0]]
+    tuples, with the target tested within OLD_WALK_TOL on the vertex
+    products, through ``_chain_axes``."""
+    tuples = spec.axis_set.vertices[_walk_reference(spec, OLD_WALK_TOL)]
     return sm._sequence_stack(f"{spec.axis_set.name}-{spec.m}-", spec.beta,
                               _chain_axes(spec, tuples, inverse, se._target_mask), spec.m)
 
@@ -330,10 +329,11 @@ def _odometer_reference(spec):
 
 
 def _walk_reference(spec, tol=se.NET_MATCH_TOL):
-    """The walk's tuples before the affine step: quaternions stepped by
-    quat_mul and partial sums by a broadcast add, kept as separate arrays,
-    and the target test, within ``tol``, on every row of the last level.
-    Returns the tuples and their rows' level-n partial sums."""
+    """The walk's tuples before the affine step and before it ran the
+    balance test: quaternions stepped by quat_mul and partial sums by a
+    broadcast add, kept as separate arrays, sums accepted within
+    OLD_WALK_TOL, and the target test, within ``tol``, on every row of the
+    last level."""
     verts = spec.axis_set.vertices
     k, n = len(verts), spec.n
     steps = rc.quat_from_axis_angle(verts, np.full(k, spec.beta))
@@ -348,11 +348,11 @@ def _walk_reference(spec, tol=se.NET_MATCH_TOL):
         s = (sums[:, None, :] + part[None, :, :]).reshape(rows, -1)
         dist = np.linalg.norm(s, axis=1)
         if level == n:
-            accept = (dist < se.WALK_TOL) & _target_mask_reference(spec, q, tol)
+            accept = (dist < OLD_WALK_TOL) & _target_mask_reference(spec, q, tol)
             break
-        keep = np.flatnonzero(dist <= (n - level) * reach + se.WALK_TOL)
+        keep = np.flatnonzero(dist <= (n - level) * reach + OLD_WALK_TOL)
         if keep.size == 0:
-            return np.empty((0, n), dtype=np.intp), np.empty((0, part.shape[1]))
+            return np.empty((0, n), dtype=np.intp)
         qk = np.rint(q[keep] * se._KEY_SCALE).astype(np.int64)
         lead = qk[np.arange(len(qk)), (qk != 0).argmax(axis=1)]
         qk[lead < 0] *= -1
@@ -372,7 +372,7 @@ def _walk_reference(spec, tol=se.NET_MATCH_TOL):
         digits = np.column_stack([digits[r], c])
         if level < n - 1:
             paths = tables[level][paths[r], c]
-    return digits, s[paths[r] * k + c]
+    return digits
 
 
 @pytest.mark.parametrize("set_name, n, m, target, balance", [
@@ -471,7 +471,7 @@ def test_walk_matches_odometer_reference(set_name, m):
         for target in (rc.Rotation(net), "equatorial_pi", "axis_cycling"):
             for balance in ("full", "z_only"):
                 spec = se.SearchSpec(axis_set, n, m, target, balance)
-                assert np.array_equal(se._walk(spec)[0], _walk_reference(spec)[0])
+                assert np.array_equal(se._walk(spec)[0], _walk_reference(spec))
                 got = se.enumerate_balanced(spec)
                 _assert_same_results(got, _odometer_reference(spec), CHAIN_AXES_TOL)
                 found += len(got)
@@ -519,9 +519,8 @@ EXACT_WALK_TOL = 3e-15
 ])
 def test_walk_axes_and_nets_agree_with_a_40_digit_product(set_name, n, m, target, found):
     spec = se.SearchSpec(se.BUILTIN_AXIS_SETS[set_name](), n, m, target)
-    digits, axes, nets, sums = se._walk(spec)
+    digits, axes, nets = se._walk(spec)
     assert len(digits) == found and axes.shape == (found, n, 3) and nets.shape == (found, 4)
-    assert sums.shape == (found, 3)
     want_axes, want_nets = _exact_walk(spec.axis_set.vertices, spec.beta, digits)
     # nets are quaternions up to sign: states merge on either sign
     signs = np.where(np.sum(nets * want_nets, axis=1) < 0, -1.0, 1.0)
@@ -539,7 +538,7 @@ def test_walk_axes_and_nets_agree_with_a_40_digit_product(set_name, n, m, target
 ])
 def test_walk_matches_the_quat_mul_walk(monkeypatch, set_name, n, m, target, found):
     spec = se.SearchSpec(se.BUILTIN_AXIS_SETS[set_name](), n, m, target)
-    got, want = se._walk(spec)[0], _walk_reference(spec)[0]
+    got, want = se._walk(spec)[0], _walk_reference(spec)
     assert got.dtype == want.dtype and np.array_equal(got, want)
     assert len(se.enumerate_balanced(spec)) == found
     # the states each level merges: equal keys, so equal tables
@@ -575,38 +574,36 @@ def _walk_with_merges(monkeypatch, spec):
 @pytest.mark.parametrize("set_name", sorted(se.BUILTIN_AXIS_SETS))
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_walk_sums_are_the_balance_test_sums(monkeypatch, set_name, m):
-    # enumerate_balanced's float balance test reads the walk's level-n
-    # partial sums in place of vertices[digits].sum(axis=1).  The step adds
-    # each vertex's balance part to the sum, one addition per level in tuple
-    # order, so the sums equal the reference walk's broadcast adds bit for
-    # bit, and the plain sum of each tuple too.  But a level merges states
-    # whose sums agree to 1e-9: where it merged sums of the same parts added
-    # in another order, every tuple through the state reads the sum of its
-    # first row, a few ulps off the tuple's own, and the balance test must
-    # decide as it would on the plain sums
+    # the walk decides balance on its level-n partial sums, within
+    # n BALANCE_SUM_TOL, and accepts what the plain-sum test on
+    # vertices[digits].sum(axis=1) accepts among the reference walk's
+    # tuples.  The step adds each vertex's balance part to the sum, one
+    # addition per level in tuple order, but a level merges states whose
+    # sums agree to 1e-9: where it merged sums of the same parts added in
+    # another order, a tuple is tested on its state's first-row sum, a few
+    # ulps off its own, and must be decided as on its plain sum
     axis_set = se.BUILTIN_AXIS_SETS[set_name]()
     verts = axis_set.vertices
     exact = reordered = 0
     for n in range(1, 9 if len(verts) <= 6 else 8):
+        tol = n * se.BALANCE_SUM_TOL
         for target in (PI0, "equatorial_pi", "axis_cycling"):
             for balance in ("full", "z_only"):
                 spec = se.SearchSpec(axis_set, n, m, target, balance)
-                (digits, _, _, sums), merged = _walk_with_merges(monkeypatch, spec)
-                want_digits, want = _walk_reference(spec)
-                assert np.array_equal(digits, want_digits) and sums.tobytes() == want.tobytes()
-                plain = verts[digits].sum(axis=1)
+                (digits, _, _), merged = _walk_with_merges(monkeypatch, spec)
+                want = _walk_reference(spec)
+                plain = verts[want].sum(axis=1)
                 if balance == "z_only":
                     plain = plain[:, 2:]
-                assert sums.shape == plain.shape
-                if not merged:
-                    assert sums.tobytes() == plain.tobytes()
+                keep = np.linalg.norm(plain, axis=1) < tol
+                assert np.array_equal(digits, want[keep])
+                # no built-in set has a sum between n 1e-9 and OLD_WALK_TOL,
+                # so the old route's loose acceptance found the same tuples
+                assert keep.all()
+                if merged:
+                    reordered += len(digits)
+                else:
                     exact += len(digits)
-                    continue
-                reordered += len(digits)
-                assert np.max(np.abs(sums - plain), initial=0.0) <= n * np.finfo(float).eps
-                tol = n * se.BALANCE_SUM_TOL
-                assert np.array_equal(np.linalg.norm(sums, axis=1) < tol,
-                                      np.linalg.norm(plain, axis=1) < tol)
     # the octahedron's vertices have integer components, so no order matters;
     # the other sets' tuples pass reordered merges only with three-fold flips
     assert reordered == 0 or (m == 3 and set_name != "octahedron")
@@ -654,34 +651,38 @@ def test_reversed_vertex_product_is_the_net():
             assert np.max(np.abs(nets - signs[:, None] * prod)) < 1e-14
 
 
+SYNTHESIS_MIX = [se.SearchSpec(se.octahedron(), 6, 4, "equatorial_pi"),
+                 se.SearchSpec(se.octahedron(), 4, 4, "axis_cycling", "z_only"),
+                 se.SearchSpec(se.diagonal_quad(), 4, 3, "equatorial_pi", "z_only"),
+                 se.SearchSpec(se.cube(), 4, 3, "axis_cycling"),
+                 se.SearchSpec(se.octahedron(), 3, 2, PI0, "z_only"),
+                 se.SearchSpec(se.octahedron(), 5, 4, "equatorial_pi", "z_only")]
+
+
 def _synthesis_mix():
-    specs = [se.SearchSpec(se.octahedron(), 6, 4, "equatorial_pi"),
-             se.SearchSpec(se.octahedron(), 4, 4, "axis_cycling", "z_only"),
-             se.SearchSpec(se.diagonal_quad(), 4, 3, "equatorial_pi", "z_only"),
-             se.SearchSpec(se.cube(), 4, 3, "axis_cycling"),
-             se.SearchSpec(se.octahedron(), 3, 2, PI0, "z_only"),
-             se.SearchSpec(se.octahedron(), 5, 4, "equatorial_pi", "z_only")]
-    return [s for spec in specs for s in se.enumerate_balanced(spec)]
+    return [s for spec in SYNTHESIS_MIX for s in se.enumerate_balanced(spec)]
 
 
 @pytest.mark.parametrize("symmetry", ["global_z", "axis_set_rotations", "none"])
 def test_dedupe_matches_per_sequence_reference(symmetry):
-    rng = np.random.default_rng(3)
-    mixed = _synthesis_mix()
-    shuffled = [mixed[i] for i in rng.permutation(len(mixed))]
-    # turned copies, so that global_z has classes to merge across phases
-    turned = [sm.global_phase_shift(s, float(rng.uniform(0, 2 * np.pi))) for s in mixed[:40]]
-    no_equatorial = se.enumerate_balanced(se.SearchSpec(se.cube(), 6, 3, "axis_cycling"))
-    assert not any(np.any(np.abs(s.axes[:, 2]) <= 1e-9) for s in no_equatorial)
-    assert isinstance(no_equatorial, sm.SequenceStack)
-    for results in (mixed, shuffled + turned, []):
-        got, want = se.dedupe(results, symmetry), _dedupe_reference(results, symmetry)
-        assert len(got) == len(want) and all(a is b for a, b in zip(got, want))
     # a stack's rows are built on every read, so they are equal, not identical
-    got = se.dedupe(no_equatorial, symmetry)
-    assert isinstance(got, sm.SequenceStack)
-    _assert_same_results(got, _dedupe_reference(no_equatorial, symmetry))
-    assert len({len(s) for s in mixed}) == 4
+    rng = np.random.default_rng(3)
+    no_equatorial = se.SearchSpec(se.cube(), 6, 3, "axis_cycling")
+    for spec in SYNTHESIS_MIX + [no_equatorial]:
+        stack = se.enumerate_balanced(spec)
+        axes = stack.axes
+        if spec is no_equatorial:   # global_z falls back to the octahedral keys
+            assert len(stack) > 0 and not np.any(np.abs(axes[..., 2]) <= 1e-9)
+        # a z-turned copy of every row, so that global_z has classes to merge
+        # across phases, in one stack with the rows, shuffled
+        turned = rc.rotate_about_z(axes, rng.uniform(0, 2 * np.pi, size=(len(axes), 1)))
+        both = sm._sequence_stack("t-", spec.beta, np.concatenate([axes, turned]), spec.m)
+        # and a shuffled sub-stack with repeats: the first of each class in its order
+        for results in (stack, both[rng.permutation(len(both))],
+                        stack[rng.integers(len(stack), size=2 * len(stack))], stack[:0]):
+            got = se.dedupe(results, symmetry)
+            assert isinstance(got, sm.SequenceStack) and len(got) <= len(results)
+            _assert_same_results(got, _dedupe_reference(results, symmetry))
 
 
 # ---------------------------------------------------------------------------
